@@ -2,10 +2,29 @@
 
 Every kernel builds the output tensor eagerly and registers a backward
 closure; calling ``backward()`` on a scalar head walks the graph in
-reverse topological order and accumulates (``+=``) into per-tensor
-gradient buffers.  Gradients therefore sum correctly when several
-scalar heads share subgraphs, and ``zero_grad`` must be called between
-optimizer steps.
+reverse topological order.  Leaf tensors (those without a closure:
+parameters and inputs) accumulate (``+=``) into their gradient buffers
+across calls, so gradients sum correctly when several scalar heads share
+subgraphs, and ``zero_grad`` must be called between optimizer steps.
+An interior tensor's gradient lives for one pass only: it is dropped as
+soon as its closure has propagated it.
+
+Gradient ownership: every ``.grad`` buffer belongs to exactly one
+tensor.  A tensor's first gradient is adopted without a copy only when
+the kernel has just created that array for this one parent; anything
+that may be shared is copied.  ``add`` hands the same gradient to both
+parents, ``reshape``, ``transpose``, ``concat`` and ``tensor_sum`` hand
+views of the child's gradient, and ``backward()`` receives the caller's
+head gradient, so all of these copy.
+
+The backward of ``matmul`` for an operand of rank 3 or more times a 2-D
+matrix -- every ``x @ W`` projection -- flattens the operand to
+``(-1, K)`` rows: the matrix gradient is one ``a2d.T @ g2d`` GEMM rather
+than a batched ``(B, K, T) @ (B, T, N)`` stack summed over ``B``, and the
+operand gradient is one ``g2d @ W.T`` GEMM.  The forward product stays
+numpy's batched matmul, which measured faster than one flat GEMM at the
+model's small shapes.  Other shapes (the 4-D attention products) use the
+batched formulas and ``_unbroadcast`` both ways.
 
 All math runs in float64 by default.  float32 is accepted for speed
 runs, but the finite-difference tolerances in ``grad_check`` assume
@@ -13,6 +32,8 @@ float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,16 +90,32 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
-        if self.grad is None:
+    def _accumulate(self, g, fresh: bool = False):
+        """Add ``g`` into this tensor's gradient buffer.
+
+        The first gradient becomes the buffer.  Pass ``fresh=True`` only
+        for an array the kernel has just computed for this parent alone
+        (never the child's gradient, a view of it, or an array handed
+        to another parent): it is adopted as is.  Anything else is
+        copied, so no two tensors ever share a ``.grad`` buffer.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif g.shape != self.data.shape:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
+        elif fresh and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
 
     def backward(self, head_grad=None):
-        """Accumulate gradients of this tensor w.r.t. every ancestor.
+        """Accumulate gradients of this tensor w.r.t. every leaf ancestor.
 
         A scalar head seeds itself with 1.0; non-scalar heads need an
-        explicit ``head_grad`` of matching shape.
+        explicit ``head_grad`` of matching shape.  Interior gradients are
+        dropped once propagated, so a second head that shares a subgraph
+        adds only its own contribution to the leaves.
         """
         if head_grad is None:
             if self.data.size != 1:
@@ -86,12 +123,13 @@ class Tensor:
                     f"backward() on non-scalar tensor of shape {self.shape} "
                     "requires an explicit head gradient"
                 )
-            head_grad = np.ones_like(self.data)
-        order = _toposort(self)
-        self._accumulate(np.asarray(head_grad, dtype=self.data.dtype))
-        for node in order:
+            self._accumulate(np.ones_like(self.data), fresh=True)
+        else:
+            self._accumulate(np.asarray(head_grad, dtype=self.data.dtype))
+        for node in _toposort(self):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # Convenience operators; heavier kernels stay module functions.
     def __add__(self, other):
@@ -143,9 +181,16 @@ def _needs_grad(*tensors: Tensor) -> bool:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Sum ``g`` down to ``shape``, undoing numpy broadcasting.
+
+    The leading axes broadcasting added are summed in one reduction over
+    a flat view, e.g. a ``(B, T, N)`` gradient to an ``(N,)`` bias as
+    ``reshape(-1, N).sum(0)``; the result is a new array whenever any
+    axis is summed.
+    """
+    lead = g.ndim - len(shape)
+    if lead > 0:
+        g = g.reshape((math.prod(g.shape[:lead]),) + g.shape[lead:]).sum(axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -169,15 +214,32 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data, requires_grad=_needs_grad(a, b))
     if out.requires_grad:
         out._parents = (a, b)
+        flat = a.ndim >= 3 and b.ndim == 2
 
         def _bw(g):
+            if flat:
+                _matmul_flat_backward(a, b, g)
+                return
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ _swap_last(b.data), a.shape))
+                a._accumulate(_unbroadcast(g @ _swap_last(b.data), a.shape),
+                              fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(_swap_last(a.data) @ g, b.shape))
+                b._accumulate(_unbroadcast(_swap_last(a.data) @ g, b.shape),
+                              fresh=True)
 
         out._backward = _bw
     return out
+
+
+def _matmul_flat_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Backward of ``(..., K) @ (K, N)`` as 2-D GEMMs over flattened rows."""
+    k, n = b.shape
+    rows = math.prod(a.shape[:-1])
+    g2d = g.reshape(rows, n)
+    if a.requires_grad:
+        a._accumulate((g2d @ b.data.T).reshape(a.shape), fresh=True)
+    if b.requires_grad:
+        b._accumulate(a.data.reshape(rows, k).T @ g2d, fresh=True)
 
 
 def add(a, b) -> Tensor:
@@ -212,9 +274,9 @@ def mul(a, b) -> Tensor:
 
         def _bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
         out._backward = _bw
     return out
@@ -228,7 +290,7 @@ def scale(a, k: float) -> Tensor:
         out._parents = (a,)
 
         def _bw(g):
-            a._accumulate(g * k)
+            a._accumulate(g * k, fresh=True)
 
         out._backward = _bw
     return out
@@ -293,7 +355,7 @@ def tensor_slice(a, key) -> Tensor:
         def _bw(g):
             full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-            a._accumulate(full)
+            a._accumulate(full, fresh=True)
 
         out._backward = _bw
     return out
@@ -307,7 +369,7 @@ def relu(a) -> Tensor:
         out._parents = (a,)
 
         def _bw(g):
-            a._accumulate(g * mask)
+            a._accumulate(g * mask, fresh=True)
 
         out._backward = _bw
     return out
@@ -325,7 +387,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
         def _bw(g):
             gs = g * s
-            a._accumulate(gs - s * gs.sum(axis=axis, keepdims=True))
+            a._accumulate(gs - s * gs.sum(axis=axis, keepdims=True), fresh=True)
 
         out._backward = _bw
     return out
@@ -351,7 +413,7 @@ def layer_norm(a, eps: float = 1e-12) -> Tensor:
         def _bw(g):
             g_mean = g.mean(axis=-1, keepdims=True)
             gx_mean = (g * x_hat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv_std * (g - g_mean - x_hat * gx_mean))
+            a._accumulate(inv_std * (g - g_mean - x_hat * gx_mean), fresh=True)
 
         out._backward = _bw
     return out
@@ -412,7 +474,7 @@ def cross_entropy_with_log_softmax(logits, targets, label_smoothing: float = 0.0
             target_dist[rows, targets] = 1.0 - label_smoothing
             if label_smoothing > 0.0:
                 target_dist += label_smoothing / v
-            logits._accumulate((probs - target_dist) * g[:, None])
+            logits._accumulate((probs - target_dist) * g[:, None], fresh=True)
 
         out._backward = _bw
     return out
@@ -425,11 +487,8 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         out._parents = (a,)
 
         def _bw(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-            else:
-                g_exp = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g_exp, a.shape).copy())
+            g_exp = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g_exp, a.shape))
 
         out._backward = _bw
     return out
@@ -448,7 +507,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
         out._parents = (a,)
 
         def _bw(g):
-            a._accumulate(g * keep)
+            a._accumulate(g * keep, fresh=True)
 
         out._backward = _bw
     return out

@@ -25,6 +25,11 @@ __all__ = ["TrainerState", "train_step", "token_accuracy",
 
 MAGIC = b"NCLK"
 FORMAT_VERSION = 1
+_META_KEYS = frozenset((
+    "config", "model_config", "src_vocab_size", "tgt_vocab_size", "step",
+    "m0", "matrix_norm_mode", "schedule", "adam_step", "adam_betas",
+    "adam_eps", "model_rng",
+))
 
 
 @dataclass
@@ -112,12 +117,30 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    name = _decode(_read_exact(fh, name_len), "tensor name")
     (rank,) = struct.unpack("<Q", _read_exact(fh, 8))
     shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank))
     count = int(np.prod(shape)) if shape else 1
     data = np.frombuffer(_read_exact(fh, count * 8), dtype="<f8").reshape(shape)
     return name, data.astype(np.float64)
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"garbled checkpoint {what}: {exc}") from exc
+
+
+def _take_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
+    """The named tensor, which must be present with exactly ``shape``."""
+    if key not in tensors:
+        raise CheckpointError(f"checkpoint missing tensor {key}")
+    if tensors[key].shape != shape:
+        raise CheckpointError(
+            f"tensor {key} has shape {tensors[key].shape}, expected {shape}"
+        )
+    return tensors[key]
 
 
 def save_checkpoint(state: TrainerState, path) -> None:
@@ -166,31 +189,30 @@ def load_checkpoint(path) -> TrainerState:
                 f"checkpoint format {version} unsupported (expected {FORMAT_VERSION})"
             )
         (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        meta = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+        header = _decode(_read_exact(fh, blob_len), "header")
+        try:
+            meta = json.loads(header)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"garbled checkpoint header: {exc}") from exc
+        if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
+            raise CheckpointError("checkpoint header lacks required fields")
         (n_tensors,) = struct.unpack("<Q", _read_exact(fh, 8))
         tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
 
     model_config = ModelConfig(**meta["model_config"])
     model = Transformer(model_config, meta["src_vocab_size"],
                         meta["tgt_vocab_size"])
+    # _read_tensor returned fresh arrays, so they are adopted uncopied
     for name, p in model.params.items():
-        key = "param/" + name
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {key}")
-        if tensors[key].shape != p.data.shape:
-            raise CheckpointError(
-                f"tensor {key} has shape {tensors[key].shape}, "
-                f"expected {p.data.shape}"
-            )
-        p.data = tensors[key].copy()
+        p.data = _take_tensor(tensors, "param/" + name, p.data.shape)
     model.rng.bit_generator.state = meta["model_rng"]
 
     b1, b2 = meta["adam_betas"]
     adam = AdamState(model.params, beta1=b1, beta2=b2, eps=meta["adam_eps"])
     adam.step = meta["adam_step"]
-    for name in model.params:
-        adam.m[name] = tensors["adam_m/" + name].copy()
-        adam.v[name] = tensors["adam_v/" + name].copy()
+    for name, p in model.params.items():
+        adam.m[name] = _take_tensor(tensors, "adam_m/" + name, p.data.shape)
+        adam.v[name] = _take_tensor(tensors, "adam_v/" + name, p.data.shape)
 
     schedule = (None if meta["schedule"] is None
                 else CompetenceSchedule.from_state(meta["schedule"]))

@@ -3,6 +3,7 @@ the trace conventions, resume, and the comparison harness."""
 
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from normcl.corpus import UNK_ID, Vocabulary, tokenize
 from normcl.curriculum import competence_norm, competence_time
 from normcl.embedding import EmbeddingTable
 from normcl.synth import synthetic_pairs
+from normcl.trainer import load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -389,6 +391,57 @@ class TestEvaluate:
         report = json.loads((out / EVAL_REPORT).read_text())
         assert report["bleu"] >= 99.0
         assert (out / TRANSLATIONS_FILE).read_text().splitlines() == src
+
+
+def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
+    """Write a damaged copy of checkpoint ``src``; returns a fragment the
+    error message must contain."""
+    if how == "garbled_header":
+        raw = bytearray(src.read_bytes())
+        (blob_len,) = struct.unpack_from("<Q", raw, 8)  # after magic, version
+        raw[16:16 + blob_len] = b"\xff" * blob_len
+        dst.write_bytes(bytes(raw))
+        return "garbled checkpoint header"
+    state = load_checkpoint(src)
+    name = next(iter(state.model.params))
+    if how == "missing_adam_v":
+        del state.adam.v[name]
+        save_checkpoint(state, dst)
+        return f"missing tensor adam_v/{name}"
+    state.adam.m[name] = state.adam.m[name][:2]
+    save_checkpoint(state, dst)
+    return f"adam_m/{name} has shape"
+
+
+@pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
+                                 "short_adam_m"])
+class TestDamagedCheckpoint:
+    """A damaged checkpoint ends in exit 2 and a message, never a
+    traceback, whether ``evaluate`` or ``train --resume`` reads it."""
+
+    def test_evaluate(self, workdir, trained, tmp_path, capsys, how):
+        bad = tmp_path / "bad.ckpt"
+        fragment = _corrupt_checkpoint(trained / CKPT_LAST, bad, how)
+        code = run_cli("evaluate", "--config", workdir / "run.json",
+                       "--out", trained, "--checkpoint", bad,
+                       "--test-source", workdir / "dev.src",
+                       "--test-target", workdir / "dev.tgt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert "Traceback" not in err
+
+    def test_resume(self, workdir, trained, tmp_path, capsys, how):
+        bad = tmp_path / "bad.ckpt"
+        fragment = _corrupt_checkpoint(trained / CKPT_LAST, bad, how)
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--resume",
+                       "--checkpoint", bad,
+                       "--difficulty", trained / DIFFICULTY_FILE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert "Traceback" not in err
 
 
 class TestCompare:

@@ -168,6 +168,18 @@ class TestTiedEmbeddings:
         grad_row = model.params["tgt_embed"].grad[11]
         assert np.abs(grad_row).max() > 0
 
+    def test_parameter_gradients_own_their_buffers(self):
+        # backward adopts kernel results as gradient buffers; a buffer
+        # shared by two parameters would mix their Adam updates
+        model = Transformer(SMALL, 14, 14)
+        batch = build_batch(_pairs(6, np.random.default_rng(8), hi=14))
+        model.forward_loss(batch)[0].backward()
+        grads = [(name, p.grad) for name, p in model.params.items()]
+        assert all(g is not None for _, g in grads)
+        for i, (name_a, grad_a) in enumerate(grads):
+            for name_b, grad_b in grads[i + 1:]:
+                assert not np.shares_memory(grad_a, grad_b), (name_a, name_b)
+
 
 class TestGradients:
     def test_full_model_grad_check_key_parameters(self):
@@ -306,4 +318,17 @@ class TestCheckpoint:
         blob[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header,message", [
+        (b"not json", "garbled checkpoint header"),
+        (b'{"step": 1}', "lacks required fields"),
+        (b"[]", "lacks required fields"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"NCLK" + (1).to_bytes(4, "little")
+                         + len(header).to_bytes(8, "little") + header
+                         + (0).to_bytes(8, "little"))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
