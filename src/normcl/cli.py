@@ -26,16 +26,16 @@ import numpy as np
 
 from .bleu import bleu_report
 from .config import (
-    CurriculumConfig, RunConfig, apply_overrides, config_hash,
-    load_config_file, require_file, run_config_from_dict, run_config_to_dict,
+    RunConfig, apply_overrides, config_hash, load_config_file, require_file,
+    run_config_from_dict, run_config_to_dict,
 )
 from .corpus import (
     UNK_ID, MergeTable, ParallelCorpus, Vocabulary, build_vocab,
     detokenize_subwords, learn_merges, load_parallel, read_lines, tokenize,
 )
 from .curriculum import (
-    CompetenceSchedule, DifficultyProfile, SamplerState, competence_norm,
-    competence_time, sample_batch, sentence_weight,
+    DifficultyProfile, SamplerState, competence_norm, competence_time,
+    sample_batch, sentence_weight,
 )
 from .decoding import decode_corpus
 from .embedding import EmbeddingTable, train_sgns
@@ -142,8 +142,7 @@ def cmd_embed(config: RunConfig) -> Path:
     # difficulty comes from the max-norm unknown rule instead)
     sgns_cfg = replace(config.sgns, min_count=ccfg.min_count)
     lines = [[i for i in vocab.encode(toks) if i != UNK_ID] for toks in src_units]
-    workers = 1 if config.deterministic else config.workers
-    table = train_sgns(lines, sgns_cfg, vocab.tokens, workers=workers)
+    table = train_sgns(lines, sgns_cfg, vocab.tokens)
 
     vocab.save(out / VOCAB_SRC_FILE)
     if merges_src is not None:
@@ -195,13 +194,17 @@ def _dev_pairs(config: RunConfig, vocab_src, vocab_tgt, merges_src, merges_tgt,
     return corpus.pairs[: min(200, len(corpus))]
 
 
-def _build_schedule(cur: CurriculumConfig) -> CompetenceSchedule | None:
-    if cur.kind == "none":
-        return None
-    if cur.kind == "time_sqrt":
-        return CompetenceSchedule("time_sqrt", c0=cur.c0, lambda_t=cur.lambda_t,
-                                  lambda_m=cur.lambda_m)
-    return CompetenceSchedule("norm_based", c0=cur.c0, lambda_m=cur.lambda_m)
+def _trace_rows_upto(path: Path, step: int) -> list[str]:
+    """The rows of an existing trace that log updates up to ``step``.
+
+    A run killed after its last checkpoint logged later updates; a
+    resume from that checkpoint replays them, so their rows go.
+    """
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    try:
+        return [row for row in rows if int(row.split(",", 1)[0]) <= step]
+    except ValueError:
+        raise DataError(f"malformed row in trace {path}") from None
 
 
 def cmd_train(config: RunConfig, resume: bool = False,
@@ -253,39 +256,32 @@ def cmd_train(config: RunConfig, resume: bool = False,
             )
         if "sampler_rng" in state.extra_state:
             sampler.set_rng_state(state.extra_state["sampler_rng"])
-        peak_m = float(state.extra_state.get("peak_m", state.m0))
         evals = list(state.extra_state.get("evals", []))
-        fresh_trace = not trace_path.exists()
+        trace_rows = (_trace_rows_upto(trace_path, state.step)
+                      if trace_path.exists() else [])
     else:
         model = Transformer(config.model, len(vocab_src), len(vocab_tgt))
         state = TrainerState(
             model=model, adam=AdamState(model.params),
-            schedule=_build_schedule(cur), matrix_norm_mode=cur.matrix_norm,
+            schedule=cur.schedule(), matrix_norm_mode=cur.matrix_norm,
             config_snapshot={"hash": chash},
         )
         state.capture_anchor()
-        peak_m = float(state.m0)
         evals = []
-        fresh_trace = True
+        trace_rows = []
 
     schedule = state.schedule
     best_acc = max((e["token_accuracy"] for e in evals), default=float("-inf"))
     start_step = state.step + 1
     n = len(corpus)
 
-    with open(trace_path, "w" if fresh_trace else "a", encoding="utf-8") as trace:
-        if fresh_trace:
-            trace.write(TRACE_HEADER + "\n")
+    with open(trace_path, "w", encoding="utf-8") as trace:
+        trace.write("\n".join([TRACE_HEADER, *trace_rows]) + "\n")
         for t in range(start_step, config.total_steps + 1):
-            if cur.kind == "none":
-                c_used = 1.0
-                driver_before = peak_m
-            else:
-                c_used = schedule.competence(state.step)
-                driver_before = (schedule.driver if cur.kind == "norm_based"
-                                 else peak_m)
+            c_used = schedule.competence(state.step)
+            driver_before = schedule.driver
             pairs = sample_batch(sampler, corpus, c_used)
-            if cur.kind == "none":
+            if profile is None:
                 weights = None
             else:
                 weights = np.array([
@@ -294,9 +290,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 ])
             lr = lr_schedule(t, config.optimizer.warmup, config.optimizer.peak_lr)
             metrics = train_step(state, build_batch(pairs), weights, lr)
-            if schedule is not None:
-                schedule.observe_norm(metrics["m_t"])
-            peak_m = max(peak_m, float(metrics["m_t"]))
+            schedule.observe_norm(metrics["m_t"])
 
             if t == start_step or t % config.log_interval == 0 \
                     or t == config.total_steps:
@@ -310,11 +304,8 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 acc = token_accuracy(state.model, dev_pairs)
                 evals.append({"step": t, "token_accuracy": float(acc),
                               "loss": float(metrics["loss"])})
-                state.extra_state = {
-                    "sampler_rng": sampler.rng_state(),
-                    "peak_m": peak_m,
-                    "evals": evals,
-                }
+                state.extra_state = {"sampler_rng": sampler.rng_state(),
+                                     "evals": evals}
                 save_checkpoint(state, out / CKPT_LAST)
                 if acc > best_acc:
                     best_acc = acc
@@ -507,8 +498,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument("--deterministic", action="store_true",
-                        help="force single-worker, byte-stable outputs")
     common.add_argument("--out", help="output directory (default: "
                         "$NORMCL_OUT or the working directory)")
     common.add_argument("--set", action="append", dest="overrides",
@@ -579,8 +568,6 @@ def _assemble_config(args) -> RunConfig:
     data = apply_overrides(data, args.overrides)
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.deterministic:
-        data["deterministic"] = True
     if args.out:
         data["out_dir"] = args.out
     return run_config_from_dict(data)

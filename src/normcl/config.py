@@ -1,8 +1,11 @@
 """Run configuration: nested blocks, JSON round-trip, overrides, hashing.
 
 One JSON document configures a whole run.  Block subconfigs reuse the
-owning module's dataclass where one exists (sgns, model), so their
-range checks fire at construction time, before any compute starts.
+owning module's dataclass where one exists (sgns, model), or build the
+owning module's object from their values (curriculum builds its
+competence schedule, eval its beam settings), so every range check
+lives in one place and fires at construction time, before any compute
+starts.
 The ``seed`` at the top level flows into sgns/model seeds unless those
 blocks pin their own.
 """
@@ -15,21 +18,25 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .curriculum import CRITERIA
+from .curriculum import CRITERIA, MATRIX_NORMS, CompetenceSchedule
 from .decoding import BeamConfig
 from .embedding import SgnsConfig
 from .errors import ConfigError
 from .model import ModelConfig
 
 __all__ = [
-    "COMPETENCE_KINDS", "MATRIX_NORMS",
     "CorpusConfig", "CurriculumConfig", "OptimizerConfig", "EvalConfig",
     "RunConfig", "run_config_from_dict", "run_config_to_dict",
     "load_config_file", "apply_overrides", "config_hash", "require_file",
 ]
 
-COMPETENCE_KINDS = ("time_sqrt", "norm_based", "none")
-MATRIX_NORMS = ("row_sum", "frobenius")
+
+def _prefixed(block: str, build):
+    """Run ``build`` and prefix any ConfigError with the block name."""
+    try:
+        return build()
+    except ConfigError as exc:
+        raise ConfigError(f"{block}.{exc}") from None
 
 
 @dataclass
@@ -70,18 +77,7 @@ class CurriculumConfig:
                 f"curriculum.criterion must be one of {CRITERIA}, "
                 f"got {self.criterion!r}"
             )
-        if self.kind not in COMPETENCE_KINDS:
-            raise ConfigError(
-                f"curriculum.kind must be one of {COMPETENCE_KINDS}, "
-                f"got {self.kind!r}"
-            )
-        if not 0.0 < self.c0 < 1.0:
-            raise ConfigError(f"curriculum.c0 must be in (0, 1), got {self.c0}")
-        if self.kind == "time_sqrt" and (self.lambda_t is None or self.lambda_t < 1):
-            raise ConfigError("curriculum.lambda_t must be a positive step count "
-                              "when kind is time_sqrt")
-        if self.lambda_m <= 0:
-            raise ConfigError(f"curriculum.lambda_m must be > 0, got {self.lambda_m}")
+        _prefixed("curriculum", self.schedule)
         if self.lambda_w < 0:
             raise ConfigError(f"curriculum.lambda_w must be >= 0, got {self.lambda_w}")
         if self.min_pool < 1:
@@ -95,6 +91,11 @@ class CurriculumConfig:
                 f"curriculum.matrix_norm must be one of {MATRIX_NORMS}, "
                 f"got {self.matrix_norm!r}"
             )
+
+    def schedule(self) -> CompetenceSchedule:
+        """A fresh, unanchored competence schedule for this block."""
+        return CompetenceSchedule(self.kind, c0=self.c0, lambda_t=self.lambda_t,
+                                  lambda_m=self.lambda_m)
 
 
 @dataclass
@@ -117,13 +118,7 @@ class EvalConfig:
     smooth_bleu: bool = False
 
     def __post_init__(self):
-        # BeamConfig re-validates, but these fire before any compute
-        if self.beam_size < 1:
-            raise ConfigError(f"eval.beam_size must be >= 1, got {self.beam_size}")
-        if self.max_decode_len < 1:
-            raise ConfigError(
-                f"eval.max_decode_len must be >= 1, got {self.max_decode_len}"
-            )
+        _prefixed("eval", self.beam_config)
 
     def beam_config(self) -> BeamConfig:
         return BeamConfig(beam_size=self.beam_size, alpha=self.alpha,
@@ -139,8 +134,6 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
-    deterministic: bool = False
-    workers: int = 1
     total_steps: int = 1000
     log_interval: int = 50
     eval_interval: int = 200
@@ -153,8 +146,6 @@ class RunConfig:
             raise ConfigError(f"log_interval must be >= 1, got {self.log_interval}")
         if self.eval_interval < 1:
             raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir:

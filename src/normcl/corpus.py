@@ -95,12 +95,18 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         tokens, counts = [], []
-        for line in read_lines(path):
-            tok, idx, count = line.split("\t")
-            if int(idx) != len(tokens):
+        for lineno, line in enumerate(read_lines(path), 1):
+            try:
+                tok, idx, count = line.split("\t")
+                idx, count = int(idx), int(count)
+            except ValueError:
+                raise DataError(
+                    f"malformed vocab line {lineno} in {path}: {line!r}"
+                ) from None
+            if idx != len(tokens):
                 raise DataError(f"non-contiguous id {idx} in vocab file {path}")
             tokens.append(tok)
-            counts.append(int(count))
+            counts.append(count)
         if tuple(tokens[:4]) != SPECIALS:
             raise DataError(f"vocab file {path} does not start with the special tokens")
         return cls(tokens, counts)

@@ -27,10 +27,13 @@ __all__ = [
     "sentence_difficulty_rarity", "cdf_normalize",
     "competence_time", "competence_norm", "embedding_matrix_norm",
     "sentence_weight", "DifficultyProfile", "CompetenceSchedule",
-    "SamplerState", "sample_batch", "CRITERIA",
+    "SamplerState", "sample_batch", "CRITERIA", "COMPETENCE_KINDS",
+    "MATRIX_NORMS",
 ]
 
 CRITERIA = ("norm", "length", "rarity")
+COMPETENCE_KINDS = ("time_sqrt", "norm_based", "none")
+MATRIX_NORMS = ("row_sum", "frobenius")
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +202,18 @@ class DifficultyProfile:
     @classmethod
     def load(cls, path) -> "DifficultyProfile":
         raws, cdfs, criterion = [], [], None
-        for line in read_lines(path):
-            sid, raw, cdf, crit = line.split("\t")
-            if int(sid) != len(raws):
+        for lineno, line in enumerate(read_lines(path), 1):
+            try:
+                sid, raw, cdf, crit = line.split("\t")
+                sid, raw, cdf = int(sid), float(raw), float(cdf)
+            except ValueError:
+                raise DataError(
+                    f"malformed difficulty line {lineno} in {path}: {line!r}"
+                ) from None
+            if sid != len(raws):
                 raise DataError(f"non-contiguous sentence id {sid} in {path}")
-            raws.append(float(raw))
-            cdfs.append(float(cdf))
+            raws.append(raw)
+            cdfs.append(cdf)
             criterion = crit
         if criterion is None:
             raise DataError(f"empty difficulty file {path}")
@@ -217,12 +226,14 @@ class DifficultyProfile:
 
 @dataclass
 class CompetenceSchedule:
-    """Stateful wrapper over the two competence formulas.
+    """Stateful wrapper over the competence formulas.
 
-    For the norm-based kind the driving quantity is the running peak of
-    observed embedding-matrix norms, so competence never regresses when
-    the raw norm wobbles downward.  ``m0`` anchors the formula and is
-    captured once, right after parameter initialization.
+    ``driver`` is the running peak of observed embedding-matrix norms,
+    anchored at ``m0``, which is captured once, right after parameter
+    initialization.  The norm-based kind reads its competence from it,
+    so competence never regresses when the raw norm wobbles downward;
+    every kind tracks it, so the trace reports the same driver for all.
+    Kind ``none`` is the curriculum-free baseline: competence is 1.
     """
 
     kind: str
@@ -233,14 +244,23 @@ class CompetenceSchedule:
     driver: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.kind not in ("time_sqrt", "norm_based"):
-            raise ConfigError(f"unknown competence kind {self.kind!r}")
+        # messages open with the field name, so a config block can
+        # prefix its own name to them
+        if self.kind not in COMPETENCE_KINDS:
+            raise ConfigError(
+                f"kind must be one of {COMPETENCE_KINDS}, got {self.kind!r}"
+            )
         _check_c0(self.c0)
-        if self.kind == "time_sqrt":
-            if self.lambda_t is None or self.lambda_t <= 0:
-                raise ConfigError("time_sqrt schedule needs a positive lambda_t")
-        elif self.lambda_m is None or self.lambda_m <= 0:
-            raise ConfigError("norm_based schedule needs a positive lambda_m")
+        if self.lambda_t is None and self.kind == "time_sqrt":
+            raise ConfigError("lambda_t must be set when kind is time_sqrt")
+        if self.lambda_t is not None and self.lambda_t < 1:
+            raise ConfigError(
+                f"lambda_t must be a positive step count, got {self.lambda_t}"
+            )
+        if self.lambda_m is None and self.kind == "norm_based":
+            raise ConfigError("lambda_m must be set when kind is norm_based")
+        if self.lambda_m is not None and self.lambda_m <= 0:
+            raise ConfigError(f"lambda_m must be > 0, got {self.lambda_m}")
         if self.m0 is not None and self.driver < self.m0:
             self.driver = self.m0
 
@@ -255,6 +275,8 @@ class CompetenceSchedule:
 
     def competence(self, completed_steps: int) -> float:
         """Competence given the number of completed optimizer steps."""
+        if self.kind == "none":
+            return 1.0
         if self.kind == "time_sqrt":
             return competence_time(completed_steps, self.c0, self.lambda_t)
         if self.m0 is None:

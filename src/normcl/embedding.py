@@ -6,15 +6,12 @@ a dynamically drawn window, negatives come from the unigram
 distribution raised to the 3/4 power.  Input-side vectors are the
 product; their Euclidean row norms drive sentence difficulty scoring.
 
-Training is single-threaded and bit-reproducible by default.  Passing
-workers > 1 runs unsynchronized concurrent updates on the shared
-matrices (hogwild-style: races are tolerated and results become
-seed-dependent per run).
+Training is single-threaded and bit-reproducible: a fixed seed gives
+the same vectors on every run.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -131,39 +128,13 @@ def sgns_step(w_in: np.ndarray, w_out: np.ndarray, center: int,
     w_in[center] = v + dv
 
 
-def _worker_pass(lines, w_in, w_out, noise_cdf, keep_prob, cfg: SgnsConfig,
-                 rng: np.random.Generator, progress: list, total_budget: int) -> None:
-    lr_floor = cfg.initial_lr * 1e-4
-    for _ in range(cfg.epochs):
-        for line in lines:
-            lr = max(cfg.initial_lr * (1.0 - progress[0] / total_budget), lr_floor)
-            kept = line[rng.random(len(line)) < keep_prob[line]]
-            progress[0] += len(line)
-            n = len(kept)
-            if n < 2:
-                continue
-            spans = rng.integers(1, cfg.window + 1, size=n)
-            for i in range(n):
-                b = int(spans[i])
-                ctx = np.concatenate((kept[max(0, i - b):i], kept[i + 1:i + 1 + b]))
-                k = len(ctx)
-                if k == 0:
-                    continue
-                negs = np.searchsorted(noise_cdf, rng.random(k * cfg.negatives))
-                sgns_step(w_in, w_out, int(kept[i]),
-                          np.concatenate((ctx, negs)), k, lr)
-
-
 def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
-               tokens: Sequence[str], workers: int = 1) -> EmbeddingTable:
+               tokens: Sequence[str]) -> EmbeddingTable:
     """Train input-side vectors over a stream of token-id lines.
 
     The vocabulary (``tokens``) must already reflect config.min_count;
-    ids in the corpus index into it.  workers=1 is deterministic for a
-    fixed seed; workers>1 trades determinism for wall-clock speed.
+    ids in the corpus index into it.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     vocab_size = len(tokens)
     if vocab_size < config.negatives + 1:
         raise ConfigError(
@@ -196,23 +167,25 @@ def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
                         size=(vocab_size, config.dim))
     w_out = np.zeros((vocab_size, config.dim), dtype=np.float64)
     total_budget = int(total) * config.epochs
-    progress = [0]
-
-    if workers == 1:
-        _worker_pass(lines, w_in, w_out, noise_cdf, keep_prob, config,
-                     np.random.default_rng((config.seed, 0)), progress, total_budget)
-    else:
-        threads = [
-            threading.Thread(
-                target=_worker_pass,
-                args=(lines[w::workers], w_in, w_out, noise_cdf, keep_prob, config,
-                      np.random.default_rng((config.seed, w)), progress, total_budget),
-            )
-            for w in range(workers)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-
+    lr_floor = config.initial_lr * 1e-4
+    rng = np.random.default_rng((config.seed, 0))
+    seen = 0
+    for _ in range(config.epochs):
+        for line in lines:
+            lr = max(config.initial_lr * (1.0 - seen / total_budget), lr_floor)
+            kept = line[rng.random(len(line)) < keep_prob[line]]
+            seen += len(line)
+            n = len(kept)
+            if n < 2:
+                continue
+            spans = rng.integers(1, config.window + 1, size=n)
+            for i in range(n):
+                b = int(spans[i])
+                ctx = np.concatenate((kept[max(0, i - b):i], kept[i + 1:i + 1 + b]))
+                k = len(ctx)
+                if k == 0:
+                    continue
+                negs = np.searchsorted(noise_cdf, rng.random(k * config.negatives))
+                sgns_step(w_in, w_out, int(kept[i]),
+                          np.concatenate((ctx, negs)), k, lr)
     return EmbeddingTable(tokens, w_in)

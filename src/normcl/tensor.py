@@ -207,7 +207,7 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 1 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")

@@ -44,7 +44,8 @@ class TrainerState:
     matrix_norm_mode: str = "row_sum"
     config_snapshot: dict = field(default_factory=dict)
     # opaque JSON-safe extras persisted with the checkpoint (the cli
-    # parks the sampler RNG state here so resume replays exact draws)
+    # parks the sampler RNG state and the dev evaluations so far here,
+    # so resume replays exact draws and reports every evaluation)
     extra_state: dict = field(default_factory=dict)
 
     def capture_anchor(self) -> float:
@@ -52,7 +53,7 @@ class TrainerState:
         model; must run before the first optimizer step."""
         self.m0 = embedding_matrix_norm(self.model.source_embedding(),
                                         self.matrix_norm_mode)
-        if self.schedule is not None and self.schedule.kind == "norm_based":
+        if self.schedule is not None:
             self.schedule.set_anchor(self.m0)
         return self.m0
 

@@ -585,15 +585,13 @@ def test_10_persistence_round_trip_and_resume(tmp_path):
 
     whole = tmp_path / "whole"
     assert run_cli("score", "--config", cfg, "--out", whole) == 0
-    assert run_cli("train", "--config", cfg, "--out", whole,
-                   "--deterministic") == 0
+    assert run_cli("train", "--config", cfg, "--out", whole) == 0
 
     split = tmp_path / "split"
     assert run_cli("score", "--config", cfg, "--out", split) == 0
     assert run_cli("train", "--config", cfg, "--out", split,
-                   "--deterministic", "--set", "total_steps=12") == 0
-    assert run_cli("train", "--config", cfg, "--out", split,
-                   "--deterministic", "--resume") == 0
+                   "--set", "total_steps=12") == 0
+    assert run_cli("train", "--config", cfg, "--out", split, "--resume") == 0
 
     a = _trace_losses(whole / "trace.csv")
     b = _trace_losses(split / "trace.csv")

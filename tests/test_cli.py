@@ -3,6 +3,7 @@ the trace conventions, resume, and the comparison harness."""
 
 import json
 import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import pytest
 from normcl.cli import (
     CKPT_BEST, CKPT_LAST, COMPARE_REPORT, DIFFICULTY_FILE, EVAL_REPORT,
     NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
-    VECTORS_FILE, VOCAB_SRC_FILE, main,
+    VECTORS_FILE, VOCAB_SRC_FILE, VOCAB_TGT_FILE, main,
 )
+from normcl.config import run_config_from_dict
 from normcl.corpus import UNK_ID, Vocabulary, tokenize
 from normcl.curriculum import competence_norm, competence_time
 from normcl.embedding import EmbeddingTable
@@ -194,6 +196,10 @@ class TestTrace:
         for step, c in zip(cols["step"], cols["competence"]):
             # row for update t was sampled at t-1 completed steps
             assert competence_time(int(step) - 1, 0.01, 16) == c
+        # the norm driver is tracked even though competence ignores it
+        m = cols["m_t"]
+        assert m[0] == json.loads((out / TRAIN_REPORT).read_text())["m0"]
+        assert all(b >= a for a, b in zip(m, m[1:]))
 
     def test_vanilla_columns_are_flat_ones(self, workdir):
         out = workdir / "vanilla"
@@ -204,6 +210,9 @@ class TestTrace:
         assert set(cols["competence"]) == {1.0}
         assert set(cols["eligible_fraction"]) == {1.0}
         assert set(cols["mean_weight"]) == {1.0}
+        m = cols["m_t"]
+        assert m[0] == json.loads((out / TRAIN_REPORT).read_text())["m0"]
+        assert all(b >= a for a, b in zip(m, m[1:]))
 
     def test_eligible_fraction_grows_with_competence(self, trained):
         cols = read_trace(trained / TRACE_FILE)
@@ -255,6 +264,34 @@ class TestResume:
                 assert line == by_step[step]
         # the final losses agree exactly, so weight updates replayed too
         assert broken[-1] == unbroken[-1]
+
+    def test_resume_from_earlier_checkpoint_truncates_trace(
+            self, workdir, trained, tmp_path):
+        """Train to 8, keep that checkpoint, train on to 16, then resume
+        from the step-8 copy: rows 9..16 of the abandoned branch go, so
+        steps strictly increase and shared rows equal the unbroken run."""
+        out = workdir / "resume_earlier"
+        cfg = workdir / "run.json"
+        difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--set", "total_steps=8") == 0
+        early = tmp_path / "step8.ckpt"
+        shutil.copyfile(out / CKPT_LAST, early)
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--resume", "--set", "total_steps=16") == 0
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--resume", "--checkpoint", early) == 0
+
+        lines = (out / TRACE_FILE).read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        steps = [int(line.split(",")[0]) for line in lines[1:]]
+        assert steps == [1, 4, 8, 9, 12, 16, 20, 24]
+        by_step = {line.split(",")[0]: line
+                   for line in (trained / TRACE_FILE).read_text().splitlines()[1:]}
+        shared = [line for line in lines[1:] if line.split(",")[0] in by_step]
+        assert len(shared) == 7
+        for line in shared:
+            assert line == by_step[line.split(",")[0]]
 
     def test_resume_refuses_changed_config(self, workdir, trained, capsys):
         out = workdir / "resume_refuse"
@@ -314,6 +351,35 @@ class TestValidation:
                        "--set", "curriculum.criterion=length")
         assert code == 2
         assert "criterion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["workers=2", "deterministic=true"])
+    def test_removed_settings_rejected(self, workdir, capsys, setting):
+        code = run_cli("embed", "--config", workdir / "run.json",
+                       "--out", workdir / "never5", "--set", setting)
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    def test_removed_deterministic_flag_rejected(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("embed", "--config", workdir / "run.json",
+                    "--out", workdir / "never6", "--deterministic")
+        assert exc.value.code == 2
+        assert "--deterministic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c0", ["0", "1.01"])
+    def test_c0_outside_half_open_unit_rejected(self, workdir, capsys, c0):
+        code = run_cli("score", "--config", workdir / "run.json",
+                       "--out", workdir / "never7",
+                       "--set", f"curriculum.c0={c0}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "curriculum.c0" in err
+
+    def test_c0_of_one_accepted(self):
+        cur = run_config_from_dict({"curriculum": {"c0": 1.0}}).curriculum
+        schedule = cur.schedule()
+        schedule.set_anchor(10.0)
+        assert schedule.competence(0) == 1.0
 
     def test_out_dir_env_fallback(self, workdir, monkeypatch):
         target = workdir / "env_out"
@@ -411,6 +477,43 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
     state.adam.m[name] = state.adam.m[name][:2]
     save_checkpoint(state, dst)
     return f"adam_m/{name} has shape"
+
+
+class TestMalformedArtifact:
+    """A malformed difficulty or vocabulary line ends in exit 2 and a
+    message naming the file and the line, never a traceback."""
+
+    @pytest.mark.parametrize("bad", ["2\t11.5", "2\tabc\t0.5\tnorm"],
+                             ids=["two_fields", "non_float_raw"])
+    def test_train_difficulty(self, workdir, trained, tmp_path, capsys, bad):
+        lines = (trained / DIFFICULTY_FILE).read_text().splitlines()
+        lines[2] = bad
+        path = tmp_path / DIFFICULTY_FILE
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--difficulty", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line 3 in {path}" in err
+        assert "Traceback" not in err
+
+    def test_evaluate_vocabulary(self, workdir, trained, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copyfile(trained / VOCAB_SRC_FILE, run / VOCAB_SRC_FILE)
+        lines = (trained / VOCAB_TGT_FILE).read_text().splitlines()
+        lines[5] = lines[5].replace("\t", " ")
+        (run / VOCAB_TGT_FILE).write_text("\n".join(lines) + "\n")
+        code = run_cli("evaluate", "--config", workdir / "run.json",
+                       "--out", run, "--checkpoint", trained / CKPT_LAST,
+                       "--test-source", workdir / "dev.src",
+                       "--test-target", workdir / "dev.tgt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line 6 in {run / VOCAB_TGT_FILE}" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",

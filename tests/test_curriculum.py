@@ -325,6 +325,22 @@ class TestCompetenceSchedule:
         back = CompetenceSchedule.from_state(sched.state_dict())
         assert back.competence(0) == sched.competence(0)
 
+    def test_none_kind_is_full_competence_and_tracks_driver(self):
+        sched = CompetenceSchedule("none")
+        sched.set_anchor(50.0)
+        sched.observe_norm(40.0)
+        assert sched.competence(0) == sched.competence(10 ** 6) == 1.0
+        assert sched.driver == 50.0
+        sched.observe_norm(60.0)
+        assert sched.driver == 60.0
+
+    def test_c0_range_is_half_open(self):
+        sched = CompetenceSchedule("time_sqrt", c0=1.0, lambda_t=10)
+        assert sched.competence(0) == 1.0
+        for c0 in (0.0, 1.01):
+            with pytest.raises(ConfigError, match="c0"):
+                CompetenceSchedule("time_sqrt", c0=c0, lambda_t=10)
+
     def test_rejects_bad_kinds_and_params(self):
         with pytest.raises(ConfigError):
             CompetenceSchedule("linear")

@@ -107,12 +107,6 @@ class TestTrainSgns:
         with pytest.raises(DataError):
             train_sgns([[0, 99]], SgnsConfig(negatives=2), TOKENS8)
 
-    def test_parallel_mode_runs(self):
-        corpus = _tiny_corpus(np.random.default_rng(3), n_lines=80)
-        cfg = SgnsConfig(dim=8, epochs=1, negatives=2, seed=0, subsample_threshold=1.0)
-        table = train_sgns(corpus, cfg, TOKENS8, workers=3)
-        assert np.isfinite(table.matrix).all()
-
 
 class TestGradientDirection:
     def test_positive_pair_update_increases_dot(self):

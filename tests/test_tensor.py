@@ -44,6 +44,12 @@ class TestForwardContracts:
         with pytest.raises(ShapeError) as exc:
             matmul(_rand(rng, 2, 3), _rand(rng, 4, 5))
         assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+        # a 1-D operand on either side is refused before any backward
+        with pytest.raises(ShapeError) as exc:
+            matmul(Tensor(np.ones(3)), _rand(rng, 3, 2))
+        assert "(3,)" in str(exc.value) and "(3, 2)" in str(exc.value)
+        with pytest.raises(ShapeError):
+            matmul(_rand(rng, 2, 3), Tensor(np.ones(3)))
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
