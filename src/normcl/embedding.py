@@ -92,12 +92,18 @@ class EmbeddingTable:
         except (StopIteration, ValueError) as exc:
             raise DataError(f"bad vectors header in {path}") from exc
         tokens, rows = [], []
-        for line in lines:
+        for lineno, line in enumerate(lines, 2):
             parts = line.split(" ")
             if len(parts) != dim + 1:
                 raise DataError(f"bad vector row for {parts[0]!r} in {path}")
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise DataError(
+                    f"non-numeric vector entry at line {lineno} in {path}: "
+                    f"{line!r}"
+                ) from exc
             tokens.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
         if len(tokens) != n:
             raise DataError(f"vectors file {path} declares {n} rows, has {len(tokens)}")
         return cls(tokens, np.array(rows, dtype=np.float64))

@@ -6,6 +6,9 @@ target input embedding doubles as the output projection when tying is
 on, with no output bias in either mode.  Loss is weighted per-token
 cross-entropy: sum_s(w_s * NLL_s) / sum_s(w_s * len_s), which reduces
 to plain per-token cross-entropy at all-ones weights.
+
+``decode`` takes an optional ``DecoderCache`` for incremental decoding:
+it then runs only the target positions the cache has not seen yet.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
-    Tensor, add, cross_entropy_with_log_softmax, dropout, embedding_lookup,
-    layer_norm, matmul, mul, relu, reshape, scale, softmax, tensor_sum,
-    transpose,
+    Tensor, add, concat, cross_entropy_with_log_softmax, dropout,
+    embedding_lookup, layer_norm, matmul, mul, relu, reshape, scale, softmax,
+    tensor_sum, transpose,
 )
 
-__all__ = ["ModelConfig", "EncodedBatch", "build_batch", "Transformer"]
+__all__ = ["ModelConfig", "EncodedBatch", "build_batch", "DecoderCache",
+           "Transformer"]
 
 NEG_INF = -1e9
 
@@ -129,6 +133,30 @@ def _positional_encoding(max_positions: int, d_model: int) -> np.ndarray:
 # Model
 # ---------------------------------------------------------------------------
 
+class DecoderCache:
+    """Per-layer attention keys and values of the decoder positions run so far.
+
+    ``length`` counts the target positions already run.  Each
+    self-attention layer keeps the keys and values of those positions and
+    appends the new ones; each cross-attention layer computes its keys and
+    values from ``memory`` on the first call and reuses them after, so
+    later calls ignore ``memory``.  Arrays are (rows, heads, positions,
+    d_head), one row per ``tgt_in`` row.  Cached arrays are constants: no
+    gradient flows back into earlier positions, so use a cache for
+    inference only.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def select(self, rows) -> None:
+        """Keep (and reorder, or repeat) the given rows of every cached
+        array, e.g. the parent beams of the survivors of a beam step."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.kv = {name: (k[rows], v[rows]) for name, (k, v) in self.kv.items()}
+
+
 class Transformer:
     def __init__(self, config: ModelConfig, src_vocab_size: int,
                  tgt_vocab_size: int):
@@ -183,7 +211,12 @@ class Transformer:
         return add(matmul(x, self.params[name + ".w"]), self.params[name + ".b"])
 
     def _attention(self, name: str, q_in: Tensor, kv_in: Tensor,
-                   mask: np.ndarray | None, train: bool) -> Tensor:
+                   mask: np.ndarray | None, train: bool,
+                   cache: DecoderCache | None = None,
+                   static_kv: bool = False) -> Tensor:
+        """Multi-head attention; with a cache, keys and values are
+        appended to the cached ones, or reused as they are when
+        ``static_kv`` (cross-attention over a fixed memory)."""
         cfg = self.config
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
 
@@ -192,8 +225,17 @@ class Transformer:
             return transpose(reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
 
         q = heads(self._linear(name + ".wq", q_in))
-        k = heads(self._linear(name + ".wk", kv_in))
-        v = heads(self._linear(name + ".wv", kv_in))
+        cached = cache.kv.get(name) if cache is not None else None
+        if static_kv and cached is not None:
+            k, v = Tensor(cached[0]), Tensor(cached[1])
+        else:
+            k = heads(self._linear(name + ".wk", kv_in))
+            v = heads(self._linear(name + ".wv", kv_in))
+            if cached is not None:
+                k = concat([Tensor(cached[0]), k], axis=2)
+                v = concat([Tensor(cached[1]), v], axis=2)
+            if cache is not None:
+                cache.kv[name] = (k.data, v.data)
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         if mask is not None:
             scores = add(scores, Tensor(mask))
@@ -212,17 +254,20 @@ class Transformer:
             return add(x, self._drop(fn(layer_norm(x)), train))
         return layer_norm(add(x, self._drop(fn(x), train)))
 
-    def _embed_in(self, name: str, ids: np.ndarray, train: bool) -> Tensor:
-        if ids.shape[1] > self.config.max_positions:
+    def _embed_in(self, name: str, ids: np.ndarray, train: bool,
+                  start: int = 0) -> Tensor:
+        """Embed ``ids`` as the positions from ``start`` on."""
+        end = start + ids.shape[1]
+        if end > self.config.max_positions:
             raise ConfigError(
-                f"sequence length {ids.shape[1]} exceeds max_positions "
+                f"sequence length {end} exceeds max_positions "
                 f"{self.config.max_positions}"
             )
         # no sqrt(d_model) lookup scaling: rows start small against the
         # positional signal, and training grows them as they take on
         # lexical content — the live norm is a meaningful progress signal
         x = embedding_lookup(self.params[name], ids)
-        x = add(x, Tensor(self.pe[: ids.shape[1]]))
+        x = add(x, Tensor(self.pe[start:end]))
         return self._drop(x, train)
 
     # -- forward -----------------------------------------------------------
@@ -239,17 +284,31 @@ class Transformer:
         return layer_norm(x) if self.config.pre_norm else x
 
     def decode(self, memory: Tensor, src_mask: np.ndarray,
-               tgt_in: np.ndarray, train: bool = False) -> Tensor:
-        """Logits (B, Tt, V) for every target position."""
-        x = self._embed_in("tgt_embed", tgt_in, train)
-        causal = _causal_mask(tgt_in.shape[1])
+               tgt_in: np.ndarray, train: bool = False,
+               cache: DecoderCache | None = None) -> Tensor:
+        """Logits (B, Tt, V) for every target position.
+
+        ``tgt_in`` is always the whole prefix.  With a ``cache``, only
+        the positions from ``cache.length`` on are run, and the logits
+        cover just those; the cache then holds every position of
+        ``tgt_in``.
+        """
+        t = tgt_in.shape[1]
+        start = 0 if cache is None else cache.length
+        if start >= t:
+            raise ShapeError(
+                f"prefix of length {t} has no position past the cached {start}"
+            )
+        x = self._embed_in("tgt_embed", tgt_in[:, start:], train, start)
+        causal = _causal_mask(t)[:, :, start:, :]
         for l in range(self.config.n_layers):
             x = self._sublayer(
                 x, lambda y, l=l: self._attention(f"dec{l}.self", y, y,
-                                                  causal, train), train)
+                                                  causal, train, cache), train)
             x = self._sublayer(
                 x, lambda y, l=l: self._attention(f"dec{l}.cross", y, memory,
-                                                  src_mask, train), train)
+                                                  src_mask, train, cache,
+                                                  static_kv=True), train)
             x = self._sublayer(x, lambda y, l=l: self._ff(f"dec{l}", y, train),
                                train)
         if self.config.pre_norm:
@@ -257,6 +316,8 @@ class Transformer:
         out_table = self.output_table()
         b, n, d = x.shape
         flat = matmul(reshape(x, (b * n, d)), transpose(out_table))
+        if cache is not None:
+            cache.length = t
         return reshape(flat, (b, n, self.tgt_vocab_size))
 
     def forward(self, batch: EncodedBatch, train: bool = False) -> Tensor:

@@ -23,8 +23,18 @@ matrix -- every ``x @ W`` projection -- flattens the operand to
 than a batched ``(B, K, T) @ (B, T, N)`` stack summed over ``B``, and the
 operand gradient is one ``g2d @ W.T`` GEMM.  The forward product stays
 numpy's batched matmul, which measured faster than one flat GEMM at the
-model's small shapes.  Other shapes (the 4-D attention products) use the
-batched formulas and ``_unbroadcast`` both ways.
+model's training shapes, except for stacks of one-row matrices (the
+newest position of a cached decoder step): numpy runs those as one
+matrix-vector product per row, and one flat GEMM measured 1.6-4x
+faster.  Other shapes (the 4-D attention products) use the batched
+formulas and ``_unbroadcast`` both ways.
+
+Inside ``with no_grad():`` no kernel records a graph: outputs carry
+``requires_grad=False``, no ``_parents`` and no backward closure, so a
+forward-only pass (dev accuracy, beam search) keeps no intermediate
+arrays alive.  The mode is process-wide (the package runs no threads);
+it nests and restores its previous state on exit, also when the block
+raises.
 
 All math runs in float64 by default.  float32 is accepted for speed
 runs, but the finite-difference tolerances in ``grad_check`` assume
@@ -33,6 +43,7 @@ float64.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -57,6 +68,7 @@ __all__ = [
     "tensor_sum",
     "dropout",
     "grad_check",
+    "no_grad",
 ]
 
 
@@ -176,8 +188,24 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording a graph (see the module notes)."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+    """Whether a kernel output records its parents and backward closure."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -211,10 +239,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_needs_grad(a, b))
+    flat = a.ndim >= 3 and b.ndim == 2
+    if flat and a.shape[-2] == 1:
+        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(
+            a.shape[:-1] + b.shape[-1:])
+    else:
+        data = a.data @ b.data
+    out = Tensor(data, requires_grad=_needs_grad(a, b))
     if out.requires_grad:
         out._parents = (a, b)
-        flat = a.ndim >= 3 and b.ndim == 2
 
         def _bw(g):
             if flat:
@@ -285,7 +318,7 @@ def mul(a, b) -> Tensor:
 def scale(a, k: float) -> Tensor:
     a = _as_tensor(a)
     k = float(k)
-    out = Tensor(a.data * k, requires_grad=a.requires_grad)
+    out = Tensor(a.data * k, requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
 
@@ -298,7 +331,7 @@ def scale(a, k: float) -> Tensor:
 
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes), requires_grad=a.requires_grad)
+    out = Tensor(np.transpose(a.data, axes), requires_grad=_needs_grad(a))
     if out.requires_grad:
         a_axes = axes
         inv = None if a_axes is None else np.argsort(a_axes)
@@ -313,7 +346,7 @@ def transpose(a, axes=None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
+    out = Tensor(a.data.reshape(shape), requires_grad=_needs_grad(a))
     if out.requires_grad:
         orig = a.shape
         out._parents = (a,)
@@ -348,7 +381,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def tensor_slice(a, key) -> Tensor:
     """Basic (view-style) slicing with scatter-add backward."""
     a = _as_tensor(a)
-    out = Tensor(a.data[key], requires_grad=a.requires_grad)
+    out = Tensor(a.data[key], requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
 
@@ -363,7 +396,7 @@ def tensor_slice(a, key) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
+    out = Tensor(np.maximum(a.data, 0.0), requires_grad=_needs_grad(a))
     if out.requires_grad:
         mask = (a.data > 0.0).astype(a.data.dtype)
         out._parents = (a,)
@@ -381,7 +414,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, requires_grad=a.requires_grad)
+    out = Tensor(s, requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
 
@@ -406,7 +439,7 @@ def layer_norm(a, eps: float = 1e-12) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv_std
-    out = Tensor(x_hat, requires_grad=a.requires_grad)
+    out = Tensor(x_hat, requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
 
@@ -427,7 +460,7 @@ def embedding_lookup(table, ids) -> Tensor:
         raise ShapeError(
             f"embedding ids out of range for table with {table.shape[0]} rows"
         )
-    out = Tensor(table.data[ids], requires_grad=table.requires_grad)
+    out = Tensor(table.data[ids], requires_grad=_needs_grad(table))
     if out.requires_grad:
         out._parents = (table,)
         flat_ids = ids.reshape(-1)
@@ -464,7 +497,7 @@ def cross_entropy_with_log_softmax(logits, targets, label_smoothing: float = 0.0
     nll = -log_p[rows, targets]
     if label_smoothing > 0.0:
         nll = (1.0 - label_smoothing) * nll - label_smoothing * log_p.mean(axis=1)
-    out = Tensor(nll, requires_grad=logits.requires_grad)
+    out = Tensor(nll, requires_grad=_needs_grad(logits))
     if out.requires_grad:
         out._parents = (logits,)
         probs = np.exp(log_p)
@@ -482,7 +515,8 @@ def cross_entropy_with_log_softmax(logits, targets, label_smoothing: float = 0.0
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), requires_grad=a.requires_grad)
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims),
+                 requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
 
@@ -502,7 +536,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     if p >= 1.0:
         raise ShapeError(f"dropout rate must be < 1, got {p}")
     keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    out = Tensor(a.data * keep, requires_grad=a.requires_grad)
+    out = Tensor(a.data * keep, requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
 

@@ -19,6 +19,7 @@ from .curriculum import CompetenceSchedule, embedding_matrix_norm
 from .errors import CheckpointError, TrainingDiverged
 from .model import EncodedBatch, ModelConfig, Transformer, build_batch
 from .optim import AdamState, adam_step
+from .tensor import no_grad
 
 __all__ = ["TrainerState", "train_step", "token_accuracy",
            "save_checkpoint", "load_checkpoint"]
@@ -87,7 +88,8 @@ def token_accuracy(model: Transformer, pairs, batch_size: int = 64) -> float:
     total = 0
     for lo in range(0, len(pairs), batch_size):
         batch = build_batch(pairs[lo:lo + batch_size])
-        logits = model.forward(batch, train=False)
+        with no_grad():
+            logits = model.forward(batch, train=False)
         pred = logits.data.argmax(axis=-1)
         hits = (pred == batch.tgt_out) * batch.loss_mask
         correct += int(hits.sum())

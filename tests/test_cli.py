@@ -480,8 +480,8 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
 
 
 class TestMalformedArtifact:
-    """A malformed difficulty or vocabulary line ends in exit 2 and a
-    message naming the file and the line, never a traceback."""
+    """A malformed difficulty, vector or vocabulary line ends in exit 2
+    and a message naming the file and the line, never a traceback."""
 
     @pytest.mark.parametrize("bad", ["2\t11.5", "2\tabc\t0.5\tnorm"],
                              ids=["two_fields", "non_float_raw"])
@@ -492,6 +492,19 @@ class TestMalformedArtifact:
         path.write_text("\n".join(lines) + "\n")
         code = run_cli("train", "--config", workdir / "run.json",
                        "--out", tmp_path / "run", "--difficulty", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line 3 in {path}" in err
+        assert "Traceback" not in err
+
+    def test_score_vectors(self, workdir, trained, tmp_path, capsys):
+        lines = (trained / VECTORS_FILE).read_text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " abc"
+        path = tmp_path / VECTORS_FILE
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("score", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--vectors", path)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")

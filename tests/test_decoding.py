@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from normcl.corpus import BOS_ID, EOS_ID
-from normcl.decoding import BeamConfig, beam_decode, decode_corpus, length_penalty
-from normcl.errors import ConfigError, DataError
-from normcl.model import ModelConfig, Transformer
+from normcl.decoding import (
+    BeamConfig, DecodedHypothesis, beam_decode, decode_corpus, length_penalty,
+)
+from normcl.errors import ConfigError, DataError, ShapeError
+from normcl.model import DecoderCache, ModelConfig, Transformer
 from normcl.tensor import Tensor
 
 MICRO = dict(d_model=8, n_heads=2, n_layers=1, d_ff=16, dropout=0.0)
@@ -27,7 +29,7 @@ class _ToyLM:
     def encode(self, src, mask):
         return Tensor(np.zeros((1, src.shape[1], 2)))
 
-    def decode(self, memory, mask, prefixes, train=False):
+    def decode(self, memory, mask, prefixes, train=False, cache=None):
         b, t = prefixes.shape
         out = np.zeros((b, t, self.vocab))
         for i in range(b):
@@ -71,6 +73,56 @@ def _chain_score(model, source, content, alpha):
     return cum / length_penalty(len(chain), alpha)
 
 
+def _oracle_beam_decode(model, source, cfg):
+    """One sentence, the whole prefix re-run at every step, no cache:
+    the straightforward search the batched decoder must reproduce."""
+    k = cfg.beam_size
+    src = np.array([list(source) + [EOS_ID]], dtype=np.int64)
+    src_mask = np.zeros((1, 1, 1, src.shape[1]))
+    memory = model.encode(src, src_mask).data
+    prefixes = np.full((1, 1), BOS_ID, dtype=np.int64)
+    cum = np.zeros(1)
+    finished = []
+    lp_cap = length_penalty(cfg.max_decode_len, cfg.alpha)
+    for step in range(cfg.max_decode_len):
+        n = prefixes.shape[0]
+        mem = Tensor(np.repeat(memory, n, axis=0))
+        mask = np.repeat(src_mask, n, axis=0)
+        logits = model.decode(mem, mask, prefixes).data[:, -1, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        flat = (cum[:, None] + logp).ravel()
+        take = min(2 * k, flat.size)
+        top = np.argpartition(-flat, take - 1)[:take]
+        top = top[np.argsort(-flat[top], kind="stable")]
+        survivors, surv_cum = [], []
+        for rank, idx in enumerate(top):
+            beam, tok = divmod(int(idx), logp.shape[1])
+            score = float(flat[idx])
+            if tok == EOS_ID:
+                if rank < k:
+                    norm = score / length_penalty(step + 1, cfg.alpha)
+                    finished.append((norm, tuple(prefixes[beam, 1:].tolist())))
+            elif len(survivors) < k:
+                survivors.append(np.append(prefixes[beam], tok))
+                surv_cum.append(score)
+        if not survivors or len(finished) >= k:
+            break
+        prefixes = np.stack(survivors)
+        cum = np.array(surv_cum)
+        if finished:
+            best = max(norm for norm, _ in finished)
+            if float(cum.max()) / lp_cap <= best:
+                break
+    if finished:
+        norm, tokens = max(finished, key=lambda f: f[0])
+        return DecodedHypothesis(tokens, norm, False)
+    lp = length_penalty(prefixes.shape[1] - 1, cfg.alpha)
+    best = int(np.argmax(cum / lp))
+    return DecodedHypothesis(tuple(prefixes[best, 1:].tolist()),
+                             float(cum[best]) / lp, True)
+
+
 class TestLengthPenalty:
     def test_unit_length_is_one(self):
         assert length_penalty(1, 0.6) == 1.0
@@ -102,7 +154,7 @@ class TestGreedyReduction:
             model = Transformer(ModelConfig(seed=seed, **MICRO), 10, 10)
             rng = np.random.default_rng(seed)
             src = tuple(int(t) for t in rng.integers(4, 10, size=3))
-            hyp = beam_decode(model, src, BeamConfig(beam_size=1, max_decode_len=12))
+            hyp = beam_decode(model, [src], BeamConfig(beam_size=1, max_decode_len=12))[0]
             want, truncated = _greedy_rollout(model, src, 12)
             assert list(hyp.tokens) == want, f"seed {seed}"
             assert hyp.truncated == truncated
@@ -110,7 +162,7 @@ class TestGreedyReduction:
     def test_beam_one_equals_argmax_rollout_on_toy_lms(self):
         for seed in range(25):
             lm = _ToyLM(seed)
-            hyp = beam_decode(lm, (4,), BeamConfig(beam_size=1, max_decode_len=16))
+            hyp = beam_decode(lm, [(4,)], BeamConfig(beam_size=1, max_decode_len=16))[0]
             want, truncated = _greedy_rollout(lm, (4,), 16)
             assert list(hyp.tokens) == want, f"seed {seed}"
             assert hyp.truncated == truncated
@@ -134,7 +186,7 @@ class TestExhaustivePool:
         model = Transformer(ModelConfig(seed=seed, **MICRO), 6, 6)
         src = (4, 5)
         cfg = BeamConfig(beam_size=200, alpha=0.6, max_decode_len=3)
-        hyp = beam_decode(model, src, cfg)
+        hyp = beam_decode(model, [src], cfg)[0]
         assert not hyp.truncated
         assert hyp.score == pytest.approx(self._optimum(model, src, 3, 0.6),
                                           abs=1e-12)
@@ -145,8 +197,8 @@ class TestExhaustivePool:
         src = (4, 5)
         best = self._optimum(model, src, 3, 0.6)
         for k in (1, 2, 3, 4, 6):
-            hyp = beam_decode(model, src, BeamConfig(beam_size=k, alpha=0.6,
-                                                     max_decode_len=3))
+            hyp = beam_decode(model, [src], BeamConfig(beam_size=k, alpha=0.6,
+                                                       max_decode_len=3))[0]
             if not hyp.truncated:
                 assert hyp.score <= best + 1e-12
 
@@ -164,8 +216,8 @@ class TestWidthConsistency:
             lm = _ToyLM(seed)
             scores = []
             for k in (1, 2, 3, 4, 6, 8):
-                hyp = beam_decode(lm, (4, 5), BeamConfig(beam_size=k, alpha=0.6,
-                                                         max_decode_len=16))
+                hyp = beam_decode(lm, [(4, 5)], BeamConfig(beam_size=k, alpha=0.6,
+                                                           max_decode_len=16))[0]
                 assert not hyp.truncated
                 scores.append(hyp.score)
             if any(b < a - 1e-9 for a, b in zip(scores, scores[1:])):
@@ -176,15 +228,15 @@ class TestWidthConsistency:
 class TestTruncation:
     def test_flagged_when_end_marker_never_competitive(self):
         lm = _ToyLM(0, eos_bias=-50.0)
-        hyp = beam_decode(lm, (4, 5), BeamConfig(beam_size=4, alpha=0.6,
-                                                 max_decode_len=7))
+        hyp = beam_decode(lm, [(4, 5)], BeamConfig(beam_size=4, alpha=0.6,
+                                                   max_decode_len=7))[0]
         assert hyp.truncated
         assert len(hyp.tokens) == 7
 
     def test_empty_source_rejected(self):
         model = Transformer(ModelConfig(seed=0, **MICRO), 10, 10)
         with pytest.raises(DataError):
-            beam_decode(model, (), BeamConfig())
+            beam_decode(model, [()], BeamConfig())
 
 
 class TestCorpusDecode:
@@ -195,4 +247,84 @@ class TestCorpusDecode:
         out = decode_corpus(model, sources, cfg)
         assert len(out) == 3
         for src, hyp in zip(sources, out):
-            assert hyp.tokens == beam_decode(model, src, cfg).tokens
+            assert hyp.tokens == beam_decode(model, [src], cfg)[0].tokens
+
+
+class TestBatchedAgainstOracle:
+    # lengths 3 (four times), 1 (twice), 5 (once) and 2 (twice), interleaved
+    LENGTHS = (3, 1, 3, 5, 2, 3, 1, 2, 3)
+
+    def _corpus(self, seed):
+        rng = np.random.default_rng(seed)
+        return [tuple(int(t) for t in rng.integers(4, 12, size=n))
+                for n in self.LENGTHS]
+
+    @pytest.mark.parametrize("beam_size", [1, 2, 6])
+    @pytest.mark.parametrize("max_decode_len", [2, 16])
+    def test_corpus_matches_one_sentence_full_recompute(self, beam_size,
+                                                        max_decode_len):
+        cfg = BeamConfig(beam_size=beam_size, max_decode_len=max_decode_len)
+        truncated = 0
+        for seed in range(3):
+            model = Transformer(ModelConfig(seed=seed, **MICRO), 12, 12)
+            sources = self._corpus(seed)
+            got = decode_corpus(model, sources, cfg)
+            assert len(got) == len(sources)
+            for src, hyp in zip(sources, got):
+                want = _oracle_beam_decode(model, src, cfg)
+                assert hyp.tokens == want.tokens, (seed, src)
+                assert hyp.truncated == want.truncated, (seed, src)
+                assert hyp.score == pytest.approx(want.score, abs=1e-12)
+                truncated += hyp.truncated
+        if max_decode_len == 2:
+            assert truncated > 0
+
+    def test_mixed_lengths_rejected(self):
+        model = Transformer(ModelConfig(seed=0, **MICRO), 10, 10)
+        with pytest.raises(DataError, match="one length"):
+            beam_decode(model, [(4, 5), (6,)], BeamConfig())
+
+    def test_no_sources_give_no_hypotheses(self):
+        model = Transformer(ModelConfig(seed=0, **MICRO), 10, 10)
+        assert beam_decode(model, [], BeamConfig()) == []
+        assert decode_corpus(model, [], BeamConfig()) == []
+
+
+class TestDecoderCache:
+    CONFIG = ModelConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                         dropout=0.0, seed=4)
+
+    def test_incremental_logits_match_full_recompute(self):
+        model = Transformer(self.CONFIG, 12, 12)
+        rng = np.random.default_rng(0)
+        src = rng.integers(4, 12, size=(3, 5))
+        src_mask = np.zeros((1, 1, 1, 5))
+        memory = model.encode(src, src_mask)
+        prefixes = np.concatenate(
+            [np.full((3, 1), BOS_ID), rng.integers(4, 12, size=(3, 6))], axis=1)
+        cache = DecoderCache()
+        # positions 0-1 in one call, then one position per call
+        steps = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        rows = np.arange(3)
+        for lo, hi in steps:
+            if lo == 4:
+                # reorder as a beam step would: beam 2 first, beam 0 twice
+                cache.select([2, 0, 0])
+                rows = rows[[2, 0, 0]]
+                prefixes = prefixes[[2, 0, 0]]
+            got = model.decode(memory, src_mask, prefixes[:, :hi],
+                               cache=cache).data
+            assert got.shape == (3, hi - lo, 12)
+            assert cache.length == hi
+            want = model.decode(Tensor(memory.data[rows]), src_mask,
+                                prefixes[:, :hi]).data[:, lo:hi]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_cache_must_leave_a_position_to_run(self):
+        model = Transformer(self.CONFIG, 12, 12)
+        memory = model.encode(np.full((1, 3), 5), np.zeros((1, 1, 1, 3)))
+        cache = DecoderCache()
+        prefix = np.array([[BOS_ID, 5]])
+        model.decode(memory, np.zeros((1, 1, 1, 3)), prefix, cache=cache)
+        with pytest.raises(ShapeError):
+            model.decode(memory, np.zeros((1, 1, 1, 3)), prefix, cache=cache)

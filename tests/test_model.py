@@ -7,7 +7,7 @@ from normcl.corpus import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus, SentencePair
 from normcl.errors import CheckpointError, ConfigError, DataError, TrainingDiverged
 from normcl.model import EncodedBatch, ModelConfig, Transformer, build_batch
 from normcl.optim import AdamState
-from normcl.tensor import grad_check
+from normcl.tensor import grad_check, no_grad
 from normcl.trainer import (
     TrainerState, load_checkpoint, save_checkpoint, token_accuracy, train_step,
 )
@@ -258,6 +258,23 @@ class TestTrainStep:
         pairs = _pairs(10, np.random.default_rng(8), hi=16)
         acc = token_accuracy(state.model, pairs)
         assert 0.0 <= acc <= 1.0
+
+    def test_token_accuracy_is_bit_identical_to_a_recording_forward(self):
+        state = self._state()
+        pairs = _pairs(150, np.random.default_rng(10), hi=16)
+        correct = total = 0
+        for lo in range(0, len(pairs), 64):
+            batch = build_batch(pairs[lo:lo + 64])
+            logits = state.model.forward(batch)
+            assert logits.requires_grad
+            with no_grad():
+                quiet = state.model.forward(batch)
+            assert not quiet.requires_grad and quiet._parents == ()
+            assert np.array_equal(logits.data, quiet.data)
+            hits = (logits.data.argmax(axis=-1) == batch.tgt_out) * batch.loss_mask
+            correct += int(hits.sum())
+            total += int(batch.loss_mask.sum())
+        assert token_accuracy(state.model, pairs) == correct / total
 
 
 class TestCheckpoint:

@@ -16,6 +16,7 @@ from normcl.tensor import (
     layer_norm,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     scale,
@@ -336,6 +337,73 @@ class TestFlatMatmul:
             w = rng.standard_normal((2, 3, shape[0]))
             return lambda t: mul(add(Tensor(x), t), Tensor(w)).sum()
         _check_kernel(build, lambda rng: (int(rng.integers(2, 6)),), 45)
+
+
+def _every_kernel(rng):
+    """One output of each kernel on fresh leaves that require grad."""
+    a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
+    table = _rand(rng, 6, 3)
+    return [
+        matmul(a, b), add(a, a), mul(a, a), scale(a, 2.0), transpose(a),
+        reshape(a, (4, 3)), concat([a, a], axis=0), tensor_slice(a, (0,)),
+        relu(a), softmax(a), layer_norm(a), embedding_lookup(table, [1, 5]),
+        cross_entropy_with_log_softmax(a, np.array([0, 1, 3])),
+        tensor_sum(a), dropout(a, 0.5, np.random.default_rng(0)),
+    ]
+
+
+class TestNoGrad:
+    def test_no_kernel_records_a_graph(self):
+        rng = np.random.default_rng(0)
+        with no_grad():
+            outs = _every_kernel(rng)
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+
+    def test_values_match_the_recording_mode(self):
+        plain = _every_kernel(np.random.default_rng(1))
+        with no_grad():
+            quiet = _every_kernel(np.random.default_rng(1))
+        for p, q in zip(plain, quiet):
+            assert p.requires_grad
+            assert np.array_equal(p.data, q.data)
+
+    def test_nesting_restores_the_outer_state(self):
+        x = _rand(np.random.default_rng(2), 2, 2)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not relu(x).requires_grad
+        assert relu(x).requires_grad
+
+    def test_exception_restores_the_mode(self):
+        x = _rand(np.random.default_rng(3), 2, 2)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                matmul(x, _rand(np.random.default_rng(4), 3, 3))
+        out = relu(x)
+        assert out.requires_grad and out._parents == (x,)
+
+    def test_gradients_outside_the_mode_are_unchanged(self):
+        rng = np.random.default_rng(5)
+        x, w = _rand(rng, 3, 4), _rand(rng, 4, 2)
+
+        def loss():
+            return tensor_sum(softmax(matmul(layer_norm(x), w)))
+
+        head = loss()
+        head.backward()
+        want = x.grad.copy(), w.grad.copy()
+        x.zero_grad()
+        w.zero_grad()
+        pending = loss()
+        with no_grad():
+            loss()
+        pending.backward()
+        assert np.array_equal(x.grad, want[0])
+        assert np.array_equal(w.grad, want[1])
 
 
 class TestGradCheckOracles:
