@@ -12,6 +12,7 @@ weighted by (difficulty / competence) ** lambda_w.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,8 +24,7 @@ from .embedding import EmbeddingTable
 from .errors import ConfigError, DataError, DegenerateStateError
 
 __all__ = [
-    "sentence_difficulty_norm", "sentence_difficulty_length",
-    "sentence_difficulty_rarity", "cdf_normalize",
+    "cdf_normalize",
     "competence_time", "competence_norm", "embedding_matrix_norm",
     "sentence_weight", "DifficultyProfile", "CompetenceSchedule",
     "SamplerState", "sample_batch", "CRITERIA", "COMPETENCE_KINDS",
@@ -40,29 +40,29 @@ MATRIX_NORMS = ("row_sum", "frobenius")
 # Difficulty criteria
 # ---------------------------------------------------------------------------
 
-def sentence_difficulty_norm(sentence: Sequence[int], table: EmbeddingTable) -> float:
-    """Sum of word-vector norms over the sentence's tokens."""
-    if len(sentence) == 0:
+def _sentence_sums(corpus: ParallelCorpus, value: np.ndarray) -> np.ndarray:
+    """Per source sentence, the sum of ``value[id]`` over its tokens.
+
+    Each sum runs left to right, as a Python loop would: column ``j``
+    (every sentence's ``j``-th token) is added in one step to the sums
+    of the sentences longer than ``j``.  np.add.reduceat would add in
+    another order and change the last bits.
+    """
+    lengths = np.array([len(p.src) for p in corpus], dtype=np.int64)
+    if (lengths == 0).any():
         raise DataError("cannot score an empty sentence")
-    return float(sum(table.word_norm(t) for t in sentence))
-
-
-def sentence_difficulty_length(sentence: Sequence[int]) -> float:
-    return float(len(sentence))
-
-
-def sentence_difficulty_rarity(sentence: Sequence[int], vocab: Vocabulary) -> float:
-    """Sum of -log unigram probability; zero-count ids get the rarest
-    in-vocabulary probability."""
-    if len(sentence) == 0:
-        raise DataError("cannot score an empty sentence")
-    total = vocab.total_count
-    floor = min(c for c in vocab.counts if c > 0)
-    score = 0.0
-    for t in sentence:
-        count = vocab.count_of(t)
-        score -= math.log((count if count > 0 else floor) / total)
-    return score
+    if len(lengths) == 0:
+        return np.zeros(0)
+    ids = np.fromiter(itertools.chain.from_iterable(p.src for p in corpus),
+                      dtype=np.int64, count=int(lengths.sum()))
+    if ids.min() < 0 or ids.max() >= len(value):
+        raise DataError(f"token id outside the scoring table of {len(value)} ids")
+    starts = np.cumsum(lengths) - lengths
+    sums = np.zeros(len(lengths))
+    for j in range(lengths.max()):
+        rows = np.flatnonzero(lengths > j)
+        sums[rows] += value[ids[starts[rows] + j]]
+    return sums
 
 
 def cdf_normalize(raws: Sequence[float]) -> np.ndarray:
@@ -166,6 +166,12 @@ class DifficultyProfile:
             raise DataError("raw and cdf must be equal-length vectors")
         if self.criterion not in CRITERIA:
             raise ConfigError(f"unknown difficulty criterion {self.criterion!r}")
+        bad = np.flatnonzero(~np.isfinite(self.raw))
+        if bad.size:
+            raise DataError(f"non-finite raw difficulty for sentence {bad[0]}")
+        bad = np.flatnonzero(~((self.cdf > 0) & (self.cdf <= 1)))
+        if bad.size:
+            raise DataError(f"difficulty cdf outside (0, 1] for sentence {bad[0]}")
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -180,16 +186,23 @@ class DifficultyProfile:
         if criterion == "norm":
             if table is None:
                 raise ConfigError("criterion=norm needs an embedding table")
-            raws = [sentence_difficulty_norm(p.src, table) for p in corpus]
+            raw = _sentence_sums(corpus, table.word_norms)
         elif criterion == "length":
-            raws = [sentence_difficulty_length(p.src) for p in corpus]
+            raw = np.array([len(p.src) for p in corpus], dtype=np.float64)
         elif criterion == "rarity":
             if vocab is None:
                 raise ConfigError("criterion=rarity needs a vocabulary")
-            raws = [sentence_difficulty_rarity(p.src, vocab) for p in corpus]
+            # -log unigram probability; zero-count ids get the rarest
+            # in-vocabulary probability
+            total = vocab.total_count
+            floor = min((c for c in vocab.counts if c > 0), default=0)
+            if floor == 0:
+                raise DataError("criterion=rarity needs a vocabulary with counts")
+            surprisal = [-math.log((c if c > 0 else floor) / total)
+                         for c in vocab.counts]
+            raw = _sentence_sums(corpus, np.array(surprisal))
         else:
             raise ConfigError(f"unknown difficulty criterion {criterion!r}")
-        raw = np.asarray(raws, dtype=np.float64)
         cdf = cdf_normalize(-raw if invert else raw)
         return cls(raw, cdf, criterion)
 
@@ -217,7 +230,10 @@ class DifficultyProfile:
             criterion = crit
         if criterion is None:
             raise DataError(f"empty difficulty file {path}")
-        return cls(np.array(raws), np.array(cdfs), criterion)
+        try:
+            return cls(np.array(raws), np.array(cdfs), criterion)
+        except DataError as exc:
+            raise DataError(f"{exc} in {path}") from None
 
 
 # ---------------------------------------------------------------------------

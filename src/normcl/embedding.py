@@ -1,9 +1,13 @@
 """Skip-gram negative-sampling embeddings and per-word vector norms.
 
-Pure numpy trainer.  One update step processes every (center, context)
-pair of a center position at once: positives are the context ids inside
-a dynamically drawn window, negatives come from the unigram
-distribution raised to the 3/4 power.  Input-side vectors are the
+Pure numpy trainer.  The corpus is one flat id array plus line offsets.
+Each chunk of lines is sampled with a few vectorized draws: word2vec
+occurrence subsampling, a window span per kept center, and negatives
+from the unigram distribution raised to the 3/4 power; the learning
+rate decays linearly with the raw tokens seen before each line.  Updates
+run in blocks of centers: one product of the block's distinct center
+and target rows gives every score, and every pair of a block reads the
+vectors as they were before the block.  Input-side vectors are the
 product; their Euclidean row norms drive sentence difficulty scoring.
 
 Training is single-threaded and bit-reproducible: a fixed seed gives
@@ -12,8 +16,10 @@ the same vectors on every run.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +64,10 @@ class EmbeddingTable:
         self.tokens = list(tokens)
         self.matrix = matrix
         self.norms = np.linalg.norm(matrix, axis=1)
+        # the per-id norms difficulty reads, with the rule of word_norm
+        self.word_norms = self.norms.copy()
+        if len(self.word_norms) > UNK_ID:
+            self.word_norms[UNK_ID] = self.norms.max()
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -74,9 +84,7 @@ class EmbeddingTable:
         """
         if not 0 <= token_id < len(self.tokens):
             raise IndexError(f"token id {token_id} outside vocabulary of {len(self.tokens)}")
-        if token_id == UNK_ID:
-            return float(self.norms.max())
-        return float(self.norms[token_id])
+        return float(self.word_norms[token_id])
 
     def save_vectors(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -97,12 +105,18 @@ class EmbeddingTable:
             if len(parts) != dim + 1:
                 raise DataError(f"bad vector row for {parts[0]!r} in {path}")
             try:
-                rows.append([float(v) for v in parts[1:]])
+                row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise DataError(
                     f"non-numeric vector entry at line {lineno} in {path}: "
                     f"{line!r}"
                 ) from exc
+            if not all(map(math.isfinite, row)):
+                raise DataError(
+                    f"non-finite vector entry at line {lineno} in {path}: "
+                    f"{line!r}"
+                )
+            rows.append(row)
             tokens.append(parts[0])
         if len(tokens) != n:
             raise DataError(f"vectors file {path} declares {n} rows, has {len(tokens)}")
@@ -114,24 +128,89 @@ class EmbeddingTable:
                 fh.write(f"{tok}\t{float(norm)!r}\n")
 
 
-def sgns_step(w_in: np.ndarray, w_out: np.ndarray, center: int,
-              targets: np.ndarray, n_pos: int, lr: float) -> None:
-    """One in-place update for a center word against pos+neg targets.
+# Centers per sgns_step call.  Every pair of a block reads the vectors
+# as they were before the block, and larger blocks measured worse: at 256
+# a word seen in one fixed context outgrew a word seen in many in only 5
+# of 10 seeds (TestNormTrends asks for 9), and at 1024 the Spearman rho of
+# norm against log count fell from about -0.95 to about 0.
+_BLOCK = 64
+# Lines sampled per draw.  Sampling a whole epoch at once holds its pair
+# arrays in memory together; a chunk bounds them.
+_CHUNK_LINES = 1024
 
-    ``targets[:n_pos]`` carry label 1, the rest label 0.  Output rows
-    update through np.add.at so duplicate target ids accumulate.
+
+class _Chunk(NamedTuple):
+    """The sampled stream of one chunk of lines.  Positions index the
+    flat corpus; per-center arrays, and the runs of ``context`` and
+    ``noise`` that belong to each center, follow corpus order."""
+
+    kept: np.ndarray       # positions of the tokens subsampling kept
+    center: np.ndarray     # positions of the kept tokens that have context
+    span: np.ndarray       # window span drawn for each center
+    lr: np.ndarray         # learning rate of each center's line
+    n_context: np.ndarray  # positive targets per center
+    context: np.ndarray    # positions of the positive targets, center by center
+    noise: np.ndarray      # noise ids, negatives * n_context per center
+
+
+def sgns_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
+              targets: np.ndarray, labels: np.ndarray, lr) -> None:
+    """One in-place update for a block of (center, target) pairs.
+
+    Pair ``p`` joins ``centers[p]`` to ``targets[p]`` with label
+    ``labels[p]`` (1 for a context word, 0 for a negative) at learning
+    rate ``lr`` (a scalar or one rate per pair).  Scores come from one
+    product of the block's distinct center and target rows; gradients of
+    repeated pairs accumulate, and every pair reads the vectors as they
+    were before the block.
     """
-    v = w_in[center]
-    u = w_out[targets]
-    scores = np.clip(u @ v, -50.0, 50.0)
+    rows, row_of = np.unique(centers, return_inverse=True)
+    cols, col_of = np.unique(targets, return_inverse=True)
+    v = w_in[rows]
+    u = w_out[cols]
+    scores = np.clip((v @ u.T)[row_of, col_of], -50.0, 50.0)
     sigma = 1.0 / (1.0 + np.exp(-scores))
-    g = -sigma * lr
-    g[:n_pos] += lr
-    dv = g @ u
-    # write w_out first: v is a view into w_in, and both updates must
-    # read the pre-step vectors
-    np.add.at(w_out, targets, g[:, None] * v)
-    w_in[center] = v + dv
+    g = labels * lr - sigma * lr
+    grad = np.bincount(row_of * len(cols) + col_of, weights=g,
+                       minlength=len(rows) * len(cols))
+    grad = grad.reshape(len(rows), len(cols))
+    w_out[cols] += grad.T @ v
+    w_in[rows] += grad @ u
+
+
+def _sample_chunk(flat: np.ndarray, starts: np.ndarray, seen: int,
+                  keep_prob: np.ndarray, noise_cdf: np.ndarray,
+                  config: SgnsConfig, total_budget: int,
+                  rng: np.random.Generator) -> _Chunk:
+    """Subsample, draw spans and draw negatives for the lines whose
+    first positions are ``starts[:-1]``; ``starts[-1]`` ends the last.
+
+    ``seen`` counts the tokens of earlier epochs; a line's learning rate
+    decays with the raw tokens before it.
+    """
+    lo, hi = starts[0], starts[-1]
+    kept = lo + np.flatnonzero(rng.random(hi - lo) < keep_prob[flat[lo:hi]])
+    line = np.searchsorted(starts, kept, side="right") - 1
+    n_kept = np.bincount(line, minlength=len(starts) - 1)
+    first = (np.cumsum(n_kept) - n_kept)[line]
+    last = first + n_kept[line]
+    span = rng.integers(1, config.window + 1, size=len(kept))
+    # the kept neighbours within each span, left to right, same line only
+    offsets = np.concatenate((np.arange(-config.window, 0),
+                              np.arange(1, config.window + 1)))
+    near = np.arange(len(kept))[:, None] + offsets
+    ok = ((np.abs(offsets) <= span[:, None])
+          & (near >= first[:, None]) & (near < last[:, None]))
+    n_context = ok.sum(axis=1)
+    has = n_context > 0
+    lr = np.maximum(
+        config.initial_lr * (1.0 - (seen + starts[line[has]]) / total_budget),
+        config.initial_lr * 1e-4)
+    n_context = n_context[has]
+    noise = np.searchsorted(noise_cdf,
+                            rng.random(int(n_context.sum()) * config.negatives))
+    return _Chunk(kept, kept[has], span[has], lr, n_context, kept[near[ok]],
+                  noise)
 
 
 def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
@@ -139,22 +218,24 @@ def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
     """Train input-side vectors over a stream of token-id lines.
 
     The vocabulary (``tokens``) must already reflect config.min_count;
-    ids in the corpus index into it.
+    ids in the corpus index into it.  The corpus is read once.
     """
     vocab_size = len(tokens)
     if vocab_size < config.negatives + 1:
         raise ConfigError(
             f"vocabulary of {vocab_size} is too small for {config.negatives} negatives"
         )
-    lines = [np.asarray(line, dtype=np.int64) for line in corpus if len(line) > 0]
+    lines = [line for line in corpus if len(line) > 0]
     if not lines:
         raise DataError("cannot train embeddings on an empty corpus")
+    starts = np.cumsum([0] + [len(line) for line in lines])
+    flat = np.fromiter(itertools.chain.from_iterable(lines), dtype=np.int64,
+                       count=starts[-1])
+    del lines
+    if flat.min() < 0 or flat.max() >= vocab_size:
+        raise DataError("token id outside vocabulary range in training corpus")
 
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    for line in lines:
-        if line.min() < 0 or line.max() >= vocab_size:
-            raise DataError("token id outside vocabulary range in training corpus")
-        np.add.at(counts, line, 1.0)
+    counts = np.bincount(flat, minlength=vocab_size).astype(np.float64)
     total = counts.sum()
 
     noise = counts ** 0.75
@@ -172,26 +253,26 @@ def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
     w_in = rng0.uniform(-0.5 / config.dim, 0.5 / config.dim,
                         size=(vocab_size, config.dim))
     w_out = np.zeros((vocab_size, config.dim), dtype=np.float64)
-    total_budget = int(total) * config.epochs
-    lr_floor = config.initial_lr * 1e-4
+    total_budget = len(flat) * config.epochs
     rng = np.random.default_rng((config.seed, 0))
-    seen = 0
-    for _ in range(config.epochs):
-        for line in lines:
-            lr = max(config.initial_lr * (1.0 - seen / total_budget), lr_floor)
-            kept = line[rng.random(len(line)) < keep_prob[line]]
-            seen += len(line)
-            n = len(kept)
-            if n < 2:
-                continue
-            spans = rng.integers(1, config.window + 1, size=n)
-            for i in range(n):
-                b = int(spans[i])
-                ctx = np.concatenate((kept[max(0, i - b):i], kept[i + 1:i + 1 + b]))
-                k = len(ctx)
-                if k == 0:
-                    continue
-                negs = np.searchsorted(noise_cdf, rng.random(k * config.negatives))
-                sgns_step(w_in, w_out, int(kept[i]),
-                          np.concatenate((ctx, negs)), k, lr)
+    for epoch in range(config.epochs):
+        for line0 in range(0, len(starts) - 1, _CHUNK_LINES):
+            chunk = _sample_chunk(flat, starts[line0:line0 + _CHUNK_LINES + 1],
+                                  epoch * len(flat), keep_prob, noise_cdf,
+                                  config, total_budget, rng)
+            # pairs center by center: its positives, then its negatives
+            n_pos = chunk.n_context
+            per_center = n_pos * (1 + config.negatives)
+            bounds = np.cumsum(np.concatenate(([0], per_center)))
+            label = np.repeat(np.tile([True, False], len(n_pos)),
+                              np.stack((n_pos, n_pos * config.negatives), 1).ravel())
+            target = np.empty(len(label), dtype=np.int64)
+            target[label] = flat[chunk.context]
+            target[~label] = chunk.noise
+            center = np.repeat(flat[chunk.center], per_center)
+            lr = np.repeat(chunk.lr, per_center)
+            for b in range(0, len(chunk.center), _BLOCK):
+                p, q = bounds[b], bounds[min(b + _BLOCK, len(chunk.center))]
+                sgns_step(w_in, w_out, center[p:q], target[p:q], label[p:q],
+                          lr[p:q])
     return EmbeddingTable(tokens, w_in)

@@ -511,6 +511,38 @@ class TestMalformedArtifact:
         assert f"line 3 in {path}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["2\tnan\t0.5\tnorm", "2\t11.5\t0.0\tnorm",
+                                     "2\t11.5\t1.5\tnorm"],
+                             ids=["nan_raw", "zero_cdf", "cdf_above_one"])
+    def test_train_difficulty_out_of_range(self, workdir, trained, tmp_path,
+                                           capsys, bad):
+        lines = (trained / DIFFICULTY_FILE).read_text().splitlines()
+        lines[2] = bad
+        path = tmp_path / DIFFICULTY_FILE
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--difficulty", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"sentence 2 in {path}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_score_non_finite_vectors(self, workdir, trained, tmp_path, capsys,
+                                      value):
+        lines = (trained / VECTORS_FILE).read_text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " " + value
+        path = tmp_path / VECTORS_FILE
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("score", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--vectors", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line 3 in {path}" in err
+        assert "Traceback" not in err
+
     def test_evaluate_vocabulary(self, workdir, trained, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from normcl.corpus import ParallelCorpus, SentencePair, Vocabulary, build_vocab
+from normcl.corpus import (
+    UNK_ID, ParallelCorpus, SentencePair, Vocabulary, build_vocab,
+)
 from normcl.curriculum import (
     CompetenceSchedule, DifficultyProfile, SamplerState, cdf_normalize,
     competence_norm, competence_time, embedding_matrix_norm, sample_batch,
-    sentence_difficulty_length, sentence_difficulty_norm,
-    sentence_difficulty_rarity, sentence_weight,
+    sentence_weight,
 )
 from normcl.embedding import EmbeddingTable
 from normcl.errors import ConfigError, DataError, DegenerateStateError
@@ -28,6 +29,36 @@ def _table(norms):
     return EmbeddingTable([f"t{i}" for i in range(len(norms))], m)
 
 
+def _oracle_norm(sentence, table):
+    """Sum of word-vector norms, one token at a time, left to right."""
+    if len(sentence) == 0:
+        raise DataError("cannot score an empty sentence")
+    score = 0.0
+    for t in sentence:
+        score += table.word_norm(t)
+    return score
+
+
+def _oracle_rarity(sentence, vocab):
+    """Sum of -log unigram probability; zero-count ids get the rarest
+    in-vocabulary probability."""
+    if len(sentence) == 0:
+        raise DataError("cannot score an empty sentence")
+    total = vocab.total_count
+    floor = min(c for c in vocab.counts if c > 0)
+    score = 0.0
+    for t in sentence:
+        count = vocab.count_of(t)
+        score -= math.log((count if count > 0 else floor) / total)
+    return score
+
+
+def _score(criterion, sentence, **inputs):
+    """Raw difficulty of one sentence through DifficultyProfile.build."""
+    corpus = ParallelCorpus([SentencePair(0, tuple(sentence), (4,))])
+    return DifficultyProfile.build(corpus, criterion, **inputs).raw[0]
+
+
 def _corpus(lengths):
     pairs = [
         SentencePair(i, tuple([4] * s), tuple([4] * t))
@@ -41,30 +72,30 @@ class TestDifficultyCriteria:
         # ids start at 4: id 1 is the unknown token, which reports the
         # vocabulary-max norm instead of its own row
         table = _table([0, 0, 0, 0, 1.5, 2.0, 0.5])
-        assert sentence_difficulty_norm([4, 5, 6], table) == pytest.approx(4.0)
-        assert sentence_difficulty_norm([4], _table([0, 0, 0, 0, 7.25])) == 7.25
+        assert _score("norm", [4, 5, 6], table=table) == pytest.approx(4.0)
+        assert _score("norm", [4], table=_table([0, 0, 0, 0, 7.25])) == 7.25
 
     def test_unknown_token_contributes_max_norm(self):
         table = _table([0, 0, 0, 0, 1.5, 2.0, 0.5])
-        assert sentence_difficulty_norm([1], table) == 2.0
+        assert _score("norm", [1], table=table) == 2.0
 
     def test_appending_positive_norm_token_increases(self):
         table = _table([0, 0, 0, 0, 1.5, 2.0, 0.5])
-        base = sentence_difficulty_norm([4, 5], table)
-        assert sentence_difficulty_norm([4, 5, 6], table) > base
+        base = _score("norm", [4, 5], table=table)
+        assert _score("norm", [4, 5, 6], table=table) > base
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(DataError):
-            sentence_difficulty_norm([], _table([1.0]))
+            _score("norm", [], table=_table([1.0]))
 
     def test_length_is_token_count(self):
-        assert sentence_difficulty_length([5, 6, 7]) == 3.0
-        assert sentence_difficulty_length(list(range(200))) == 200.0
+        assert _score("length", [5, 6, 7]) == 3.0
+        assert _score("length", list(range(200))) == 200.0
 
     def test_length_additivity(self):
         a, b = [1, 2, 3], [4, 5]
-        assert sentence_difficulty_length(a + b) == (
-            sentence_difficulty_length(a) + sentence_difficulty_length(b)
+        assert _score("length", a + b) == (
+            _score("length", a) + _score("length", b)
         )
 
     def test_rarity_hand_computed(self):
@@ -72,22 +103,41 @@ class TestDifficultyCriteria:
         vocab = Vocabulary(["<pad>", "<unk>", "<s>", "</s>", "a", "b", "c"],
                            [0, 0, 0, 0, 2, 1, 1])
         a = vocab.encode_token("a")
-        assert sentence_difficulty_rarity([a], vocab) == pytest.approx(
+        assert _score("rarity", [a], vocab=vocab) == pytest.approx(
             0.6931471805599453, rel=1e-12)
-        assert sentence_difficulty_rarity([a, a], vocab) == pytest.approx(
+        assert _score("rarity", [a, a], vocab=vocab) == pytest.approx(
             1.3862943611198906, rel=1e-12)
 
     def test_rarity_zero_count_uses_rarest_probability(self):
         vocab = Vocabulary(["<pad>", "<unk>", "<s>", "</s>", "a", "b"],
                            [0, 0, 0, 0, 3, 1])
-        rare = sentence_difficulty_rarity([5], vocab)
-        assert sentence_difficulty_rarity([1], vocab) == pytest.approx(rare)
+        rare = _score("rarity", [5], vocab=vocab)
+        assert _score("rarity", [1], vocab=vocab) == pytest.approx(rare)
 
     def test_most_frequent_token_is_easiest_singleton(self):
         vocab = Vocabulary(["<pad>", "<unk>", "<s>", "</s>", "a", "b", "c"],
                            [0, 0, 0, 0, 5, 3, 2])
-        scores = [sentence_difficulty_rarity([t], vocab) for t in (4, 5, 6)]
+        scores = [_score("rarity", [t], vocab=vocab) for t in (4, 5, 6)]
         assert scores[0] == min(scores)
+
+    def test_build_matches_per_sentence_oracles_bit_for_bit(self):
+        # ids cover the unknown token and zero-count words; lengths vary,
+        # so most rows of the padded matrix end in padding
+        rng = np.random.default_rng(5)
+        n_ids = 40
+        counts = [0, 0, 0, 0] + rng.integers(0, 50, size=n_ids - 4).tolist()
+        vocab = Vocabulary([f"t{i}" for i in range(n_ids)], counts)
+        table = EmbeddingTable(vocab.tokens, rng.normal(size=(n_ids, 7)))
+        sentences = [rng.integers(UNK_ID, n_ids, size=rng.integers(1, 31))
+                     for _ in range(300)]
+        corpus = ParallelCorpus([SentencePair(i, tuple(s.tolist()), (4,))
+                                 for i, s in enumerate(sentences)])
+        for criterion, oracle, inputs in (("norm", _oracle_norm, table),
+                                          ("rarity", _oracle_rarity, vocab)):
+            prof = DifficultyProfile.build(corpus, criterion, table=table,
+                                           vocab=vocab)
+            want = [oracle(s.tolist(), inputs) for s in sentences]
+            assert prof.raw.tolist() == want
 
 
 class TestCdfNormalize:
@@ -289,6 +339,21 @@ class TestDifficultyProfile:
         assert np.array_equal(back.raw, prof.raw)
         assert np.array_equal(back.cdf, prof.cdf)
         assert back.criterion == "length"
+
+    @pytest.mark.parametrize("raw, cdf", [
+        ([1.0, math.nan], [0.5, 1.0]), ([math.inf, 1.0], [1.0, 0.5]),
+        ([1.0, 2.0], [0.0, 1.0]), ([1.0, 2.0], [0.5, 1.5]),
+        ([1.0, 2.0], [0.5, math.nan]),
+    ])
+    def test_non_finite_raw_or_cdf_outside_unit_interval_rejected(self, raw, cdf):
+        with pytest.raises(DataError):
+            DifficultyProfile(np.array(raw), np.array(cdf), "length")
+
+    def test_load_names_file_of_non_finite_raw(self, tmp_path):
+        p = tmp_path / "diff.tsv"
+        p.write_text("0\t1.5\t0.5\tnorm\n1\tnan\t1.0\tnorm\n")
+        with pytest.raises(DataError, match="sentence 1 in .*diff.tsv"):
+            DifficultyProfile.load(p)
 
     def test_missing_inputs_rejected(self):
         with pytest.raises(ConfigError):

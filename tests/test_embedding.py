@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from normcl import embedding
 from normcl.corpus import UNK_ID, build_vocab
 from normcl.embedding import EmbeddingTable, SgnsConfig, sgns_step, train_sgns
 from normcl.errors import ConfigError, DataError
@@ -14,6 +15,45 @@ TOKENS8 = ["<pad>", "<unk>", "<s>", "</s>", "a", "b", "c", "d"]
 
 def _tiny_corpus(rng, n_lines=40, line_len=6, lo=4, hi=8):
     return [rng.integers(lo, hi, size=line_len).tolist() for _ in range(n_lines)]
+
+
+def _oracle_sgns_step(w_in, w_out, center, targets, n_pos, lr):
+    """The per-center update: ``targets[:n_pos]`` carry label 1."""
+    v = w_in[center]
+    u = w_out[targets]
+    scores = np.clip(u @ v, -50.0, 50.0)
+    sigma = 1.0 / (1.0 + np.exp(-scores))
+    g = -sigma * lr
+    g[:n_pos] += lr
+    dv = g @ u
+    np.add.at(w_out, targets, g[:, None] * v)
+    w_in[center] = v + dv
+
+
+def _naive_block(w_in, w_out, centers, targets, labels, lr):
+    """A block pair by pair, every pair reading pre-block snapshots."""
+    v0, u0 = w_in.copy(), w_out.copy()
+    for c, t, y, a in zip(centers, targets, labels, lr):
+        s = np.clip(v0[c] @ u0[t], -50.0, 50.0)
+        g = a * (y - 1.0 / (1.0 + np.exp(-s)))
+        w_in[c] += g * u0[t]
+        w_out[t] += g * v0[c]
+
+
+def _record(monkeypatch, name):
+    """Wrap ``embedding.<name>`` so every call's arguments and result are
+    kept, in call order."""
+    calls = []
+    inner = getattr(embedding, name)
+
+    def wrapper(*args):
+        kept = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        result = inner(*args)
+        calls.append((kept, result))
+        return result
+
+    monkeypatch.setattr(embedding, name, wrapper)
+    return calls
 
 
 class TestTableContracts:
@@ -117,7 +157,8 @@ class TestGradientDirection:
             w_in = rng.normal(size=(2, 6))
             w_out = rng.normal(size=(2, 6))
             before = float(w_in[0] @ w_out[1])
-            sgns_step(w_in, w_out, 0, np.array([1]), n_pos=1, lr=1e-3)
+            sgns_step(w_in, w_out, np.array([0]), np.array([1]),
+                      np.array([True]), 1e-3)
             after = float(w_in[0] @ w_out[1])
             assert after > before
 
@@ -126,7 +167,8 @@ class TestGradientDirection:
         w_in = rng.normal(size=(2, 6))
         w_out = rng.normal(size=(2, 6))
         before = float(w_in[0] @ w_out[1])
-        sgns_step(w_in, w_out, 0, np.array([1]), n_pos=0, lr=1e-3)
+        sgns_step(w_in, w_out, np.array([0]), np.array([1]),
+                  np.array([False]), 1e-3)
         assert float(w_in[0] @ w_out[1]) < before
 
     def test_duplicate_targets_accumulate(self):
@@ -136,8 +178,10 @@ class TestGradientDirection:
         # same target twice in one call vs two sequential calls differ:
         # the batched form uses one snapshot of u, so just check the
         # duplicate row moved roughly twice as far as a single hit
-        sgns_step(w_in.copy(), w_out_a, 0, np.array([1, 1]), n_pos=2, lr=1e-2)
-        sgns_step(w_in.copy(), w_out_b, 0, np.array([1]), n_pos=1, lr=1e-2)
+        sgns_step(w_in.copy(), w_out_a, np.array([0, 0]), np.array([1, 1]),
+                  np.array([True, True]), 1e-2)
+        sgns_step(w_in.copy(), w_out_b, np.array([0]), np.array([1]),
+                  np.array([True]), 1e-2)
         delta_a = w_out_a[1] - 0.2
         delta_b = w_out_b[1] - 0.2
         assert np.allclose(delta_a, 2.0 * delta_b)
@@ -179,3 +223,164 @@ class TestNormTrends:
                 norms.append(table.norms[tid])
         rho = spearmanr(logf, norms).statistic
         assert rho <= -0.3
+
+
+class TestBlockStep:
+    def test_one_center_block_matches_per_center_update(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            w_in = rng.normal(size=(9, 6))
+            w_out = rng.normal(size=(9, 6))
+            n_pos = int(rng.integers(1, 6))
+            targets = rng.integers(0, 9, size=n_pos * 4)  # repeats likely
+            lr = float(rng.uniform(1e-3, 1e-1))
+            center = int(rng.integers(0, 9))
+            a_in, a_out = w_in.copy(), w_out.copy()
+            _oracle_sgns_step(a_in, a_out, center, targets, n_pos, lr)
+            labels = np.arange(len(targets)) < n_pos
+            sgns_step(w_in, w_out, np.full(len(targets), center), targets,
+                      labels, lr)
+            assert np.abs(w_in - a_in).max() <= 1e-12
+            assert np.abs(w_out - a_out).max() <= 1e-12
+
+    def test_block_matches_pair_loop_on_pre_block_vectors(self):
+        # 64 centers over 7 ids, targets over 11 ids: centers, targets and
+        # whole (center, target) pairs repeat, and an id is often both a
+        # center and a target
+        rng = np.random.default_rng(22)
+        w_in = rng.normal(size=(11, 5))
+        w_out = rng.normal(size=(11, 5))
+        per_center = rng.integers(2, 9, size=64)
+        centers = np.repeat(rng.integers(0, 7, size=64), per_center)
+        targets = rng.integers(0, 11, size=len(centers))
+        labels = rng.random(len(centers)) < 0.3
+        lr = np.repeat(rng.uniform(1e-3, 0.5, size=64), per_center)
+        a_in, a_out = w_in.copy(), w_out.copy()
+        _naive_block(a_in, a_out, centers, targets, labels, lr)
+        sgns_step(w_in, w_out, centers, targets, labels, lr)
+        assert np.abs(w_in - a_in).max() <= 1e-12
+        assert np.abs(w_out - a_out).max() <= 1e-12
+
+    def test_block_of_one_matches_per_center_training(self, monkeypatch):
+        # the same sampled stream applied center by center by the
+        # per-center update gives the same vectors
+        monkeypatch.setattr(embedding, "_BLOCK", 1)
+        calls = _record(monkeypatch, "sgns_step")
+        corpus = _tiny_corpus(np.random.default_rng(23), n_lines=30)
+        cfg = SgnsConfig(dim=8, epochs=2, negatives=3, window=3, seed=4,
+                         subsample_threshold=0.05)
+        table = train_sgns(corpus, cfg, TOKENS8)
+        w_in, w_out = calls[0][0][0], calls[0][0][1]
+        for (_, _, centers, targets, labels, lr), _ in calls:
+            n_pos = int(labels.sum())
+            assert (centers == centers[0]).all() and (lr == lr[0]).all()
+            assert labels[:n_pos].all() and not labels[n_pos:].any()
+            _oracle_sgns_step(w_in, w_out, int(centers[0]), targets, n_pos,
+                              float(lr[0]))
+        assert len(calls) > 100
+        assert np.abs(table.matrix - w_in).max() <= 1e-12
+
+
+class TestSgnsSampler:
+    """The sampled stream, read through the chunks ``train_sgns`` draws
+    and the blocks it passes to ``sgns_step``."""
+
+    LINES = [[4, 5, 6, 7, 4, 5], [6], [], [7, 4], [5, 6, 7, 4, 5, 6, 7, 4],
+             [4], [5, 5, 6], [7, 6, 5, 4, 7], [6, 4], [5, 7, 6, 4, 4, 5]]
+
+    def _train(self, monkeypatch, **kw):
+        monkeypatch.setattr(embedding, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(embedding, "_BLOCK", 4)
+        chunks = _record(monkeypatch, "_sample_chunk")
+        steps = _record(monkeypatch, "sgns_step")
+        cfg = SgnsConfig(dim=6, epochs=2, negatives=2, window=3, seed=7, **kw)
+        train_sgns(self.LINES, cfg, TOKENS8)
+        return cfg, chunks, steps
+
+    def test_contexts_come_from_the_span_among_kept_tokens(self, monkeypatch):
+        cfg, chunks, _ = self._train(monkeypatch, subsample_threshold=0.02)
+        lines = [line for line in self.LINES if line]
+        starts = np.cumsum([0] + [len(line) for line in lines])
+        n_dropped = 0
+        for (args, chunk) in chunks:
+            lo, hi = args[1][0], args[1][-1]
+            assert ((chunk.kept >= lo) & (chunk.kept < hi)).all()
+            n_dropped += hi - lo - len(chunk.kept)
+            assert ((chunk.span >= 1) & (chunk.span <= cfg.window)).all()
+            assert len(chunk.noise) == cfg.negatives * chunk.n_context.sum()
+            want_centers, at = [], 0
+            for line in range(np.searchsorted(starts, lo),
+                              np.searchsorted(starts, hi)):
+                kept = [p for p in chunk.kept
+                        if starts[line] <= p < starts[line + 1]]
+                if len(kept) < 2:
+                    continue  # no center of this line has context
+                for i, p in enumerate(kept):
+                    want_centers.append(p)
+                    j = len(want_centers) - 1
+                    b = int(chunk.span[j])
+                    want = kept[max(0, i - b):i] + kept[i + 1:i + 1 + b]
+                    got = chunk.context[at:at + chunk.n_context[j]].tolist()
+                    assert got == want
+                    at += chunk.n_context[j]
+            assert chunk.center.tolist() == want_centers
+            assert at == len(chunk.context)
+        assert n_dropped > 0  # subsampling was exercised
+
+    def test_chunks_cover_every_line_once_per_epoch(self, monkeypatch):
+        _, chunks, _ = self._train(monkeypatch, subsample_threshold=1.0)
+        n_tokens = sum(len(line) for line in self.LINES)
+        bounds = [(args[1][0], args[1][-1], args[2]) for args, _ in chunks]
+        per_epoch = len(bounds) // 2
+        assert per_epoch == 3  # 9 non-empty lines, 3 per chunk
+        for epoch in range(2):
+            mine = bounds[epoch * per_epoch:(epoch + 1) * per_epoch]
+            assert mine[0][0] == 0 and mine[-1][1] == n_tokens
+            assert all(a[1] == b[0] for a, b in zip(mine, mine[1:]))
+            assert all(seen == epoch * n_tokens for _, _, seen in mine)
+        for (lo, hi, _), (_, chunk) in zip(bounds, chunks):
+            assert chunk.kept.tolist() == list(range(lo, hi))  # all kept
+
+    def test_learning_rate_decays_with_tokens_before_the_line(self, monkeypatch):
+        cfg, chunks, _ = self._train(monkeypatch, subsample_threshold=1.0,
+                                     initial_lr=0.3)
+        lines = [line for line in self.LINES if line]
+        starts = np.cumsum([0] + [len(line) for line in lines])
+        total_budget = starts[-1] * cfg.epochs
+        for args, chunk in chunks:
+            seen = args[2] + starts[np.searchsorted(starts, chunk.center,
+                                                    side="right") - 1]
+            want = [max(cfg.initial_lr * (1.0 - int(s) / int(total_budget)),
+                        1e-4 * cfg.initial_lr) for s in seen]
+            assert chunk.lr.tolist() == want
+
+    def test_blocks_carry_each_center_with_its_negatives(self, monkeypatch):
+        cfg, chunks, steps = self._train(monkeypatch, subsample_threshold=0.05)
+        lines = [line for line in self.LINES if line]
+        flat = np.concatenate(lines)
+        want_blocks = []
+        for _, chunk in chunks:
+            pairs, at = [], 0
+            for j, p in enumerate(chunk.center):
+                k = int(chunk.n_context[j])
+                ctx = flat[chunk.context[at:at + k]].tolist()
+                neg = chunk.noise[at * cfg.negatives:(at + k) * cfg.negatives]
+                at += k
+                pairs.append([(flat[p], t, True, chunk.lr[j]) for t in ctx]
+                             + [(flat[p], t, False, chunk.lr[j]) for t in neg])
+            for b in range(0, len(pairs), embedding._BLOCK):
+                want_blocks.append(sum(pairs[b:b + embedding._BLOCK], []))
+        got_blocks = [list(zip(*[a.tolist() for a in args[2:]]))
+                      for args, _ in steps]
+        assert got_blocks == want_blocks
+        for args, _ in steps:
+            labels = args[4]
+            assert (~labels).sum() == cfg.negatives * labels.sum()
+
+    def test_one_shot_generator_equals_list(self):
+        corpus = _tiny_corpus(np.random.default_rng(24))
+        cfg = SgnsConfig(dim=8, epochs=2, negatives=3, seed=2,
+                         subsample_threshold=0.05)
+        a = train_sgns(corpus, cfg, TOKENS8)
+        b = train_sgns((line for line in corpus), cfg, TOKENS8)
+        assert np.array_equal(a.matrix, b.matrix)
