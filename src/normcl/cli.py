@@ -89,14 +89,30 @@ def _prepare_out(config: RunConfig) -> Path:
 # Shared corpus preparation
 # ---------------------------------------------------------------------------
 
+def _segment(path, merges: MergeTable | None = None) -> list[list[str]]:
+    """Tokenize each line of ``path``, then apply ``merges`` if any."""
+    units = [tokenize(line) for line in read_lines(path)]
+    if merges is not None:
+        units = [merges.apply(toks) for toks in units]
+    return units
+
+
 def _prepare_side(path, merges_count: int):
-    tokenized = [tokenize(line) for line in read_lines(path)]
-    merges = None
-    units = tokenized
-    if merges_count > 0:
-        merges = learn_merges(tokenized, merges_count)
-        units = [merges.apply(toks) for toks in tokenized]
-    return units, merges
+    units = _segment(path)
+    if merges_count == 0:
+        return units, None
+    merges = learn_merges(units, merges_count)
+    return [merges.apply(toks) for toks in units], merges
+
+
+def _load_pairs(src_path, tgt_path, src_units, tgt_units, vocab_src,
+                vocab_tgt, max_len: int) -> ParallelCorpus:
+    """``load_parallel`` over the segmented lines of two files, with
+    both file names in its errors."""
+    try:
+        return load_parallel(src_units, tgt_units, vocab_src, vocab_tgt, max_len)
+    except DataError as exc:
+        raise DataError(f"{src_path} and {tgt_path}: {exc}") from None
 
 
 def _prepare_corpus(config: RunConfig):
@@ -107,8 +123,8 @@ def _prepare_corpus(config: RunConfig):
     tgt_units, merges_tgt = _prepare_side(ccfg.target, ccfg.merges)
     vocab_src = build_vocab(src_units, ccfg.min_count)
     vocab_tgt = build_vocab(tgt_units, ccfg.min_count)
-    corpus = load_parallel(ccfg.source, ccfg.target, vocab_src, vocab_tgt,
-                           ccfg.max_len, merges_src, merges_tgt)
+    corpus = _load_pairs(ccfg.source, ccfg.target, src_units, tgt_units,
+                         vocab_src, vocab_tgt, ccfg.max_len)
     return vocab_src, vocab_tgt, merges_src, merges_tgt, corpus
 
 
@@ -136,20 +152,19 @@ def cmd_embed(config: RunConfig) -> Path:
     src_units, merges_src = _prepare_side(ccfg.source, ccfg.merges)
     vocab = build_vocab(src_units, ccfg.min_count)
 
-    # one vocabulary serves both the encoder and the difficulty vectors:
-    # the module-level min_count knob collapses into the corpus threshold
-    # here, and out-of-vocabulary tokens never enter the stream (their
-    # difficulty comes from the max-norm unknown rule instead)
-    sgns_cfg = replace(config.sgns, min_count=ccfg.min_count)
+    # one vocabulary, cut at corpus.min_count, serves both the encoder and
+    # the difficulty vectors; out-of-vocabulary tokens never enter the
+    # stream (their difficulty comes from the max-norm unknown rule instead)
     lines = [[i for i in vocab.encode(toks) if i != UNK_ID] for toks in src_units]
-    table = train_sgns(lines, sgns_cfg, vocab.tokens)
+    table = train_sgns(lines, config.sgns, vocab.tokens)
 
     vocab.save(out / VOCAB_SRC_FILE)
     if merges_src is not None:
         merges_src.save(out / MERGES_SRC_FILE)
     table.save_vectors(out / VECTORS_FILE)
     table.save_norms(out / NORMS_FILE)
-    print(f"embed: {len(vocab)} vectors of dim {sgns_cfg.dim} -> {out / VECTORS_FILE}")
+    print(f"embed: {len(vocab)} vectors of dim {config.sgns.dim} "
+          f"-> {out / VECTORS_FILE}")
     return out
 
 
@@ -186,10 +201,11 @@ def _dev_pairs(config: RunConfig, vocab_src, vocab_tgt, merges_src, merges_tgt,
                corpus: ParallelCorpus):
     ccfg = config.corpus
     if ccfg.dev_source and ccfg.dev_target:
-        require_file(ccfg.dev_source, "corpus.dev_source")
-        require_file(ccfg.dev_target, "corpus.dev_target")
-        dev = load_parallel(ccfg.dev_source, ccfg.dev_target, vocab_src,
-                            vocab_tgt, ccfg.max_len, merges_src, merges_tgt)
+        src = require_file(ccfg.dev_source, "corpus.dev_source")
+        tgt = require_file(ccfg.dev_target, "corpus.dev_target")
+        dev = _load_pairs(src, tgt, _segment(src, merges_src),
+                          _segment(tgt, merges_tgt), vocab_src, vocab_tgt,
+                          ccfg.max_len)
         return dev.pairs
     return corpus.pairs[: min(200, len(corpus))]
 
@@ -240,8 +256,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
 
     chash = config_hash(config)
     sampler = SamplerState(corpus, profile, cur.token_budget, cur.min_pool,
-                           seed=(config.seed, 2),
-                           natural_order=(cur.kind == "none"))
+                           seed=(config.seed, 2))
     trace_path = out / TRACE_FILE
 
     if resume:
@@ -344,25 +359,18 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
     state = load_checkpoint(ckpt)
     vocab_src, vocab_tgt, merges_src, merges_tgt = _load_run_vocabs(out)
 
-    src_lines = list(read_lines(require_file(test_source, "test source file")))
-    tgt_lines = list(read_lines(require_file(test_target, "test target file")))
-    if not src_lines or not tgt_lines:
+    sources = _segment(require_file(test_source, "test source file"), merges_src)
+    refs = _segment(require_file(test_target, "test target file"))
+    if not sources or not refs:
         raise ConfigError("empty test file")
-    if len(src_lines) != len(tgt_lines):
-        raise DataError(
-            f"test line counts differ: {len(src_lines)} vs {len(tgt_lines)}"
-        )
-
-    sources = []
-    for i, line in enumerate(src_lines):
-        toks = tokenize(line)
-        if merges_src is not None:
-            toks = merges_src.apply(toks)
+    if len(sources) != len(refs):
+        raise DataError(f"test line counts differ: {len(sources)} vs {len(refs)}")
+    for i, toks in enumerate(sources):
         if not toks:
             raise DataError(f"test source line {i + 1} is empty")
-        sources.append(vocab_src.encode(toks))
 
-    hyps = decode_corpus(state.model, sources, config.eval.beam_config())
+    hyps = decode_corpus(state.model, [vocab_src.encode(t) for t in sources],
+                         config.eval.beam_config())
     hyp_words = []
     for h in hyps:
         words = vocab_tgt.decode(h.tokens)
@@ -373,7 +381,6 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
         for words in hyp_words:
             fh.write(" ".join(words) + "\n")
 
-    refs = [tokenize(line) for line in tgt_lines]
     report = bleu_report(hyp_words, refs, smooth=config.eval.smooth_bleu)
     _write_json(out / EVAL_REPORT, report)
     truncated = sum(1 for h in hyps if h.truncated)

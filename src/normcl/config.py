@@ -171,9 +171,8 @@ def _build_block(name: str, cls, data: dict):
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(
-            f"unknown {name} config fields: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError("unknown config fields: " + ", ".join(
+            f"{name}.{key}" for key in sorted(unknown)))
     return cls(**data)
 
 

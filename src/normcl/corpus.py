@@ -7,16 +7,18 @@ from word frequencies; a word is represented as its characters plus a
 standalone end-of-word marker, so zero merges gives character-level
 segmentation.
 
-All functions here are pure over their inputs: identical input files
-and settings produce byte-identical vocab, merge, and corpus artifacts.
+``learn_merges``, ``build_vocab`` and ``load_parallel`` take lines that
+are already tokenized, so a caller reads and segments each text file
+once and hands the same token lines to all three.  All functions here
+are pure over their inputs: identical lines and settings produce
+byte-identical vocab, merge, and corpus artifacts.
 """
 
 from __future__ import annotations
 
-import re
+import string
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
@@ -35,12 +37,12 @@ PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 
 EOW = "</w>"  # end-of-word marker appended during subword segmentation
 
-_PUNCT_RE = re.compile(r"([!\"#$%&'()*+,\-./:;<=>?@\[\\\]^_`{|}~])")
+_PUNCT_SPACED = str.maketrans({c: f" {c} " for c in string.punctuation})
 
 
 def tokenize(line: str) -> list[str]:
     """Whitespace tokens after separating punctuation characters."""
-    return _PUNCT_RE.sub(r" \1 ", line).split()
+    return line.translate(_PUNCT_SPACED).split()
 
 
 def read_lines(path) -> Iterator[str]:
@@ -279,34 +281,25 @@ class ParallelCorpus:
         return self.pairs[idx]
 
 
-def _encode_side(line: str, vocab: Vocabulary, merges: MergeTable | None) -> list[int]:
-    tokens = tokenize(line)
-    if merges is not None:
-        tokens = merges.apply(tokens)
-    return vocab.encode(tokens)
+def load_parallel(src_lines: Sequence[Sequence[str]],
+                  tgt_lines: Sequence[Sequence[str]], vocab_src: Vocabulary,
+                  vocab_tgt: Vocabulary, max_len: int = 200) -> ParallelCorpus:
+    """Encode line-aligned segmented sentences, dropping bad pairs.
 
-
-def load_parallel(source_file, target_file, vocab_src: Vocabulary,
-                  vocab_tgt: Vocabulary, max_len: int = 200,
-                  merges_src: MergeTable | None = None,
-                  merges_tgt: MergeTable | None = None) -> ParallelCorpus:
-    """Read line-aligned files into id sequences, dropping bad pairs.
-
-    A pair is dropped when either side is empty or longer than
-    ``max_len`` tokens after subword segmentation.  Survivors keep
-    their original order and are renumbered 0..M-1.
+    ``src_lines`` and ``tgt_lines`` hold one token sequence per line,
+    after tokenization and any subword merges.  A pair is dropped when
+    either side is empty or longer than ``max_len`` tokens.  Survivors
+    keep their original order and are renumbered 0..M-1.
     """
-    src_lines = list(read_lines(source_file))
-    tgt_lines = list(read_lines(target_file))
     if len(src_lines) != len(tgt_lines):
         raise DataError(
-            f"line counts differ: {source_file} has {len(src_lines)}, "
-            f"{target_file} has {len(tgt_lines)}"
+            f"line counts differ: source has {len(src_lines)}, "
+            f"target has {len(tgt_lines)}"
         )
     pairs: list[SentencePair] = []
-    for src_line, tgt_line in zip(src_lines, tgt_lines):
-        src = _encode_side(src_line, vocab_src, merges_src)
-        tgt = _encode_side(tgt_line, vocab_tgt, merges_tgt)
+    for src_tokens, tgt_tokens in zip(src_lines, tgt_lines):
+        src = vocab_src.encode(src_tokens)
+        tgt = vocab_tgt.encode(tgt_tokens)
         if not src or not tgt or len(src) > max_len or len(tgt) > max_len:
             continue
         pairs.append(SentencePair(len(pairs), tuple(src), tuple(tgt)))

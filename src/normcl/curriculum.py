@@ -315,26 +315,24 @@ class CompetenceSchedule:
 class SamplerState:
     """Owns the difficulty-sorted id order and the sampling RNG.
 
-    ``natural_order=True`` keeps corpus order instead of sorting by
-    difficulty; the vanilla baseline uses it so that a curriculum-free
-    reference loop consuming the same RNG reproduces its draws exactly.
+    Without a ``profile`` the order is the corpus order and every
+    sentence is eligible; the vanilla baseline uses it so that a
+    curriculum-free reference loop consuming the same RNG reproduces
+    its draws exactly.
     """
 
     def __init__(self, corpus: ParallelCorpus,
                  profile: DifficultyProfile | None,
-                 token_budget: int, min_pool: int = 64, seed: int = 0,
-                 natural_order: bool = False):
+                 token_budget: int, min_pool: int = 64, seed: int = 0):
         if token_budget < 1:
             raise ConfigError(f"token_budget must be positive, got {token_budget}")
         if min_pool < 1:
             raise ConfigError(f"min_pool must be positive, got {min_pool}")
         n = len(corpus)
-        if natural_order:
+        if profile is None:
             self.order = np.arange(n)
             self.sorted_cdf = None
         else:
-            if profile is None:
-                raise ConfigError("difficulty-ordered sampling needs a profile")
             if len(profile) != n:
                 raise DataError(
                     f"profile covers {len(profile)} sentences, corpus has {n}"

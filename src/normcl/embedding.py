@@ -36,12 +36,11 @@ class SgnsConfig:
     negatives: int = 5
     epochs: int = 5
     initial_lr: float = 0.05
-    min_count: int = 5
     subsample_threshold: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "window", "negatives", "epochs", "min_count"):
+        for name in ("dim", "window", "negatives", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.initial_lr <= 0:
@@ -217,8 +216,8 @@ def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
                tokens: Sequence[str]) -> EmbeddingTable:
     """Train input-side vectors over a stream of token-id lines.
 
-    The vocabulary (``tokens``) must already reflect config.min_count;
-    ids in the corpus index into it.  The corpus is read once.
+    Ids in the corpus index into the vocabulary ``tokens``, which the
+    caller has already cut to its minimum count.  The corpus is read once.
     """
     vocab_size = len(tokens)
     if vocab_size < config.negatives + 1:

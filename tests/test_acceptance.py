@@ -20,7 +20,6 @@ from scipy.stats import spearmanr
 from normcl.cli import main
 from normcl.corpus import ParallelCorpus, SentencePair, build_vocab, load_parallel, tokenize
 from normcl.curriculum import (
-    CompetenceSchedule,
     DifficultyProfile,
     SamplerState,
     cdf_normalize,
@@ -294,13 +293,12 @@ def test_05_norms_track_rarity():
         lines = zipfian_corpus(seed=seed, vocab_size=220, n_tokens=200_000)
         vocab = build_vocab(lines, min_count=5)
         ids = [vocab.encode(line.split()) for line in lines]
-        cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5,
-                         min_count=5, seed=seed)
+        cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=seed)
         table = train_sgns(ids, cfg, vocab.tokens)
         logf, norms = [], []
         for tid in range(4, len(vocab)):
             count = vocab.count_of(tid)
-            if count >= cfg.min_count:
+            if count >= 5:
                 logf.append(np.log(count))
                 norms.append(table.norms[tid])
         rhos.append(spearmanr(logf, norms).statistic)
@@ -318,9 +316,11 @@ def test_06_embedding_norm_grows_in_training(tmp_path):
                            vocab_size=200, task="mapped")
     src_lines = src.read_text(encoding="utf-8").splitlines()
     tgt_lines = tgt.read_text(encoding="utf-8").splitlines()
-    vocab_src = build_vocab([tokenize(l) for l in src_lines], 1)
-    vocab_tgt = build_vocab([tokenize(l) for l in tgt_lines], 1)
-    corpus = load_parallel(src, tgt, vocab_src, vocab_tgt, 64)
+    src_tokens = [tokenize(l) for l in src_lines]
+    tgt_tokens = [tokenize(l) for l in tgt_lines]
+    vocab_src = build_vocab(src_tokens, 1)
+    vocab_tgt = build_vocab(tgt_tokens, 1)
+    corpus = load_parallel(src_tokens, tgt_tokens, vocab_src, vocab_tgt, 64)
 
     cfg = ModelConfig(d_model=64, n_heads=4, n_layers=2, d_ff=128,
                       dropout=0.1, max_positions=64, seed=0)
@@ -328,7 +328,7 @@ def test_06_embedding_norm_grows_in_training(tmp_path):
     state = TrainerState(model=model, adam=AdamState(model.params))
     state.capture_anchor()
     sampler = SamplerState(corpus, None, token_budget=512, min_pool=64,
-                           seed=(0, 2), natural_order=True)
+                           seed=(0, 2))
 
     ms = [state.m0]
     for t in range(1, 501):
@@ -370,8 +370,7 @@ def test_07_norm_curriculum_reaches_target_no_later(tmp_path):
         "corpus": {"source": str(train_src), "target": str(train_tgt),
                    "dev_source": str(dev_src), "dev_target": str(dev_tgt),
                    "min_count": 1, "max_len": 64},
-        "sgns": {"dim": 64, "window": 5, "negatives": 5, "epochs": 3,
-                 "min_count": 1},
+        "sgns": {"dim": 64, "window": 5, "negatives": 5, "epochs": 3},
         "model": {"d_model": 64, "n_heads": 4, "n_layers": 2, "d_ff": 128,
                   "dropout": 0.1, "max_positions": 64},
         # lambda_m sized to the task: source-matrix growth over these 600
@@ -455,9 +454,11 @@ def test_08_vanilla_reduction(tmp_path):
     # reference loop: no curriculum objects at all, same seeds
     src_lines = src.read_text(encoding="utf-8").splitlines()
     tgt_lines = tgt.read_text(encoding="utf-8").splitlines()
-    vocab_src = build_vocab([tokenize(l) for l in src_lines], 1)
-    vocab_tgt = build_vocab([tokenize(l) for l in tgt_lines], 1)
-    corpus = load_parallel(src, tgt, vocab_src, vocab_tgt, 64)
+    src_tokens = [tokenize(l) for l in src_lines]
+    tgt_tokens = [tokenize(l) for l in tgt_lines]
+    vocab_src = build_vocab(src_tokens, 1)
+    vocab_tgt = build_vocab(tgt_tokens, 1)
+    corpus = load_parallel(src_tokens, tgt_tokens, vocab_src, vocab_tgt, 64)
     model = Transformer(ModelConfig(d_model=32, n_heads=2, n_layers=1,
                                     d_ff=64, dropout=0.1, max_positions=64,
                                     seed=42),

@@ -2,22 +2,25 @@
 the trace conventions, resume, and the comparison harness."""
 
 import json
-import os
 import shutil
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normcl.cli
+import normcl.corpus
 from normcl.cli import (
     CKPT_BEST, CKPT_LAST, COMPARE_REPORT, DIFFICULTY_FILE, EVAL_REPORT,
     NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
     VECTORS_FILE, VOCAB_SRC_FILE, VOCAB_TGT_FILE, main,
 )
 from normcl.config import run_config_from_dict
-from normcl.corpus import UNK_ID, Vocabulary, tokenize
+from normcl.corpus import EOW, UNK_ID, MergeTable, Vocabulary, tokenize
 from normcl.curriculum import competence_norm, competence_time
+from normcl.decoding import decode_corpus
 from normcl.embedding import EmbeddingTable
 from normcl.synth import synthetic_pairs
 from normcl.trainer import load_checkpoint, save_checkpoint
@@ -54,7 +57,7 @@ def workdir(tmp_path_factory):
                    "target": str(root / "train.tgt"),
                    "dev_source": str(root / "dev.src"),
                    "dev_target": str(root / "dev.tgt")},
-        "sgns": {"dim": 16, "epochs": 2, "min_count": 1},
+        "sgns": {"dim": 16, "epochs": 2},
         "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "d_ff": 32,
                   "dropout": 0.0, "max_positions": 64},
         "curriculum": {"token_budget": 64, "min_pool": 16},
@@ -323,6 +326,19 @@ class TestValidation:
         assert err.startswith("error:")
         assert not (tmp_path / TRACE_FILE).exists()
 
+    def test_misaligned_corpus_rejected(self, workdir, tmp_path, capsys):
+        short = tmp_path / "short.tgt"
+        short.write_text("".join(
+            (workdir / "train.tgt").read_text().splitlines(True)[:-1]))
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", tmp_path / "out",
+                       "--set", "curriculum.kind=none",
+                       "--set", f"corpus.target={short}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(workdir / "train.src") in err and str(short) in err
+
     def test_unknown_config_key_rejected(self, workdir, capsys):
         code = run_cli("score", "--config", workdir / "run.json",
                        "--out", workdir / "never",
@@ -352,7 +368,8 @@ class TestValidation:
         assert code == 2
         assert "criterion" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["workers=2", "deterministic=true"])
+    @pytest.mark.parametrize("setting", ["workers=2", "deterministic=true",
+                                         "sgns.min_count=1"])
     def test_removed_settings_rejected(self, workdir, capsys, setting):
         code = run_cli("embed", "--config", workdir / "run.json",
                        "--out", workdir / "never5", "--set", setting)
@@ -457,6 +474,80 @@ class TestEvaluate:
         report = json.loads((out / EVAL_REPORT).read_text())
         assert report["bleu"] >= 99.0
         assert (out / TRANSLATIONS_FILE).read_text().splitlines() == src
+
+
+class TestSubwords:
+    def test_train_then_evaluate_with_merges(self, workdir, tmp_path,
+                                             monkeypatch):
+        out = tmp_path / "bpe"
+        flags = ("--config", workdir / "run.json", "--out", out,
+                 "--set", "corpus.merges=20")
+        for command in ("embed", "score", "train"):
+            assert run_cli(command, *flags) == 0
+        decoded = []
+
+        def recording(model, sources, config):
+            decoded.extend(sources)
+            return decode_corpus(model, sources, config)
+
+        monkeypatch.setattr(normcl.cli, "decode_corpus", recording)
+        assert run_cli("evaluate", *flags,
+                       "--test-source", workdir / "dev.src",
+                       "--test-target", workdir / "dev.tgt") == 0
+        for side in ("src", "tgt"):
+            merges = MergeTable.load(out / f"merges.{side}.txt")
+            assert len(merges) == 20
+            vocab = Vocabulary.load(out / f"vocab.{side}.tsv")
+            assert any(tok.endswith(EOW) for tok in vocab.tokens)
+        # test sources are segmented with the training merges
+        merges = MergeTable.load(out / "merges.src.txt")
+        vocab = Vocabulary.load(out / VOCAB_SRC_FILE)
+        assert decoded == [
+            vocab.encode(merges.apply(tokenize(line)))
+            for line in (workdir / "dev.src").read_text().splitlines()]
+        assert json.loads((out / EVAL_REPORT).read_text())["n_sentences"] == 30
+        lines = (out / TRANSLATIONS_FILE).read_text().splitlines()
+        assert len(lines) == 30
+        assert not any(EOW in line for line in lines)
+
+
+class TestReadOnce:
+    """Each command tokenizes every line of every input file once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = Counter()
+
+        def counting(line):
+            seen[line] += 1
+            return tokenize(line)
+
+        monkeypatch.setattr(normcl.cli, "tokenize", counting)
+        monkeypatch.setattr(normcl.corpus, "tokenize", counting)
+        return seen
+
+    @staticmethod
+    def _lines(*paths):
+        return Counter(line for path in paths
+                       for line in Path(path).read_text().splitlines())
+
+    @pytest.mark.parametrize("merges", [0, 20])
+    def test_score_train_evaluate(self, workdir, tmp_path, calls, merges):
+        out = tmp_path / "out"
+        flags = ("--config", workdir / "run.json", "--out", out,
+                 "--set", f"corpus.merges={merges}",
+                 "--set", "curriculum.criterion=length",
+                 "--set", "total_steps=8")
+        assert run_cli("score", *flags) == 0
+        assert calls == self._lines(workdir / "train.src", workdir / "train.tgt")
+        calls.clear()
+        assert run_cli("train", *flags) == 0
+        assert calls == self._lines(workdir / "train.src", workdir / "train.tgt",
+                                    workdir / "dev.src", workdir / "dev.tgt")
+        calls.clear()
+        assert run_cli("evaluate", *flags, "--test-source", workdir / "dev.src",
+                       "--test-target", workdir / "dev.tgt") == 0
+        assert calls == self._lines(workdir / "dev.src", workdir / "dev.tgt")
 
 
 def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:

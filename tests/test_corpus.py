@@ -1,14 +1,17 @@
-"""Tokenizer, vocabulary, and subword-merge contracts."""
+"""Tokenizer, vocabulary, subword-merge and read-once corpus contracts."""
 
 import random
+import re
 import string
 
 import pytest
 
+from normcl.cli import _dev_pairs, _prepare_corpus
+from normcl.config import run_config_from_dict
 from normcl.corpus import (
     BOS_ID, EOS_ID, EOW, PAD_ID, SPECIALS, UNK_ID,
-    MergeTable, Vocabulary, build_vocab, detokenize_subwords,
-    learn_merges, load_parallel, tokenize,
+    MergeTable, ParallelCorpus, SentencePair, Vocabulary, build_vocab,
+    detokenize_subwords, learn_merges, load_parallel, read_lines, tokenize,
 )
 from normcl.errors import ConfigError, DataError
 
@@ -28,6 +31,15 @@ class TestTokenize:
 
     def test_empty_line(self):
         assert tokenize("   ") == []
+
+    def test_matches_regex_oracle(self):
+        # the regex tokenizer the translate table replaced
+        punct = re.compile(r"([!\"#$%&'()*+,\-./:;<=>?@\[\\\]^_`{|}~])")
+        rng = random.Random(5)
+        alphabet = string.punctuation + " \t\x0b\x0c\r\x1c\x85\xa0\u3000aZ9é"
+        for _ in range(5000):
+            line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            assert tokenize(line) == punct.sub(r" \1 ", line).split(), line
 
 
 class TestVocabulary:
@@ -138,41 +150,107 @@ class TestRoundTrip:
 
 
 class TestLoadParallel:
-    def _write(self, tmp_path, name, lines):
-        p = tmp_path / name
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return p
-
     def _vocab(self):
         return build_vocab(["a b c d e f g h"])
 
-    def test_misaligned_files_raise(self, tmp_path):
-        src = self._write(tmp_path, "s", ["a b", "c d"])
-        tgt = self._write(tmp_path, "t", ["a b"])
+    def test_misaligned_files_raise(self):
         with pytest.raises(DataError):
-            load_parallel(src, tgt, self._vocab(), self._vocab())
+            load_parallel([["a", "b"], ["c", "d"]], [["a", "b"]],
+                          self._vocab(), self._vocab())
 
-    def test_filters_empty_and_overlong_then_renumbers(self, tmp_path):
-        src = self._write(tmp_path, "s", ["a b", "", "c d e f", "g"])
-        tgt = self._write(tmp_path, "t", ["a", "b", "c", "d"])
+    def test_filters_empty_and_overlong_then_renumbers(self):
+        src = [["a", "b"], [], ["c", "d", "e", "f"], ["g"]]
+        tgt = [["a"], ["b"], ["c"], ["d"]]
         corpus = load_parallel(src, tgt, self._vocab(), self._vocab(), max_len=3)
         # line 2 is empty on the source side, line 3 exceeds max_len
         assert len(corpus) == 2
         assert [p.id for p in corpus] == [0, 1]
         assert corpus[1].src == tuple(self._vocab().encode(["g"]))
 
-    def test_lengths_measured_after_subword_split(self, tmp_path):
-        src = self._write(tmp_path, "s", ["abc"])
-        tgt = self._write(tmp_path, "t", ["a"])
+    def test_lengths_measured_after_subword_split(self):
         table = learn_merges(["a b c abc"], n_merges=0)
         vocab = build_vocab([table.apply(["a", "b", "c", "abc"])])
         # "abc" splits into 4 symbols, over a max_len of 3
         with pytest.raises(DataError):
-            load_parallel(src, tgt, vocab, vocab, max_len=3,
-                          merges_src=table, merges_tgt=table)
+            load_parallel([table.apply(["abc"])], [table.apply(["a"])],
+                          vocab, vocab, max_len=3)
 
-    def test_all_filtered_raises(self, tmp_path):
-        src = self._write(tmp_path, "s", [""])
-        tgt = self._write(tmp_path, "t", ["a"])
+    def test_all_filtered_raises(self):
         with pytest.raises(DataError):
-            load_parallel(src, tgt, self._vocab(), self._vocab())
+            load_parallel([[]], [["a"]], self._vocab(), self._vocab())
+
+
+# The file-reading load_parallel that re-tokenized both files itself,
+# kept as the oracle for the read-once path through the CLI.
+def _oracle_encode_side(line, vocab, merges):
+    tokens = tokenize(line)
+    if merges is not None:
+        tokens = merges.apply(tokens)
+    return vocab.encode(tokens)
+
+
+def _oracle_load_parallel(source_file, target_file, vocab_src, vocab_tgt,
+                          max_len=200, merges_src=None, merges_tgt=None):
+    src_lines = list(read_lines(source_file))
+    tgt_lines = list(read_lines(target_file))
+    if len(src_lines) != len(tgt_lines):
+        raise DataError(
+            f"line counts differ: {source_file} has {len(src_lines)}, "
+            f"{target_file} has {len(tgt_lines)}"
+        )
+    pairs = []
+    for src_line, tgt_line in zip(src_lines, tgt_lines):
+        src = _oracle_encode_side(src_line, vocab_src, merges_src)
+        tgt = _oracle_encode_side(tgt_line, vocab_tgt, merges_tgt)
+        if not src or not tgt or len(src) > max_len or len(tgt) > max_len:
+            continue
+        pairs.append(SentencePair(len(pairs), tuple(src), tuple(tgt)))
+    if not pairs:
+        raise DataError("no sentence pairs survived length filtering")
+    return ParallelCorpus(pairs)
+
+
+class TestReadOncePath:
+    SRC = ["Hello, world!", "", "the cat sat on the mat.",
+           "a b c d e f g h i j k l m", "don't stop (now)", "x",
+           "state-of-the-art 3.14", "the mat, the cat", "ok"]
+    TGT = ["Bonjour, le monde!", "vide", "le chat", "", "n'arrête pas",
+           "y z w v u t s r q p o n m l", "l'état de l'art", "le chat",
+           "ok"]
+
+    def _config(self, tmp_path, merges, max_len):
+        paths = {}
+        for name, lines in (("source", self.SRC), ("target", self.TGT)):
+            paths[name] = tmp_path / name
+            paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return run_config_from_dict({"corpus": {
+            "source": str(paths["source"]), "target": str(paths["target"]),
+            "dev_source": str(paths["source"]),
+            "dev_target": str(paths["target"]),
+            "merges": merges, "max_len": max_len}})
+
+    @pytest.mark.parametrize("merges,max_len", [(0, 5), (30, 12)])
+    def test_matches_file_reading_oracle(self, tmp_path, merges, max_len):
+        config = self._config(tmp_path, merges, max_len)
+        ccfg = config.corpus
+        vocab_src, vocab_tgt, merges_src, merges_tgt, corpus = \
+            _prepare_corpus(config)
+        assert (merges_src is None) == (merges == 0)
+        if merges:
+            assert len(merges_src) == len(merges_tgt) == merges
+        want = _oracle_load_parallel(ccfg.source, ccfg.target, vocab_src,
+                                     vocab_tgt, max_len, merges_src, merges_tgt)
+        assert corpus.pairs == want.pairs
+        # empty lines and overlong lines were both dropped
+        assert 0 < len(corpus) < len(self.SRC) - 2
+        dev = _dev_pairs(config, vocab_src, vocab_tgt, merges_src,
+                         merges_tgt, corpus)
+        assert dev == want.pairs
+        for path, vocab, table in ((ccfg.source, vocab_src, merges_src),
+                                   (ccfg.target, vocab_tgt, merges_tgt)):
+            units = [tokenize(line) for line in read_lines(path)]
+            if table is not None:
+                units = [table.apply(toks) for toks in units]
+            want_vocab = build_vocab(units)
+            assert (vocab.tokens, vocab.counts) == \
+                (want_vocab.tokens, want_vocab.counts)

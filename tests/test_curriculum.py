@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from normcl.corpus import (
-    UNK_ID, ParallelCorpus, SentencePair, Vocabulary, build_vocab,
+    UNK_ID, ParallelCorpus, SentencePair, Vocabulary,
 )
 from normcl.curriculum import (
     CompetenceSchedule, DifficultyProfile, SamplerState, cdf_normalize,
@@ -500,8 +500,7 @@ class TestSampler:
 
     def test_natural_order_matches_reference_walk(self):
         corpus = _corpus([(2, 2), (3, 1), (1, 4), (2, 2), (4, 4), (1, 1)])
-        state = SamplerState(corpus, None, token_budget=8, seed=11,
-                             natural_order=True)
+        state = SamplerState(corpus, None, token_budget=8, seed=11)
         ref_rng = np.random.default_rng(11)
         for step in range(50):
             batch = [p.id for p in sample_batch(state, corpus, 1.0)]

@@ -101,13 +101,12 @@ class TestConfig:
         cfg = SgnsConfig()
         assert (cfg.dim, cfg.window, cfg.negatives, cfg.epochs) == (100, 5, 5, 5)
         assert cfg.initial_lr == 0.05
-        assert cfg.min_count == 5
         assert cfg.subsample_threshold == 1e-4
 
     @pytest.mark.parametrize("kwargs", [
         {"dim": 0}, {"window": 0}, {"negatives": -1}, {"epochs": 0},
         {"initial_lr": 0.0}, {"subsample_threshold": 0.0},
-        {"subsample_threshold": 1.5}, {"min_count": 0},
+        {"subsample_threshold": 1.5},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
@@ -202,7 +201,7 @@ class TestNormTrends:
         wins = 0
         for seed in range(10):
             cfg = SgnsConfig(dim=16, window=2, negatives=5, epochs=20,
-                             min_count=1, subsample_threshold=1.0, seed=seed)
+                             subsample_threshold=1.0, seed=seed)
             table = train_sgns(ids, cfg, vocab.tokens)
             s = table.word_norm(vocab.encode_token("S"))
             f = table.word_norm(vocab.encode_token("F"))
@@ -213,12 +212,11 @@ class TestNormTrends:
         lines = zipfian_corpus(seed=0, vocab_size=220, n_tokens=200_000)
         vocab = build_vocab(lines, min_count=5)
         ids = [vocab.encode(line.split()) for line in lines]
-        cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5,
-                         min_count=5, seed=0)
+        cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=0)
         table = train_sgns(ids, cfg, vocab.tokens)
         logf, norms = [], []
         for tid in range(4, len(vocab)):
-            if vocab.count_of(tid) >= cfg.min_count:
+            if vocab.count_of(tid) >= 5:
                 logf.append(np.log(vocab.count_of(tid)))
                 norms.append(table.norms[tid])
         rho = spearmanr(logf, norms).statistic

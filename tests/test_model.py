@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from normcl.corpus import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus, SentencePair
+from normcl.corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair
 from normcl.errors import CheckpointError, ConfigError, DataError, TrainingDiverged
 from normcl.model import EncodedBatch, ModelConfig, Transformer, build_batch
 from normcl.optim import AdamState
