@@ -43,7 +43,8 @@ from .errors import ConfigError, DataError, NormclError
 from .model import Transformer, build_batch
 from .optim import AdamState, lr_schedule
 from .trainer import (
-    TrainerState, load_checkpoint, save_checkpoint, token_accuracy, train_step,
+    TrainerState, atomic_write, load_checkpoint, save_checkpoint,
+    token_accuracy, train_step,
 )
 
 __all__ = ["main", "cmd_embed", "cmd_score", "cmd_train", "cmd_evaluate",
@@ -73,7 +74,10 @@ def _fmt(x) -> str:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # no fsync: the rename alone keeps a report whole if the process dies,
+    # and syncing both reports of a 4-step train command measured 1.4 ms
+    # of its 160
+    with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -299,10 +303,8 @@ def cmd_train(config: RunConfig, resume: bool = False,
             if profile is None:
                 weights = None
             else:
-                weights = np.array([
-                    sentence_weight(float(profile.cdf[p.id]), c_used, cur.lambda_w)
-                    for p in pairs
-                ])
+                weights = sentence_weight(profile.cdf[[p.id for p in pairs]],
+                                          c_used, cur.lambda_w)
             lr = lr_schedule(t, config.optimizer.warmup, config.optimizer.peak_lr)
             metrics = train_step(state, build_batch(pairs), weights, lr)
             schedule.observe_norm(metrics["m_t"])

@@ -121,6 +121,8 @@ def embedding_matrix_norm(matrix: np.ndarray, mode: str = "row_sum") -> float:
     The row-norm sum keeps the scale commensurate with per-word norms;
     the competence formula only sees (m_t - m0) / m0, so either mode is
     a valid monotone driver.
+    It is reduced in float64 whatever the matrix dtype, so the
+    competence of a float32 model moves as smoothly as a float64 one's.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if mode == "row_sum":
@@ -134,16 +136,20 @@ def embedding_matrix_norm(matrix: np.ndarray, mode: str = "row_sum") -> float:
     return value
 
 
-def sentence_weight(d_hat: float, c_hat: float, lambda_w: float) -> float:
-    """(d_hat / c_hat) ** lambda_w; lambda_w = 0 gives exactly 1."""
+def sentence_weight(d_hat, c_hat: float, lambda_w: float):
+    """(d_hat / c_hat) ** lambda_w; lambda_w = 0 gives exactly 1.
+
+    ``d_hat`` is one difficulty or an array of them, so a batch is
+    weighted in one call; the result has its shape.
+    """
     if c_hat <= 0:
         raise ConfigError(f"competence must be positive, got {c_hat}")
-    if d_hat <= 0:
-        raise ConfigError(f"difficulty must be positive, got {d_hat}")
+    if np.any(np.less_equal(d_hat, 0)):
+        raise ConfigError(f"difficulty must be positive, got {np.min(d_hat)}")
     if lambda_w < 0:
         raise ConfigError(f"lambda_w must be >= 0, got {lambda_w}")
     if lambda_w == 0:
-        return 1.0
+        return np.ones_like(d_hat, dtype=np.float64)
     return (d_hat / c_hat) ** lambda_w
 
 
@@ -340,9 +346,9 @@ class SamplerState:
             self.order = np.lexsort((np.arange(n), profile.cdf))
             self.sorted_cdf = profile.cdf[self.order]
         # longer side of each pair, in difficulty order, for budget checks
-        self.max_side = np.array(
-            [max(len(corpus[int(i)].src), len(corpus[int(i)].tgt)) for i in self.order]
-        )
+        max_side = np.fromiter((max(len(p.src), len(p.tgt)) for p in corpus),
+                               dtype=np.int64, count=n)
+        self.max_side = max_side[self.order]
         self.token_budget = token_budget
         self.min_pool = min_pool
         self.rng = np.random.default_rng(seed)

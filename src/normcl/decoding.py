@@ -59,6 +59,9 @@ class DecodedHypothesis:
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax in float64, whatever the model dtype, so that
+    beam scores accumulate and tie-break in float64."""
+    logits = logits.astype(np.float64, copy=False)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 

@@ -7,6 +7,14 @@ on, with no output bias in either mode.  Loss is weighted per-token
 cross-entropy: sum_s(w_s * NLL_s) / sum_s(w_s * len_s), which reduces
 to plain per-token cross-entropy at all-ones weights.
 
+The model computes in ``ModelConfig.dtype`` (float32 by default):
+parameters, positional encodings, attention masks, activations, dropout
+masks and so gradients all hold that dtype.  Only the loss tail runs in
+float64: the per-position NLL is multiplied by the float64 loss mask,
+so the weighted sum, the loss and the per-sentence NLL are reduced in
+float64.  Dropout draws its uniforms in float64 whatever the dtype, so
+the random stream does not depend on it.
+
 ``decode`` takes an optional ``DecoderCache`` for incremental decoding:
 it then runs only the target positions the cache has not seen yet.
 """
@@ -31,6 +39,7 @@ __all__ = ["ModelConfig", "EncodedBatch", "build_batch", "DecoderCache",
            "Transformer"]
 
 NEG_INF = -1e9
+DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,11 @@ class ModelConfig:
     label_smoothing: float = 0.0
     pre_norm: bool = True
     seed: int = 0
+    dtype: str = "float32"
 
     def __post_init__(self):
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
         for name in ("d_model", "n_heads", "n_layers", "d_ff", "max_positions"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -114,19 +126,19 @@ def build_batch(pairs: Sequence[SentencePair]) -> EncodedBatch:
                         src_mask, loss_mask, tgt_lens)
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    m = np.triu(np.full((t, t), NEG_INF), k=1)
+def _causal_mask(t: int, dtype) -> np.ndarray:
+    m = np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
     return m[None, None, :, :]
 
 
-def _positional_encoding(max_positions: int, d_model: int) -> np.ndarray:
+def _positional_encoding(max_positions: int, d_model: int, dtype) -> np.ndarray:
     pos = np.arange(max_positions, dtype=np.float64)[:, None]
     i = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, i / d_model)
     pe = np.zeros((max_positions, d_model))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : d_model // 2])
-    return pe
+    return pe.astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -165,32 +177,32 @@ class Transformer:
         self.config = config
         self.src_vocab_size = src_vocab_size
         self.tgt_vocab_size = tgt_vocab_size
+        self.dtype = np.dtype(config.dtype)
         self.rng = np.random.default_rng((config.seed, 1))
         init = np.random.default_rng((config.seed, 0))
         d, ff = config.d_model, config.d_ff
 
         self.params: dict[str, Tensor] = {}
 
+        # initial values are drawn in float64 and rounded to the model
+        # dtype, so both dtypes start from the same draws
+        def param(name, values):
+            self.params[name] = Tensor(values.astype(self.dtype),
+                                       requires_grad=True)
+
         def embed(name, rows):
-            self.params[name] = Tensor(
-                init.normal(0.0, 1.0 / math.sqrt(d), size=(rows, d)),
-                requires_grad=True)
+            param(name, init.normal(0.0, 1.0 / math.sqrt(d), size=(rows, d)))
 
         def proj(name, fan_in, fan_out):
             bound = 1.0 / math.sqrt(fan_in)
-            self.params[name + ".w"] = Tensor(
-                init.uniform(-bound, bound, size=(fan_in, fan_out)),
-                requires_grad=True)
-            self.params[name + ".b"] = Tensor(
-                np.zeros(fan_out), requires_grad=True)
+            param(name + ".w", init.uniform(-bound, bound, size=(fan_in, fan_out)))
+            param(name + ".b", np.zeros(fan_out))
 
         embed("src_embed", src_vocab_size)
         embed("tgt_embed", tgt_vocab_size)
         if not config.tie_target_embeddings:
             bound = 1.0 / math.sqrt(d)
-            self.params["out_proj"] = Tensor(
-                init.uniform(-bound, bound, size=(tgt_vocab_size, d)),
-                requires_grad=True)
+            param("out_proj", init.uniform(-bound, bound, size=(tgt_vocab_size, d)))
         for l in range(config.n_layers):
             for name in (f"enc{l}.self", f"dec{l}.self", f"dec{l}.cross"):
                 for part in ("wq", "wk", "wv", "wo"):
@@ -199,7 +211,7 @@ class Transformer:
                 proj(f"{side}.ff1", d, ff)
                 proj(f"{side}.ff2", ff, d)
 
-        self.pe = _positional_encoding(config.max_positions, d)
+        self.pe = _positional_encoding(config.max_positions, d, self.dtype)
 
     # -- building blocks ---------------------------------------------------
 
@@ -274,6 +286,7 @@ class Transformer:
 
     def encode(self, src: np.ndarray, src_mask: np.ndarray,
                train: bool = False) -> Tensor:
+        src_mask = src_mask.astype(self.dtype, copy=False)
         x = self._embed_in("src_embed", src, train)
         for l in range(self.config.n_layers):
             x = self._sublayer(
@@ -299,8 +312,9 @@ class Transformer:
             raise ShapeError(
                 f"prefix of length {t} has no position past the cached {start}"
             )
+        src_mask = src_mask.astype(self.dtype, copy=False)
         x = self._embed_in("tgt_embed", tgt_in[:, start:], train, start)
-        causal = _causal_mask(t)[:, :, start:, :]
+        causal = _causal_mask(t, self.dtype)[:, :, start:, :]
         for l in range(self.config.n_layers):
             x = self._sublayer(
                 x, lambda y, l=l: self._attention(f"dec{l}.self", y, y,
@@ -369,4 +383,5 @@ class Transformer:
             p.grad = None
 
     def source_embedding(self) -> np.ndarray:
+        """The source embedding table, in the model dtype."""
         return self.params["src_embed"].data

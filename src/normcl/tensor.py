@@ -36,9 +36,12 @@ arrays alive.  The mode is process-wide (the package runs no threads);
 it nests and restores its previous state on exit, also when the block
 raises.
 
-All math runs in float64 by default.  float32 is accepted for speed
-runs, but the finite-difference tolerances in ``grad_check`` assume
-float64.
+A tensor holds float32 or float64 data and every kernel computes in the
+dtype of its inputs: a float32 model stays float32 end to end, and
+mixing in a float64 operand (the loss mask, say) promotes the result to
+float64.  A gradient is kept in the dtype of the tensor it belongs to.
+``grad_check`` always runs in float64, because its finite-difference
+tolerances assume it.
 """
 
 from __future__ import annotations
@@ -73,12 +76,19 @@ __all__ = [
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer and backward hook."""
+    """A dense array plus an optional gradient buffer and backward hook.
+
+    The array keeps its dtype when it is float32 or float64; anything
+    else (ints, bools, Python scalars) becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        if data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None

@@ -3,29 +3,40 @@
 A checkpoint is one binary file: magic bytes, a format version, a
 length-prefixed UTF-8 JSON blob (config snapshot plus scalar state:
 step, the norm anchor, schedule state, RNG states, optimizer step),
-then named float64 tensors covering parameters and Adam moments.
+then named tensors covering parameters and Adam moments, stored
+little-endian in the dtype ``model_config.dtype`` names (``<f4`` for
+float32, ``<f8`` for float64).  Each tensor record carries its byte
+count, so a header that names the wrong dtype is refused.
 Round-trips are bit-exact, so resumed runs reproduce unbroken ones.
+
+A checkpoint is written to a temporary file beside its target, synced,
+and renamed over the target, so a crash mid-write leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .curriculum import CompetenceSchedule, embedding_matrix_norm
-from .errors import CheckpointError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .model import EncodedBatch, ModelConfig, Transformer, build_batch
 from .optim import AdamState, adam_step
 from .tensor import no_grad
 
 __all__ = ["TrainerState", "train_step", "token_accuracy",
-           "save_checkpoint", "load_checkpoint"]
+           "save_checkpoint", "load_checkpoint", "atomic_write"]
 
 MAGIC = b"NCLK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_KEYS = frozenset((
     "config", "model_config", "src_vocab_size", "tgt_vocab_size", "step",
     "m0", "matrix_norm_mode", "schedule", "adam_step", "adam_betas",
@@ -101,14 +112,41 @@ def token_accuracy(model: Transformer, pairs, batch_size: int = 64) -> float:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _write_tensor(fh, name: str, array: np.ndarray) -> None:
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", sync: bool = True, **open_kwargs):
+    """Open a temporary file beside ``path`` for writing.  On a clean
+    exit it is flushed, fsynced when ``sync``, and renamed over ``path``;
+    if the block raises, it is deleted and ``path`` keeps its previous
+    contents.  The rename alone keeps ``path`` whole when the process
+    dies; the fsync also keeps it through a system crash."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            if sync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _storage_dtype(dtype: str) -> np.dtype:
+    return np.dtype(dtype).newbyteorder("<")
+
+
+def _write_tensor(fh, name: str, array: np.ndarray, dtype: np.dtype) -> None:
     raw = name.encode("utf-8")
+    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
     fh.write(struct.pack("<Q", len(raw)))
     fh.write(raw)
     fh.write(struct.pack("<Q", array.ndim))
     for dim in array.shape:
         fh.write(struct.pack("<Q", dim))
-    fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    fh.write(struct.pack("<Q", len(data)))
+    fh.write(data)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -118,14 +156,23 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
+def _read_tensor(fh, dtype: np.dtype) -> tuple[str, np.ndarray]:
+    """One tensor record, read into a fresh writable array of ``dtype``."""
     (name_len,) = struct.unpack("<Q", _read_exact(fh, 8))
     name = _decode(_read_exact(fh, name_len), "tensor name")
     (rank,) = struct.unpack("<Q", _read_exact(fh, 8))
     shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(fh, count * 8), dtype="<f8").reshape(shape)
-    return name, data.astype(np.float64)
+    (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8))
+    want = math.prod(shape) * dtype.itemsize
+    if nbytes != want:
+        raise CheckpointError(
+            f"tensor {name} holds {nbytes} bytes, but shape {shape} in the "
+            f"header's model_config.dtype {dtype.name} needs {want}"
+        )
+    data = np.empty(shape, dtype=dtype)
+    if fh.readinto(data) != nbytes:
+        raise CheckpointError("truncated checkpoint file")
+    return name, data
 
 
 def _decode(raw: bytes, what: str) -> str:
@@ -171,15 +218,16 @@ def save_checkpoint(state: TrainerState, path) -> None:
     for name, v in state.adam.v.items():
         tensors.append(("adam_v/" + name, v))
 
+    dtype = _storage_dtype(model.config.dtype)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<Q", len(tensors)))
         for name, array in tensors:
-            _write_tensor(fh, name, array)
+            _write_tensor(fh, name, array, dtype)
 
 
 def load_checkpoint(path) -> TrainerState:
@@ -199,10 +247,15 @@ def load_checkpoint(path) -> TrainerState:
             raise CheckpointError(f"garbled checkpoint header: {exc}") from exc
         if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
             raise CheckpointError("checkpoint header lacks required fields")
+        try:
+            model_config = ModelConfig(**meta["model_config"])
+        except (TypeError, ConfigError) as exc:
+            raise CheckpointError(
+                f"bad model_config in checkpoint header: {exc}") from None
+        dtype = _storage_dtype(model_config.dtype)
         (n_tensors,) = struct.unpack("<Q", _read_exact(fh, 8))
-        tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
+        tensors = dict(_read_tensor(fh, dtype) for _ in range(n_tensors))
 
-    model_config = ModelConfig(**meta["model_config"])
     model = Transformer(model_config, meta["src_vocab_size"],
                         meta["tgt_vocab_size"])
     # _read_tensor returned fresh arrays, so they are adopted uncopied

@@ -260,7 +260,7 @@ def test_04_gradient_fidelity():
         assert err <= 1e-6, f"{name}: {err}"
 
     cfg = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16,
-                      dropout=0.0, max_positions=32, seed=3)
+                      dropout=0.0, max_positions=32, seed=3, dtype="float64")
     model = Transformer(cfg, 10, 10)
     batch = build_batch([SentencePair(0, (4, 5, 6), (5, 4)),
                          SentencePair(1, (7,), (8, 9, 6))])

@@ -1,6 +1,7 @@
 """End-to-end command tests: every artifact a run directory promises,
 the trace conventions, resume, and the comparison harness."""
 
+import errno
 import json
 import shutil
 import struct
@@ -12,6 +13,7 @@ import pytest
 
 import normcl.cli
 import normcl.corpus
+import normcl.trainer
 from normcl.cli import (
     CKPT_BEST, CKPT_LAST, COMPARE_REPORT, DIFFICULTY_FILE, EVAL_REPORT,
     NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
@@ -308,12 +310,70 @@ class TestResume:
         assert code == 2
         assert "refusing to resume" in capsys.readouterr().err
 
+    def test_failed_save_keeps_the_previous_checkpoint(
+            self, workdir, trained, monkeypatch):
+        """A save that dies partway (the disk fills at the fifth tensor)
+        leaves the previous checkpoint-last byte-identical and loadable,
+        leaves no temporary file, and the run still resumes."""
+        out = workdir / "interrupted"
+        cfg = workdir / "run.json"
+        difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--set", "total_steps=8") == 0
+        before = (out / CKPT_LAST).read_bytes()
+
+        write_tensor = normcl.trainer._write_tensor
+        written = []
+
+        def fill_disk(fh, name, array, dtype):
+            if len(written) == 4:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_tensor(fh, name, array, dtype)
+            written.append(name)
+
+        monkeypatch.setattr(normcl.trainer, "_write_tensor", fill_disk)
+        with pytest.raises(OSError):
+            run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                    "--resume", "--set", "total_steps=16")
+        monkeypatch.undo()
+        assert len(written) == 4
+        assert (out / CKPT_LAST).read_bytes() == before
+        assert load_checkpoint(out / CKPT_LAST).step == 8
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--resume") == 0
+        resumed = (out / TRACE_FILE).read_text().splitlines()
+        assert resumed[-1] == (trained / TRACE_FILE).read_text().splitlines()[-1]
+
     def test_resume_needs_a_checkpoint(self, workdir, capsys):
         code = run_cli("train", "--config", workdir / "run.json",
                        "--out", workdir / "resume_empty", "--resume",
                        "--set", "curriculum.kind=none")
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+class TestComputeDtype:
+    def test_float32_run_tracks_the_float64_run(self, workdir):
+        """20 steps from one seed under each dtype.  The batches and the
+        dropout masks are the same (kind none samples without the model;
+        dropout draws its uniforms in float64), so the losses differ by
+        rounding alone: measured at most 6e-8 relative on four corpora,
+        bounded here by 100 float32 epsilons (1.2e-5)."""
+        losses = {}
+        for dtype in ("float32", "float64"):
+            out = workdir / f"dtype_{dtype}"
+            assert run_cli("train", "--config", workdir / "run.json",
+                           "--out", out, "--set", "curriculum.kind=none",
+                           "--set", "model.dropout=0.1",
+                           "--set", f"model.dtype={dtype}",
+                           "--set", "total_steps=20",
+                           "--set", "log_interval=1") == 0
+            losses[dtype] = np.array(read_trace(out / TRACE_FILE)["loss"])
+        assert len(losses["float32"]) == 20
+        rel = np.abs(losses["float32"] / losses["float64"] - 1.0)
+        assert rel.max() <= 100 * np.finfo(np.float32).eps, rel
 
 
 class TestValidation:
@@ -559,6 +619,25 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         raw[16:16 + blob_len] = b"\xff" * blob_len
         dst.write_bytes(bytes(raw))
         return "garbled checkpoint header"
+    if how == "format_1":
+        raw = bytearray(src.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        dst.write_bytes(bytes(raw))
+        return "checkpoint format 1 unsupported"
+    if how in ("dtype_mismatch", "unknown_dtype"):
+        # a float32 checkpoint whose header names another dtype
+        claimed = "float64" if how == "dtype_mismatch" else "float16"
+        raw = src.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", raw, 8)
+        meta = json.loads(raw[16:16 + blob_len])
+        assert meta["model_config"]["dtype"] == "float32"
+        meta["model_config"]["dtype"] = claimed
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                        + raw[16 + blob_len:])
+        if how == "dtype_mismatch":
+            return "model_config.dtype float64 needs"
+        return "bad model_config in checkpoint header"
     state = load_checkpoint(src)
     name = next(iter(state.model.params))
     if how == "missing_adam_v":
@@ -653,7 +732,8 @@ class TestMalformedArtifact:
 
 
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
-                                 "short_adam_m"])
+                                 "short_adam_m", "format_1",
+                                 "dtype_mismatch", "unknown_dtype"])
 class TestDamagedCheckpoint:
     """A damaged checkpoint ends in exit 2 and a message, never a
     traceback, whether ``evaluate`` or ``train --resume`` reads it."""

@@ -291,7 +291,19 @@ class TestSentenceWeight:
     def test_monotone_in_difficulty(self):
         assert sentence_weight(0.8, 0.5, 0.5) > sentence_weight(0.4, 0.5, 0.5)
 
+    def test_batch_matches_one_at_a_time(self):
+        # numpy's vectorized power may round differently from the scalar
+        # pow, by at most a unit in the last place
+        d = np.random.default_rng(9).uniform(0.01, 1.0, 200)
+        for lw in (0.0, 0.5, 1.7):
+            batch = sentence_weight(d, 0.37, lw)
+            assert batch.shape == d.shape
+            one_by_one = [sentence_weight(float(x), 0.37, lw) for x in d]
+            np.testing.assert_allclose(batch, one_by_one, rtol=2 ** -52, atol=0)
+
     def test_rejects_bad_arguments(self):
+        with pytest.raises(ConfigError):
+            sentence_weight(np.array([0.5, 0.0]), 0.5, 0.5)
         with pytest.raises(ConfigError):
             sentence_weight(0.5, 0.0, 0.5)
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Beam search contracts: length penalty, greedy reduction, pool scoring."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ class TestExhaustivePool:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_wide_beam_matches_enumeration(self, seed):
-        model = Transformer(ModelConfig(seed=seed, **MICRO), 6, 6)
+        model = Transformer(ModelConfig(seed=seed, dtype="float64", **MICRO),
+                            6, 6)
         src = (4, 5)
         cfg = BeamConfig(beam_size=200, alpha=0.6, max_decode_len=3)
         hyp = beam_decode(model, [src], cfg)[0]
@@ -193,7 +195,8 @@ class TestExhaustivePool:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_no_width_beats_the_optimum(self, seed):
-        model = Transformer(ModelConfig(seed=seed, **MICRO), 6, 6)
+        model = Transformer(ModelConfig(seed=seed, dtype="float64", **MICRO),
+                            6, 6)
         src = (4, 5)
         best = self._optimum(model, src, 3, 0.6)
         for k in (1, 2, 3, 4, 6):
@@ -266,7 +269,8 @@ class TestBatchedAgainstOracle:
         cfg = BeamConfig(beam_size=beam_size, max_decode_len=max_decode_len)
         truncated = 0
         for seed in range(3):
-            model = Transformer(ModelConfig(seed=seed, **MICRO), 12, 12)
+            model = Transformer(
+                ModelConfig(seed=seed, dtype="float64", **MICRO), 12, 12)
             sources = self._corpus(seed)
             got = decode_corpus(model, sources, cfg)
             assert len(got) == len(sources)
@@ -292,10 +296,22 @@ class TestBatchedAgainstOracle:
 
 class TestDecoderCache:
     CONFIG = ModelConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32,
-                         dropout=0.0, seed=4)
+                         dropout=0.0, seed=4, dtype="float64")
 
     def test_incremental_logits_match_full_recompute(self):
-        model = Transformer(self.CONFIG, 12, 12)
+        self._check_incremental(Transformer(self.CONFIG, 12, 12), atol=1e-12)
+
+    def test_incremental_logits_match_full_recompute_in_float32(self):
+        # The cached and the full pass add the same float32 terms in
+        # different groupings (one-row GEMMs against batched ones, keys
+        # appended rather than computed together), so logits differ by
+        # rounding: about eps32 = 1.2e-7 per operation, relative, through a
+        # two-layer decoder whose logits are O(1).  64 eps32 (7.6e-6) leaves
+        # room for that; a misplaced position or key would be off by O(1).
+        model = Transformer(replace(self.CONFIG, dtype="float32"), 12, 12)
+        self._check_incremental(model, atol=64 * np.finfo(np.float32).eps)
+
+    def _check_incremental(self, model, atol):
         rng = np.random.default_rng(0)
         src = rng.integers(4, 12, size=(3, 5))
         src_mask = np.zeros((1, 1, 1, 5))
@@ -318,7 +334,7 @@ class TestDecoderCache:
             assert cache.length == hi
             want = model.decode(Tensor(memory.data[rows]), src_mask,
                                 prefixes[:, :hi]).data[:, lo:hi]
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
     def test_cache_must_leave_a_position_to_run(self):
         model = Transformer(self.CONFIG, 12, 12)

@@ -1,5 +1,7 @@
 """Transformer forward/loss/gradient and checkpoint contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from normcl.corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair
 from normcl.errors import CheckpointError, ConfigError, DataError, TrainingDiverged
 from normcl.model import EncodedBatch, ModelConfig, Transformer, build_batch
 from normcl.optim import AdamState
-from normcl.tensor import grad_check, no_grad
+from normcl.tensor import Tensor, grad_check, no_grad
 from normcl.trainer import (
-    TrainerState, load_checkpoint, save_checkpoint, token_accuracy, train_step,
+    FORMAT_VERSION, TrainerState, load_checkpoint, save_checkpoint,
+    token_accuracy, train_step,
 )
 
 MICRO = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16,
                     dropout=0.0, max_positions=32, seed=3)
+# the exact oracles (grad checks, 1e-10 loss identities) run in float64
+MICRO64 = replace(MICRO, dtype="float64")
 SMALL = ModelConfig(d_model=32, n_heads=4, n_layers=2, d_ff=64,
                     dropout=0.0, max_positions=64, seed=0)
 
@@ -36,7 +41,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"d_model": 0}, {"d_model": 30, "n_heads": 4}, {"dropout": 1.0},
-        {"n_layers": 0}, {"label_smoothing": 1.0},
+        {"n_layers": 0}, {"label_smoothing": 1.0}, {"dtype": "float16"},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
@@ -119,7 +124,7 @@ class TestLoss:
         assert abs(both.item() - single.item()) < 1e-3
 
     def test_padding_append_leaves_loss_unchanged(self):
-        model, batch = self._setup()
+        model, batch = self._setup(cfg=MICRO64)
         loss, _ = model.forward_loss(batch)
         extra_s, extra_t = 3, 2
         b = batch.src.shape[0]
@@ -183,7 +188,7 @@ class TestTiedEmbeddings:
 
 class TestGradients:
     def test_full_model_grad_check_key_parameters(self):
-        model = Transformer(MICRO, 10, 10)
+        model = Transformer(MICRO64, 10, 10)
         batch = build_batch([SentencePair(0, (4, 5, 6), (5, 4)),
                              SentencePair(1, (7,), (8, 9, 6))])
         names = ["src_embed", "tgt_embed", "enc0.self.wq.w", "dec0.cross.wv.w",
@@ -202,6 +207,45 @@ class TestGradients:
             model.params[name] = original
             model.zero_grad()
             assert err <= 1e-5, f"{name}: {err}"
+
+
+class TestComputeDtype:
+    def test_float32_step_reduces_only_the_loss_in_float64(self, monkeypatch):
+        """One train step at the acceptance shapes: every tensor the step
+        creates is float32 up to the per-position NLL, and only the loss
+        tail after it (mask, weights, weighted sum, scaled loss) is
+        float64.  Creation is hooked, so a float64 constant that creeps
+        into the model fails here."""
+        model = Transformer(ModelConfig(), 200, 200)
+        assert model.config.dtype == "float32"
+        state = TrainerState(model=model, adam=AdamState(model.params))
+        state.capture_anchor()
+        batch = build_batch(_pairs(64, np.random.default_rng(12), hi=200,
+                                   max_len=5))
+        created = []
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        train_step(state, batch, None, lr=1e-3)
+        monkeypatch.undo()
+
+        positions = batch.tgt_out.size
+        nll = next(i for i, t in enumerate(created) if t.shape == (positions,))
+        body, tail = created[:nll + 1], created[nll + 1:]
+        assert len(body) > 100
+        assert all(t.data.dtype == np.float32 for t in body)
+        assert tail and tail[-1].shape == ()
+        assert all(t.data.dtype == np.float64 for t in tail)
+        assert all(t.shape in ((positions,), ()) for t in tail)
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float32, name
+            assert p.grad.dtype == np.float32, name
+            assert state.adam.m[name].dtype == np.float32, name
+            assert state.adam.v[name].dtype == np.float32, name
 
 
 class TestTrainStep:
@@ -278,8 +322,8 @@ class TestTrainStep:
 
 
 class TestCheckpoint:
-    def _trained_state(self, steps=3):
-        model = Transformer(SMALL, 16, 16)
+    def _trained_state(self, steps=3, cfg=SMALL):
+        model = Transformer(cfg, 16, 16)
         state = TrainerState(model=model, adam=AdamState(model.params),
                              config_snapshot={"demo": True})
         state.capture_anchor()
@@ -311,6 +355,26 @@ class TestCheckpoint:
         for name in state.model.params:
             assert np.array_equal(back.adam.m[name], state.adam.m[name])
             assert np.array_equal(back.adam.v[name], state.adam.v[name])
+
+    def test_float32_round_trip_is_bit_exact(self, tmp_path):
+        # dropout on, so the model's RNG has moved past its seed
+        state = self._trained_state(cfg=replace(SMALL, dropout=0.1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        back = load_checkpoint(path)
+        assert back.model.config.dtype == "float32"
+        for name, p in state.model.params.items():
+            for got, want in ((back.model.params[name].data, p.data),
+                              (back.adam.m[name], state.adam.m[name]),
+                              (back.adam.v[name], state.adam.v[name])):
+                assert got.dtype == np.float32, name
+                assert np.array_equal(got, want), name
+        assert (back.model.rng.bit_generator.state
+                == state.model.rng.bit_generator.state)
+        batch = build_batch(_pairs(3, np.random.default_rng(11), hi=16))
+        a, _ = state.model.forward_loss(batch, train=True)
+        b, _ = back.model.forward_loss(batch, train=True)
+        assert a.item() == b.item()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
@@ -344,7 +408,7 @@ class TestCheckpoint:
     ])
     def test_malformed_header_rejected(self, tmp_path, header, message):
         path = tmp_path / "model.ckpt"
-        path.write_bytes(b"NCLK" + (1).to_bytes(4, "little")
+        path.write_bytes(b"NCLK" + FORMAT_VERSION.to_bytes(4, "little")
                          + len(header).to_bytes(8, "little") + header
                          + (0).to_bytes(8, "little"))
         with pytest.raises(CheckpointError, match=message):
