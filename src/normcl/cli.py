@@ -582,8 +582,11 @@ def _assemble_config(args) -> RunConfig:
     return run_config_from_dict(data)
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "embed":
             cmd_embed(_assemble_config(args))

@@ -30,9 +30,9 @@ import numpy as np
 from .corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
-    Tensor, add, concat, cross_entropy_with_log_softmax, dropout,
-    embedding_lookup, layer_norm, matmul, mul, relu, reshape, scale, softmax,
-    tensor_sum, transpose,
+    Tensor, add, attention, concat, cross_entropy_with_log_softmax, dropout,
+    embedding_lookup, layer_norm, linear, matmul, mul, relu, reshape,
+    residual_dropout, scale, tensor_sum, transpose,
 )
 
 __all__ = ["ModelConfig", "EncodedBatch", "build_batch", "DecoderCache",
@@ -152,10 +152,10 @@ class DecoderCache:
     self-attention layer keeps the keys and values of those positions and
     appends the new ones; each cross-attention layer computes its keys and
     values from ``memory`` on the first call and reuses them after, so
-    later calls ignore ``memory``.  Arrays are (rows, heads, positions,
-    d_head), one row per ``tgt_in`` row.  Cached arrays are constants: no
-    gradient flows back into earlier positions, so use a cache for
-    inference only.
+    later calls ignore ``memory``.  Arrays are (rows, positions, d_model):
+    the projections before ``attention`` splits them into heads, one row
+    per ``tgt_in`` row.  Cached arrays are constants: no gradient flows
+    back into earlier positions, so use a cache for inference only.
     """
 
     def __init__(self):
@@ -215,12 +215,11 @@ class Transformer:
 
     # -- building blocks ---------------------------------------------------
 
-    def _drop(self, x: Tensor, train: bool) -> Tensor:
-        p = self.config.dropout if train else 0.0
-        return dropout(x, p, self.rng)
+    def _rate(self, train: bool) -> float:
+        return self.config.dropout if train else 0.0
 
     def _linear(self, name: str, x: Tensor) -> Tensor:
-        return add(matmul(x, self.params[name + ".w"]), self.params[name + ".b"])
+        return linear(x, self.params[name + ".w"], self.params[name + ".b"])
 
     def _attention(self, name: str, q_in: Tensor, kv_in: Tensor,
                    mask: np.ndarray | None, train: bool,
@@ -229,42 +228,32 @@ class Transformer:
         """Multi-head attention; with a cache, keys and values are
         appended to the cached ones, or reused as they are when
         ``static_kv`` (cross-attention over a fixed memory)."""
-        cfg = self.config
-        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-
-        def heads(t: Tensor) -> Tensor:
-            b, n, _ = t.shape
-            return transpose(reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
-
-        q = heads(self._linear(name + ".wq", q_in))
+        q = self._linear(name + ".wq", q_in)
         cached = cache.kv.get(name) if cache is not None else None
         if static_kv and cached is not None:
             k, v = Tensor(cached[0]), Tensor(cached[1])
         else:
-            k = heads(self._linear(name + ".wk", kv_in))
-            v = heads(self._linear(name + ".wv", kv_in))
+            k = self._linear(name + ".wk", kv_in)
+            v = self._linear(name + ".wv", kv_in)
             if cached is not None:
-                k = concat([Tensor(cached[0]), k], axis=2)
-                v = concat([Tensor(cached[1]), v], axis=2)
+                k = concat([Tensor(cached[0]), k], axis=1)
+                v = concat([Tensor(cached[1]), v], axis=1)
             if cache is not None:
                 cache.kv[name] = (k.data, v.data)
-        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = add(scores, Tensor(mask))
-        probs = self._drop(softmax(scores, axis=-1), train)
-        ctx = matmul(probs, v)
-        b, _, n, _ = ctx.shape
-        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, cfg.d_model))
-        return self._linear(name + ".wo", merged)
+        ctx = attention(q, k, v, mask, self.config.n_heads, self._rate(train),
+                        self.rng)
+        return self._linear(name + ".wo", ctx)
 
     def _ff(self, name: str, x: Tensor, train: bool) -> Tensor:
-        inner = self._drop(relu(self._linear(name + ".ff1", x)), train)
+        inner = dropout(relu(self._linear(name + ".ff1", x)), self._rate(train),
+                        self.rng)
         return self._linear(name + ".ff2", inner)
 
     def _sublayer(self, x: Tensor, fn, train: bool) -> Tensor:
+        p = self._rate(train)
         if self.config.pre_norm:
-            return add(x, self._drop(fn(layer_norm(x)), train))
-        return layer_norm(add(x, self._drop(fn(x), train)))
+            return residual_dropout(x, fn(layer_norm(x)), p, self.rng)
+        return layer_norm(residual_dropout(x, fn(x), p, self.rng))
 
     def _embed_in(self, name: str, ids: np.ndarray, train: bool,
                   start: int = 0) -> Tensor:
@@ -280,7 +269,7 @@ class Transformer:
         # lexical content — the live norm is a meaningful progress signal
         x = embedding_lookup(self.params[name], ids)
         x = add(x, Tensor(self.pe[start:end]))
-        return self._drop(x, train)
+        return dropout(x, self._rate(train), self.rng)
 
     # -- forward -----------------------------------------------------------
 

@@ -13,43 +13,84 @@ __all__ = ["AdamState", "adam_step", "lr_schedule"]
 
 
 class AdamState:
-    """First/second moments per named parameter plus a step counter."""
+    """First/second moments per named parameter plus a step counter.
+
+    ``m[name]`` and ``v[name]`` are views into one flat buffer each, in
+    the order of ``params``, so ``adam_step`` updates every moment with a
+    fixed number of whole-buffer operations.  Replace a moment by
+    writing into its view (``m[name][...] = ...``).  Every parameter
+    must hold the same dtype.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-9):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigError(f"betas must be in [0, 1): {beta1}, {beta2}")
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ConfigError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        size = sum(p.data.size for p in params.values())
+        dtype = dtypes.pop() if dtypes else np.float64
+        self.flat_m = np.zeros(size, dtype=dtype)
+        self.flat_v = np.zeros(size, dtype=dtype)
+        # the gathered gradients and one scratch buffer: adam_step writes
+        # both before reading them, so a state that never steps (one
+        # loaded for evaluation) leaves their pages untouched
+        self.flat_grad = np.empty(size, dtype=dtype)
+        self.scratch = np.empty(size, dtype=dtype)
+        self.m, self.v, self.grad = {}, {}, {}
+        offset = 0
+        for name, p in params.items():
+            span = slice(offset, offset + p.data.size)
+            offset = span.stop
+            self.m[name] = self.flat_m[span].reshape(p.data.shape)
+            self.v[name] = self.flat_v[span].reshape(p.data.shape)
+            self.grad[name] = self.flat_grad[span].reshape(p.data.shape)
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place.
 
     Parameters with no gradient buffer are treated as zero-gradient
-    (moments still decay).  NaN/Inf in any gradient aborts.
+    (moments still decay).  NaN/Inf in any gradient aborts before
+    anything is updated.  Every elementwise operation runs in the same
+    order as a per-parameter update would, so the bits are the same.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in parameter '{name}'", step=t)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if p.grad is None:
+            state.grad[name].fill(0.0)
+        else:
+            state.grad[name][...] = p.grad
+    g, s = state.flat_grad, state.scratch
+    m, v = state.flat_m, state.flat_v
+    if not np.isfinite(g).all():
+        bad = next(name for name, view in state.grad.items()
+                   if not np.isfinite(view).all())
+        raise TrainingDiverged(f"non-finite gradient in parameter '{bad}'", step=t)
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=s)
+    m += s
+    v *= state.beta2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - state.beta2
+    v += s
+    # the step lr * m_hat / (sqrt(v_hat) + eps), built in g
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += state.eps
+    np.divide(m, bc1, out=g)
+    g *= lr
+    g /= s
+    for name, p in params.items():
+        p.data -= state.grad[name]
 
 
 def lr_schedule(t: int, warmup: int, peak: float) -> float:

@@ -17,17 +17,31 @@ parents, ``reshape``, ``transpose``, ``concat`` and ``tensor_sum`` hand
 views of the child's gradient, and ``backward()`` receives the caller's
 head gradient, so all of these copy.
 
-The backward of ``matmul`` for an operand of rank 3 or more times a 2-D
-matrix -- every ``x @ W`` projection -- flattens the operand to
-``(-1, K)`` rows: the matrix gradient is one ``a2d.T @ g2d`` GEMM rather
-than a batched ``(B, K, T) @ (B, T, N)`` stack summed over ``B``, and the
-operand gradient is one ``g2d @ W.T`` GEMM.  The forward product stays
-numpy's batched matmul, which measured faster than one flat GEMM at the
-model's training shapes, except for stacks of one-row matrices (the
-newest position of a cached decoder step): numpy runs those as one
-matrix-vector product per row, and one flat GEMM measured 1.6-4x
-faster.  Other shapes (the 4-D attention products) use the batched
-formulas and ``_unbroadcast`` both ways.
+The model's composites are fused kernels with hand-written backwards,
+so a train step records a few dozen nodes rather than hundreds:
+
+- ``linear(x, W, b)`` is ``x @ W + b``.  Its backward flattens ``x`` to
+  ``(-1, K)`` rows: the weight gradient is one ``x2d.T @ g2d`` GEMM
+  rather than a batched ``(B, K, T) @ (B, T, N)`` stack summed over
+  ``B``, the input gradient one ``g2d @ W.T`` GEMM, and the bias
+  gradient ``g2d.sum(0)``.  The forward product stays numpy's batched
+  matmul, which measured faster than one flat GEMM at the model's
+  training shapes, except for stacks of one-row matrices (the newest
+  position of a cached decoder step): numpy runs those as one
+  matrix-vector product per row, and one flat GEMM measured 1.6-4x
+  faster.
+- ``attention(q, k, v, mask, n_heads, p, rng)`` splits heads, scales,
+  masks, takes the softmax, drops out and merges the heads of
+  ``probs @ v`` in one node.  Its backward keeps only the probabilities
+  and the dropout mask (the fused-kernel idea of FlashAttention, Dao et
+  al. 2022, at NumPy scale).
+- ``residual_dropout(x, y, p, rng)`` is ``x + dropout(y)``.
+
+Each runs the same elementwise operations and products, in the same
+order and on the same array layouts, as the chain of small kernels the
+tests keep as its oracle (``matmul``, ``add``, ``scale``, ``transpose``,
+``reshape``, a softmax and ``dropout``), and draws its dropout mask the
+same way, so its outputs and gradients match that chain's bit for bit.
 
 Inside ``with no_grad():`` no kernel records a graph: outputs carry
 ``requires_grad=False``, no ``_parents`` and no backward closure, so a
@@ -56,6 +70,8 @@ from .errors import ShapeError
 __all__ = [
     "Tensor",
     "matmul",
+    "linear",
+    "attention",
     "add",
     "mul",
     "scale",
@@ -64,12 +80,12 @@ __all__ = [
     "concat",
     "tensor_slice",
     "relu",
-    "softmax",
     "layer_norm",
     "embedding_lookup",
     "cross_entropy_with_log_softmax",
     "tensor_sum",
     "dropout",
+    "residual_dropout",
     "grad_check",
     "no_grad",
 ]
@@ -249,20 +265,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    flat = a.ndim >= 3 and b.ndim == 2
-    if flat and a.shape[-2] == 1:
-        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(
-            a.shape[:-1] + b.shape[-1:])
-    else:
-        data = a.data @ b.data
-    out = Tensor(data, requires_grad=_needs_grad(a, b))
+    out = Tensor(a.data @ b.data, requires_grad=_needs_grad(a, b))
     if out.requires_grad:
         out._parents = (a, b)
 
         def _bw(g):
-            if flat:
-                _matmul_flat_backward(a, b, g)
-                return
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g @ _swap_last(b.data), a.shape),
                               fresh=True)
@@ -274,15 +281,105 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def _matmul_flat_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Backward of ``(..., K) @ (K, N)`` as 2-D GEMMs over flattened rows."""
-    k, n = b.shape
-    rows = math.prod(a.shape[:-1])
-    g2d = g.reshape(rows, n)
-    if a.requires_grad:
-        a._accumulate((g2d @ b.data.T).reshape(a.shape), fresh=True)
-    if b.requires_grad:
-        b._accumulate(a.data.reshape(rows, k).T @ g2d, fresh=True)
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for ``x`` (..., K), ``w`` (K, N) and ``b`` (N,)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs (..., K) @ (K, N) + (N,), got "
+                         f"{x.shape} @ {w.shape} + {b.shape}")
+    k, n = w.shape
+    rows = math.prod(x.shape[:-1])
+    if x.ndim >= 3 and x.shape[-2] == 1:
+        data = (x.data.reshape(rows, k) @ w.data).reshape(x.shape[:-1] + (n,))
+    else:
+        data = x.data @ w.data
+    if data.dtype == b.data.dtype:
+        data += b.data
+    else:
+        data = data + b.data
+    out = Tensor(data, requires_grad=_needs_grad(x, w, b))
+    if out.requires_grad:
+        out._parents = (x, w, b)
+
+        def _bw(g):
+            g2d = g.reshape(rows, n)
+            if x.requires_grad:
+                x._accumulate((g2d @ w.data.T).reshape(x.shape), fresh=True)
+            if w.requires_grad:
+                w._accumulate(x.data.reshape(rows, k).T @ g2d, fresh=True)
+            if b.requires_grad:
+                b._accumulate(g2d.sum(axis=0), fresh=True)
+
+        out._backward = _bw
+    return out
+
+
+def attention(q, k, v, mask, n_heads: int, p: float,
+              rng: np.random.Generator) -> Tensor:
+    """Multi-head scaled dot-product attention, heads merged back.
+
+    ``q`` is (B, Tq, d) and ``k``, ``v`` are (B, Tk, d); each is split
+    into ``n_heads`` heads of ``d / n_heads`` features.  ``mask`` is an
+    additive array broadcastable to (B, n_heads, Tq, Tk), or None.  The
+    attention probabilities get inverted dropout at rate ``p``.  Returns
+    (B, Tq, d).
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape \
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] \
+            or q.shape[2] % n_heads:
+        raise ShapeError(f"attention needs (B, Tq, d) queries and (B, Tk, d) "
+                         f"keys and values with d divisible by {n_heads} "
+                         f"heads, got {q.shape}, {k.shape}, {v.shape}")
+    b, tq, d = q.shape
+    tk = k.shape[1]
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def heads(a: np.ndarray, t: int) -> np.ndarray:
+        return a.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    q4, k4, v4 = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
+    probs = q4 @ _swap_last(k4)
+    probs *= c
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(probs.shape, probs.dtype, p, rng)
+    weights = probs if keep is None else probs * keep
+    data = (weights @ v4).transpose(0, 2, 1, 3).reshape(b, tq, d)
+    out = Tensor(data, requires_grad=_needs_grad(q, k, v))
+    if out.requires_grad:
+        out._parents = (q, k, v)
+
+        def _bw(g):
+            g_ctx = np.ascontiguousarray(heads(g, tq))
+            if v.requires_grad:
+                dropped = probs if keep is None else probs * keep
+                g_v = _swap_last(dropped) @ g_ctx
+                v._accumulate(g_v.transpose(0, 2, 1, 3).reshape(b, tk, d),
+                              fresh=True)
+            if not (q.requires_grad or k.requires_grad):
+                return
+            g_s = g_ctx @ _swap_last(v4)
+            if keep is not None:
+                g_s *= keep
+            g_s *= probs
+            g_s -= probs * g_s.sum(axis=-1, keepdims=True)
+            g_s *= c
+            if q.requires_grad:
+                q._accumulate((g_s @ k4).transpose(0, 2, 1, 3).reshape(b, tq, d),
+                              fresh=True)
+            if k.requires_grad:
+                g_kt = _swap_last(q4) @ g_s
+                k._accumulate(g_kt.transpose(0, 3, 1, 2).reshape(b, tk, d),
+                              fresh=True)
+
+        out._backward = _bw
+    return out
 
 
 def add(a, b) -> Tensor:
@@ -418,24 +515,6 @@ def relu(a) -> Tensor:
     return out
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Row-wise softmax with max subtraction for stability."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, requires_grad=_needs_grad(a))
-    if out.requires_grad:
-        out._parents = (a,)
-
-        def _bw(g):
-            gs = g * s
-            a._accumulate(gs - s * gs.sum(axis=axis, keepdims=True), fresh=True)
-
-        out._backward = _bw
-    return out
-
-
 def layer_norm(a, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean, unit variance.
 
@@ -541,11 +620,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when p == 0."""
     a = _as_tensor(a)
-    if p <= 0.0:
+    keep = _keep_mask(a.shape, a.data.dtype, p, rng)
+    if keep is None:
         return a
-    if p >= 1.0:
-        raise ShapeError(f"dropout rate must be < 1, got {p}")
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
     out = Tensor(a.data * keep, requires_grad=_needs_grad(a))
     if out.requires_grad:
         out._parents = (a,)
@@ -555,6 +632,42 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
 
         out._backward = _bw
     return out
+
+
+def residual_dropout(x, y, p: float, rng: np.random.Generator) -> Tensor:
+    """``x + dropout(y, p)``: a residual connection around a branch."""
+    x, y = _as_tensor(x), _as_tensor(y)
+    keep = _keep_mask(y.shape, y.data.dtype, p, rng)
+    branch = y.data if keep is None else y.data * keep
+    try:
+        data = x.data + branch
+    except ValueError:
+        raise ShapeError(f"residual shapes not broadcastable: {x.shape} + {y.shape}")
+    out = Tensor(data, requires_grad=_needs_grad(x, y))
+    if out.requires_grad:
+        out._parents = (x, y)
+
+        def _bw(g):
+            if x.requires_grad:
+                x._accumulate(_unbroadcast(g, x.shape))
+            if y.requires_grad:
+                if keep is None:
+                    y._accumulate(_unbroadcast(g, y.shape))
+                else:
+                    y._accumulate(_unbroadcast(g * keep, y.shape), fresh=True)
+
+        out._backward = _bw
+    return out
+
+
+def _keep_mask(shape, dtype, p: float, rng: np.random.Generator):
+    """The scaled keep mask of inverted dropout at rate ``p``, or None
+    when ``p`` is 0 (and then no uniforms are drawn)."""
+    if p <= 0.0:
+        return None
+    if p >= 1.0:
+        raise ShapeError(f"dropout rate must be < 1, got {p}")
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,8 @@ def load_checkpoint(path) -> TrainerState:
     adam = AdamState(model.params, beta1=b1, beta2=b2, eps=meta["adam_eps"])
     adam.step = meta["adam_step"]
     for name, p in model.params.items():
-        adam.m[name] = _take_tensor(tensors, "adam_m/" + name, p.data.shape)
-        adam.v[name] = _take_tensor(tensors, "adam_v/" + name, p.data.shape)
+        adam.m[name][...] = _take_tensor(tensors, "adam_m/" + name, p.data.shape)
+        adam.v[name][...] = _take_tensor(tensors, "adam_v/" + name, p.data.shape)
 
     schedule = (None if meta["schedule"] is None
                 else CompetenceSchedule.from_state(meta["schedule"]))

@@ -36,18 +36,20 @@ from normcl.synth import synthetic_pairs, zipfian_corpus
 from normcl.tensor import (
     Tensor,
     add,
+    attention,
     concat,
     cross_entropy_with_log_softmax,
     dropout,
     embedding_lookup,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     mul,
     relu,
     reshape,
+    residual_dropout,
     scale,
-    softmax,
     tensor_slice,
     tensor_sum,
     transpose,
@@ -234,6 +236,11 @@ def test_04_gradient_fidelity():
     w36 = Tensor(rng.standard_normal((3, 6)))
     w223 = Tensor(rng.standard_normal((2, 2, 3)))
     w31 = Tensor(rng.standard_normal((3, 1)))
+    w234 = Tensor(rng.standard_normal((2, 3, 4)))
+    b4 = Tensor(rng.standard_normal(4))
+    kv = Tensor(rng.standard_normal((2, 5, 4)))
+    pad = np.zeros((2, 1, 1, 5))
+    pad[1, ..., 3:] = -1e9
     ids = np.array([[0, 2], [1, 3]])
     targets = np.array([1, 0, 2])
     drop_rng = np.random.default_rng(5)
@@ -248,7 +255,9 @@ def test_04_gradient_fidelity():
         ("concat", lambda t: tensor_sum(mul(concat([t, w34], axis=0), w64)), Tensor(rng.standard_normal((3, 4)))),
         ("tensor_slice", lambda t: tensor_sum(mul(tensor_slice(t, (slice(1, 3), slice(0, 2))), w22)), Tensor(rng.standard_normal((4, 4)))),
         ("relu", lambda t: tensor_sum(mul(relu(t), w34)), away_from_zero(3, 4)),
-        ("softmax", lambda t: tensor_sum(mul(softmax(t), w34)), Tensor(rng.standard_normal((3, 4)))),
+        ("linear", lambda t: tensor_sum(mul(linear(t, w43.data.T, b4), w234)), Tensor(rng.standard_normal((2, 3, 3)))),
+        ("attention", lambda t: tensor_sum(mul(attention(t, kv, kv, pad, 2, 0.0, None), w234)), Tensor(rng.standard_normal((2, 3, 4)))),
+        ("residual_dropout_p0", lambda t: tensor_sum(mul(residual_dropout(w234, t, 0.0, drop_rng), w234)), Tensor(rng.standard_normal((2, 3, 4)))),
         ("layer_norm", lambda t: tensor_sum(mul(layer_norm(t), w36)), Tensor(rng.standard_normal((3, 6)))),
         ("embedding_lookup", lambda t: tensor_sum(mul(embedding_lookup(t, ids), w223)), Tensor(rng.standard_normal((5, 3)))),
         ("cross_entropy", lambda t: tensor_sum(cross_entropy_with_log_softmax(t, targets)), Tensor(rng.standard_normal((3, 6)))),

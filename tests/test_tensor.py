@@ -1,5 +1,7 @@
 """Kernel-level gradient checks against central finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,21 @@ from normcl.optim import AdamState, adam_step, lr_schedule
 from normcl.tensor import (
     Tensor,
     add,
+    attention,
     concat,
     cross_entropy_with_log_softmax,
     dropout,
     embedding_lookup,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     mul,
     no_grad,
     relu,
     reshape,
+    residual_dropout,
     scale,
-    softmax,
     tensor_slice,
     tensor_sum,
     transpose,
@@ -52,10 +56,13 @@ class TestForwardContracts:
         with pytest.raises(ShapeError):
             matmul(_rand(rng, 2, 3), Tensor(np.ones(3)))
 
-    def test_softmax_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self):
+        # with identity keys and values the output is the probabilities
         rng = np.random.default_rng(1)
-        for _ in range(N_TRIALS):
-            s = softmax(Tensor(rng.standard_normal((5, 9)) * 10.0))
+        for trial in range(N_TRIALS):
+            # up to |score| ~ 3e3, where exp overflows without the max shift
+            spread = 10.0 ** (1 + trial % 3)
+            s = _attention_probs(Tensor(rng.standard_normal((5, 9)) * spread))
             np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_layer_norm_statistics(self):
@@ -121,6 +128,16 @@ class TestForwardContracts:
             add(x, x).backward()
 
 
+def _attention_probs(scores: Tensor) -> Tensor:
+    """The (Tq, Tk) softmax of ``scores`` through one-head attention: the
+    queries are the scores scaled by sqrt(Tk), the keys and values the
+    identity, so the output is the probabilities."""
+    tq, tk = scores.shape
+    q = reshape(scale(scores, math.sqrt(tk)), (1, tq, tk))
+    eye = Tensor(np.eye(tk)[None])
+    return reshape(attention(q, eye, eye, None, 1, 0.0, None), (tq, tk))
+
+
 def _check_kernel(builder, shape_fn, seed):
     """``builder(rng, shape)`` against finite differences on random shapes."""
     rng = np.random.default_rng(seed)
@@ -178,10 +195,10 @@ class TestKernelGradients:
             return lambda t: mul(relu(t), Tensor(w)).sum()
         _check_kernel(build, lambda rng: (int(rng.integers(2, 5)), int(rng.integers(2, 5))), 16)
 
-    def test_softmax(self):
+    def test_attention_softmax(self):
         def build(rng, shape):
             w = rng.standard_normal(shape)
-            return lambda t: mul(softmax(t), Tensor(w)).sum()
+            return lambda t: mul(_attention_probs(t), Tensor(w)).sum()
         _check_kernel(build, lambda rng: (int(rng.integers(2, 5)), int(rng.integers(2, 6))), 17)
 
     def test_layer_norm(self):
@@ -268,7 +285,8 @@ def _assert_close_to_largest(actual, expected):
 
 
 class TestFlatMatmul:
-    """The backward of ``(..., K) @ (K, N)`` runs as 2-D GEMMs over rows."""
+    """The backward of ``linear``, ``(..., K) @ (K, N) + (N,)``, runs as
+    2-D GEMMs over flattened rows."""
 
     @pytest.mark.parametrize("a_shape", [(4, 7, 5), (2, 3, 6, 5)])
     @pytest.mark.parametrize("grad_a,grad_b", [(True, False), (False, True),
@@ -277,9 +295,10 @@ class TestFlatMatmul:
         rng = np.random.default_rng(40)
         a = Tensor(rng.standard_normal(a_shape), requires_grad=grad_a)
         b = Tensor(rng.standard_normal((a_shape[-1], 3)), requires_grad=grad_b)
+        bias = Tensor(rng.standard_normal(3))
         g = rng.standard_normal(a_shape[:-1] + (3,))
-        out = matmul(a, b)
-        _assert_close_to_largest(out.data, a.data @ b.data)
+        out = linear(a, b, bias)
+        _assert_close_to_largest(out.data, a.data @ b.data + bias.data)
         out.backward(g)
         oracle_a, oracle_b = _batched_matmul_grads(a.data, b.data, g)
         if grad_a:
@@ -290,20 +309,22 @@ class TestFlatMatmul:
             _assert_close_to_largest(b.grad, oracle_b)
         else:
             assert b.grad is None
+        assert bias.grad is None
 
     def test_bias_add_matches_per_axis_oracle(self):
         rng = np.random.default_rng(41)
         x = _rand(rng, 4, 7, 3)
         bias = _rand(rng, 3)
         g = rng.standard_normal((4, 7, 3))
-        add(x, bias).backward(g)
+        linear(x, Tensor(np.eye(3)), bias).backward(g)
         _assert_close_to_largest(bias.grad, _unbroadcast_by_axis(g, (3,)))
         np.testing.assert_array_equal(x.grad, g)
 
     def test_left_gradient(self):
         def build(rng, shape):
             w = rng.standard_normal((shape[-1], int(rng.integers(2, 5))))
-            return lambda t: mul(matmul(t, Tensor(w)),
+            bias = rng.standard_normal(w.shape[1])
+            return lambda t: mul(linear(t, Tensor(w), Tensor(bias)),
                                  Tensor(np.cos(np.arange(w.shape[1])))).sum()
         _check_kernel(
             build, lambda rng: (2, int(rng.integers(2, 4)), int(rng.integers(2, 5))), 42)
@@ -311,44 +332,195 @@ class TestFlatMatmul:
     def test_right_gradient(self):
         def build(rng, shape):
             x = rng.standard_normal((2, 3, shape[0]))
-            return lambda t: mul(matmul(Tensor(x), t), Tensor(x[..., :1])).sum()
+            bias = Tensor(np.zeros(shape[1]))
+            return lambda t: mul(linear(Tensor(x), t, bias),
+                                 Tensor(x[..., :1])).sum()
         _check_kernel(
             build, lambda rng: (int(rng.integers(2, 5)), int(rng.integers(2, 5))), 43)
 
     @pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
     def test_both_gradients(self, lead):
-        # one flat vector feeds both operands, so grad_check sees the
-        # left and right gradients of the same matmul at once
-        k, n = 4, 3
-        n_left = int(np.prod(lead)) * k
-
-        def f(t):
-            left = reshape(tensor_slice(t, (slice(0, n_left),)), lead + (k,))
-            right = reshape(tensor_slice(t, (slice(n_left, None),)), (k, n))
-            return mul(matmul(left, right), Tensor(np.arange(n) - 1.0)).sum()
-
-        rng = np.random.default_rng(44)
-        x = Tensor(rng.standard_normal(n_left + k * n))
-        assert grad_check(f, x) <= KERNEL_TOL
+        # one flat vector feeds every operand, so grad_check sees the
+        # input, weight and bias gradients of the same call at once
+        _grad_check_operands(linear, [lead + (4,), (4, 3), (3,)], 44)
 
     def test_bias_add_gradient(self):
         def build(rng, shape):
             x = rng.standard_normal((2, 3, shape[0]))
             w = rng.standard_normal((2, 3, shape[0]))
-            return lambda t: mul(add(Tensor(x), t), Tensor(w)).sum()
+            return lambda t: mul(linear(Tensor(x), Tensor(np.eye(shape[0])), t),
+                                 Tensor(w)).sum()
         _check_kernel(build, lambda rng: (int(rng.integers(2, 6)),), 45)
+
+
+def _grad_check_operands(f, shapes, seed):
+    """grad_check of ``f(*operands)`` with every operand cut from one flat
+    vector, so all operand gradients are checked at once."""
+    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
+
+    def loss(t):
+        parts = [reshape(tensor_slice(t, (slice(lo, hi),)), shape)
+                 for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)]
+        out = f(*parts)
+        weights = np.cos(np.arange(out.size)).reshape(out.shape)
+        return mul(out, Tensor(weights)).sum()
+
+    x = Tensor(np.random.default_rng(seed).standard_normal(bounds[-1]))
+    err = grad_check(loss, x)
+    assert err <= KERNEL_TOL, f"max relative error {err}"
+
+
+def _assert_matches_oracle(fused, oracle, shapes, seed):
+    """``fused`` and ``oracle`` map leaves plus a generator to one output.
+    Run on the same leaves and equally seeded generators, their outputs
+    and every leaf gradient agree to 1e-12."""
+    arrays = [np.random.default_rng(seed).standard_normal(s) for s in shapes]
+    runs = []
+    for fn in (fused, oracle):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*leaves, np.random.default_rng(seed + 1))
+        out.backward(np.cos(np.arange(out.size)).reshape(out.shape))
+        runs.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, want in zip(*runs):
+        _assert_close_to_largest(got, want)
+
+
+def _softmax(a: Tensor) -> Tensor:
+    """The former softmax kernel over the last axis, kept as an oracle."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(s, requires_grad=a.requires_grad)
+    if out.requires_grad:
+        out._parents = (a,)
+
+        def _bw(g):
+            gs = g * s
+            a._accumulate(gs - s * gs.sum(axis=-1, keepdims=True), fresh=True)
+
+        out._backward = _bw
+    return out
+
+
+def _oracle_attention(q, k, v, mask, n_heads, p, rng):
+    """The chain of small kernels that ``attention`` fuses."""
+    b, tq, d = q.shape
+    dh = d // n_heads
+
+    def heads(t):
+        return transpose(reshape(t, (b, t.shape[1], n_heads, dh)), (0, 2, 1, 3))
+
+    scores = scale(matmul(heads(q), transpose(heads(k), (0, 1, 3, 2))),
+                   1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = add(scores, Tensor(mask))
+    ctx = matmul(dropout(_softmax(scores), p, rng), heads(v))
+    return reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
+
+
+def _causal(t):
+    return np.triu(np.full((t, t), -1e9), k=1)[None, None]
+
+
+def _padding(b, tk):
+    pad = np.zeros((b, tk))
+    pad[1, tk - 2:] = -1e9
+    return pad[:, None, None, :]
+
+
+# (q, k and v shapes, mask, heads)
+ATTENTION_CASES = {
+    "causal_self": ([(2, 5, 8)] * 3, _causal(5), 2),
+    "padded_cross": ([(2, 3, 8), (2, 6, 8), (2, 6, 8)], _padding(2, 6), 2),
+    "one_query_row": ([(3, 1, 8), (3, 4, 8), (3, 4, 8)], None, 4),
+}
+
+
+class TestFusedKernels:
+    """Each fused kernel against the composite it replaces, and against
+    finite differences."""
+
+    @pytest.mark.parametrize("x_shape", [(3, 5), (4, 7, 5), (3, 1, 5)])
+    def test_linear_matches_add_matmul(self, x_shape):
+        _assert_matches_oracle(
+            lambda x, w, b, _rng: linear(x, w, b),
+            lambda x, w, b, _rng: add(matmul(x, w), b),
+            [x_shape, (5, 3), (3,)], 50)
+
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (4, 1, 4)])
+    def test_linear_gradients(self, x_shape):
+        _grad_check_operands(linear, [x_shape, (4, 5), (5,)], 51)
+
+    def test_linear_refuses_bad_shapes(self):
+        rng = np.random.default_rng(52)
+        with pytest.raises(ShapeError):
+            linear(_rand(rng, 2, 3), _rand(rng, 4, 5), _rand(rng, 5))
+        with pytest.raises(ShapeError):
+            linear(_rand(rng, 2, 4), _rand(rng, 4, 5), _rand(rng, 4))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_attention_matches_the_kernel_chain(self, case, p):
+        shapes, mask, n_heads = ATTENTION_CASES[case]
+        _assert_matches_oracle(
+            lambda q, k, v, rng: attention(q, k, v, mask, n_heads, p, rng),
+            lambda q, k, v, rng: _oracle_attention(q, k, v, mask, n_heads, p, rng),
+            shapes, 53)
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_attention_gradients(self, case):
+        shapes, mask, n_heads = ATTENTION_CASES[case]
+        _grad_check_operands(
+            lambda q, k, v: attention(q, k, v, mask, n_heads, 0.0, None),
+            shapes, 54)
+
+    def test_attention_gradients_with_dropout(self):
+        # a freshly seeded generator per call draws the same mask each
+        # time grad_check evaluates the function
+        shapes, mask, n_heads = ATTENTION_CASES["causal_self"]
+        _grad_check_operands(
+            lambda q, k, v: attention(q, k, v, mask, n_heads, 0.4,
+                                      np.random.default_rng(7)),
+            shapes, 55)
+
+    def test_attention_refuses_bad_shapes(self):
+        rng = np.random.default_rng(56)
+        q, k = _rand(rng, 2, 3, 8), _rand(rng, 2, 4, 8)
+        with pytest.raises(ShapeError):
+            attention(q, k, _rand(rng, 2, 5, 8), None, 2, 0.0, None)
+        with pytest.raises(ShapeError):
+            attention(q, k, k, None, 3, 0.0, None)
+        with pytest.raises(ShapeError):
+            attention(q, _rand(rng, 1, 4, 8), _rand(rng, 1, 4, 8), None, 2, 0.0, None)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_residual_dropout_matches_add_dropout(self, p):
+        _assert_matches_oracle(
+            lambda x, y, rng: residual_dropout(x, y, p, rng),
+            lambda x, y, rng: add(x, dropout(y, p, rng)),
+            [(4, 6, 5), (4, 6, 5)], 57)
+
+    @pytest.mark.parametrize("p", [0.0, 0.4])
+    def test_residual_dropout_gradients(self, p):
+        _grad_check_operands(
+            lambda x, y: residual_dropout(x, y, p, np.random.default_rng(8)),
+            [(3, 4), (3, 4)], 58)
 
 
 def _every_kernel(rng):
     """One output of each kernel on fresh leaves that require grad."""
     a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
+    seq = _rand(rng, 2, 3, 4)
     table = _rand(rng, 6, 3)
     return [
-        matmul(a, b), add(a, a), mul(a, a), scale(a, 2.0), transpose(a),
-        reshape(a, (4, 3)), concat([a, a], axis=0), tensor_slice(a, (0,)),
-        relu(a), softmax(a), layer_norm(a), embedding_lookup(table, [1, 5]),
+        matmul(a, b), linear(seq, b, b[0]), add(a, a), mul(a, a),
+        scale(a, 2.0), transpose(a), reshape(a, (4, 3)),
+        concat([a, a], axis=0), tensor_slice(a, (0,)), relu(a),
+        attention(seq, seq, seq, _causal(3), 2, 0.5, np.random.default_rng(0)),
+        layer_norm(a), embedding_lookup(table, [1, 5]),
         cross_entropy_with_log_softmax(a, np.array([0, 1, 3])),
         tensor_sum(a), dropout(a, 0.5, np.random.default_rng(0)),
+        residual_dropout(a, a, 0.5, np.random.default_rng(0)),
     ]
 
 
@@ -388,10 +560,11 @@ class TestNoGrad:
 
     def test_gradients_outside_the_mode_are_unchanged(self):
         rng = np.random.default_rng(5)
-        x, w = _rand(rng, 3, 4), _rand(rng, 4, 2)
+        x, w, bias = _rand(rng, 2, 3, 4), _rand(rng, 4, 4), _rand(rng, 4)
 
         def loss():
-            return tensor_sum(softmax(matmul(layer_norm(x), w)))
+            h = linear(layer_norm(x), w, bias)
+            return tensor_sum(attention(h, h, h, None, 2, 0.0, None))
 
         head = loss()
         head.backward()
@@ -471,6 +644,69 @@ class TestAdam:
         state = AdamState({"p": p})
         with pytest.raises(TrainingDiverged):
             adam_step({"p": p}, state, lr=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_per_parameter_update(self, dtype):
+        rng = np.random.default_rng(6)
+        shapes = {"w": (3, 4), "b": (4,), "unused": (2, 2), "table": (5, 3)}
+
+        def fresh():
+            return {name: Tensor(np.random.default_rng(7).standard_normal(s)
+                                 .astype(dtype), requires_grad=True)
+                    for name, s in shapes.items()}
+
+        flat_params, oracle_params = fresh(), fresh()
+        state = AdamState(flat_params)
+        m = {name: np.zeros_like(p.data) for name, p in oracle_params.items()}
+        v = {name: np.zeros_like(p.data) for name, p in oracle_params.items()}
+        for step in range(1, 6):
+            lr = 1e-3 * step
+            for name, s in shapes.items():
+                # "unused" never gets a gradient buffer
+                g = None if name == "unused" else rng.standard_normal(s).astype(dtype)
+                flat_params[name].grad = g
+                oracle_params[name].grad = None if g is None else g.copy()
+            adam_step(flat_params, state, lr)
+            _oracle_adam_step(oracle_params, m, v, step, lr)
+        for name in shapes:
+            for got, want in ((flat_params[name].data, oracle_params[name].data),
+                              (state.m[name], m[name]), (state.v[name], v[name])):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want), name
+        assert state.step == 5
+
+    def test_non_finite_gradient_names_the_parameter_and_updates_nothing(self):
+        params = {name: Tensor(np.ones(3), requires_grad=True)
+                  for name in ("first", "second")}
+        params["first"].grad = np.ones(3)
+        params["second"].grad = np.array([0.0, np.inf, 0.0])
+        state = AdamState(params)
+        with pytest.raises(TrainingDiverged, match="'second'"):
+            adam_step(params, state, lr=0.1)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, np.ones(3))
+            np.testing.assert_array_equal(state.m[name], np.zeros(3))
+
+    def test_mixed_dtypes_refused(self):
+        params = {"a": Tensor(np.zeros(2, dtype=np.float32)),
+                  "b": Tensor(np.zeros(2))}
+        with pytest.raises(ConfigError):
+            AdamState(params)
+
+
+def _oracle_adam_step(params, m, v, step, lr, beta1=0.9, beta2=0.98, eps=1e-9):
+    """The former per-parameter Adam update, kept as an oracle."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 class TestLrSchedule:
