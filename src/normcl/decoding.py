@@ -14,6 +14,16 @@ newest position is computed; the cache is reordered to the surviving
 beams after each step.  Each sentence keeps its own finished pool and
 stops on its own, so a hypothesis does not depend on its batch mates
 beyond floating-point rounding.
+
+A step expands every sentence at once.  All unfinished sentences hold
+the same number of beams, so their candidate scores form one
+(sentences, beams * vocab) array; one row-wise ``argpartition`` picks
+each sentence's top 2 * beam_size and one stable ``argsort`` orders
+them.  Ties therefore break by higher score first, then by the order
+``argpartition`` leaves over that sentence's row, exactly as a search of
+the sentence on its own would.  Array masks pick the finished
+candidates and the survivors; Python only files the finished
+hypotheses and the results of the sentences that stop.
 """
 
 from __future__ import annotations
@@ -100,86 +110,77 @@ def beam_decode(model: Transformer, sources: Sequence[Sequence[int]],
     # cum stays <= 0, so cum / lp(max_decode_len) bounds every score an
     # active beam can still finish with (lp grows with length)
     lp_cap = length_penalty(cfg.max_decode_len, cfg.alpha)
-    # per sentence: (normalized score, generated tokens without the end marker)
+    # per sentence: (normalized score, generated tokens without the end
+    # marker), plus each pool's size and best score for the stop test
     finished: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in sources]
+    pool_size = np.zeros(len(sources), dtype=np.int64)
+    pool_best = np.full(len(sources), -np.inf)
     results: list[DecodedHypothesis | None] = [None] * len(sources)
 
     with no_grad():
         memory = model.encode(src, src_mask)
         cache = DecoderCache()
-        # the live beams, their rows grouped by sentence in input order
+        # the unfinished sentences in input order, each with ``width``
+        # live beams: rows j * width ... (j + 1) * width - 1 are live[j]'s
+        live = np.arange(len(sources))
+        width = 1
         prefixes = np.full((len(sources), 1), BOS_ID, dtype=np.int64)
         cum = np.zeros(len(sources))
-        owner = np.arange(len(sources))
         for step in range(cfg.max_decode_len):
             logits = model.decode(memory, src_mask, prefixes,
                                   cache=cache).data[:, -1, :]
-            logp = _log_softmax_rows(logits)
-            keep: list[int] = []
-            keep_tok: list[int] = []
-            keep_cum: list[float] = []
-            for s, lo, hi in _sentences(owner):
-                pool = finished[s]
-                survivors = _expand(cum[lo:hi], logp[lo:hi], prefixes[lo:hi],
-                                    step, cfg, pool)
-                if (not survivors or len(pool) >= k
-                        or (pool and max(c for _, _, c in survivors) / lp_cap
-                            <= max(norm for norm, _ in pool))):
-                    results[s] = _best(pool, prefixes[lo:hi], cum[lo:hi], cfg)
-                    continue
-                for beam, tok, score in survivors:
-                    keep.append(lo + beam)
-                    keep_tok.append(tok)
-                    keep_cum.append(score)
-            if not keep:
-                break
-            prefixes = np.concatenate(
-                [prefixes[keep], np.array(keep_tok, dtype=np.int64)[:, None]],
-                axis=1)
-            cum = np.array(keep_cum)
-            owner = owner[keep]
-            cache.select(keep)
-    # sentences still live after max_decode_len steps
-    for s, lo, hi in _sentences(owner):
-        if results[s] is None:
-            results[s] = _best(finished[s], prefixes[lo:hi], cum[lo:hi], cfg)
-    return results
-
-
-def _sentences(owner: np.ndarray) -> list[tuple[int, int, int]]:
-    """(sentence, first row, end row) of each run of rows it owns."""
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    ends = np.append(starts[1:], len(owner))
-    return [(int(owner[lo]), int(lo), int(hi)) for lo, hi in zip(starts, ends)]
-
-
-def _expand(cum: np.ndarray, logp: np.ndarray, prefixes: np.ndarray,
-            step: int, cfg: BeamConfig,
-            finished: list[tuple[float, tuple[int, ...]]]
-            ) -> list[tuple[int, int, float]]:
-    """One beam step of one sentence: add its finished candidates to
-    ``finished`` and return up to beam_size (beam, token, cum) survivors."""
-    k = cfg.beam_size
-    flat = (cum[:, None] + logp).ravel()
-    # 2k candidates guarantee k survivors: each beam contributes at
-    # most one end-marker candidate
-    take = min(2 * k, flat.size)
-    top = np.argpartition(-flat, take - 1)[:take]
-    top = top[np.argsort(-flat[top], kind="stable")]
-    survivors: list[tuple[int, int, float]] = []
-    for rank, idx in enumerate(top):
-        beam, tok = divmod(int(idx), logp.shape[1])
-        score = float(flat[idx])
-        if tok == EOS_ID:
+            vocab = logits.shape[1]
+            # row j: every (beam, token) candidate of live[j], in C order
+            flat = (cum[:, None] + _log_softmax_rows(logits)).reshape(
+                len(live), width * vocab)
+            # 2k candidates guarantee k survivors: each beam contributes
+            # at most one end-marker candidate
+            take = min(2 * k, flat.shape[1])
+            top = np.argpartition(-flat, take - 1, axis=1)[:, :take]
+            score = np.take_along_axis(flat, top, axis=1)
+            order = np.argsort(-score, axis=1, kind="stable")
+            top = np.take_along_axis(top, order, axis=1)
+            score = np.take_along_axis(score, order, axis=1)
+            beam, tok = np.divmod(top, vocab)
+            row = beam + width * np.arange(len(live))[:, None]
+            is_end = tok == EOS_ID
             # only end markers that made the beam proper finish; a
             # lower-ranked one would stop beam_size=1 where greedy
             # keeps going
-            if rank < k:
-                norm = score / length_penalty(step + 1, cfg.alpha)
-                finished.append((norm, tuple(prefixes[beam, 1:].tolist())))
-        elif len(survivors) < k:
-            survivors.append((beam, tok, score))
-    return survivors
+            end_j, end_rank = np.nonzero(is_end[:, :k])
+            norms = score[end_j, end_rank] / length_penalty(step + 1, cfg.alpha)
+            for s, r, norm in zip(live[end_j].tolist(),
+                                  row[end_j, end_rank].tolist(),
+                                  norms.tolist()):
+                finished[s].append((norm, tuple(prefixes[r, 1:].tolist())))
+                pool_size[s] += 1
+                pool_best[s] = max(pool_best[s], norm)
+            # the first k other candidates survive, as many in every row:
+            # 2k candidates hold at least k of them, and all width * vocab
+            # hold width * (vocab - 1); the first is the best
+            survive = ~is_end & (np.cumsum(~is_end, axis=1) <= k)
+            best = score[np.arange(len(live)), survive.argmax(axis=1)]
+            done = (~survive.any(axis=1) | (pool_size[live] >= k)
+                    | (best / lp_cap <= pool_best[live]))
+            for j in np.flatnonzero(done).tolist():
+                beams = slice(j * width, (j + 1) * width)
+                results[live[j]] = _best(finished[live[j]], prefixes[beams],
+                                         cum[beams], cfg)
+            survive &= ~done[:, None]
+            live = live[~done]
+            if not live.size:
+                break
+            keep = row[survive]
+            width = keep.size // live.size
+            prefixes = np.concatenate([prefixes[keep], tok[survive][:, None]],
+                                      axis=1)
+            cum = score[survive]
+            cache.select(keep)
+    # sentences still live after max_decode_len steps
+    for j, s in enumerate(live.tolist()):
+        beams = slice(j * width, (j + 1) * width)
+        results[s] = _best(finished[s], prefixes[beams], cum[beams], cfg)
+    return results
 
 
 def _best(finished: list[tuple[float, tuple[int, ...]]], prefixes: np.ndarray,

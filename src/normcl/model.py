@@ -146,32 +146,45 @@ def _positional_encoding(max_positions: int, d_model: int, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class DecoderCache:
-    """Per-layer attention keys and values of the decoder positions run so far.
+    """Attention keys and values of the decoder positions run so far.
 
-    ``length`` counts the target positions already run.  Each
-    self-attention layer keeps the keys and values of those positions and
-    appends the new ones; each cross-attention layer computes its keys and
-    values from ``memory`` on the first call and reuses them after, so
-    later calls ignore ``memory``.  Arrays are (rows, positions, d_model):
-    the projections before ``attention`` splits them into heads, one row
-    per ``tgt_in`` row.  Cached arrays are constants: no gradient flows
-    back into earlier positions, so use a cache for inference only.
+    ``length`` counts the target positions already run.  Self-attention
+    layers keep theirs in ``kv``, one row per ``tgt_in`` row, and append
+    the new positions.  Cross-attention layers compute theirs from
+    ``memory`` on the first call, one row per source, and keep them in
+    ``cross_kv``; ``owner`` maps each decoder row to its source.  Arrays
+    are (rows, positions, d_model), the projections before ``attention``
+    splits heads.  Cached arrays are constants: no gradient flows back
+    into earlier positions, so use a cache for inference only.
     """
 
     def __init__(self):
         self.length = 0
         self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.cross_kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.owner: np.ndarray | None = None  # None: the identity
+        # (source of each run, run length) when the rows split into runs
+        # of one length, each run consecutive rows of one source
+        self.runs: tuple[np.ndarray, int] | None = None
 
     def select(self, rows) -> None:
-        """Keep (and reorder, or repeat) the given rows of every cached
-        array, e.g. the parent beams of the survivors of a beam step."""
+        """Keep (and reorder, or repeat) the given decoder rows, e.g. the
+        parent beams of the survivors of a beam step; cross-attention
+        arrays stay per source, only ``owner`` follows the rows."""
         rows = np.asarray(rows, dtype=np.int64)
         self.kv = {name: (k[rows], v[rows]) for name, (k, v) in self.kv.items()}
+        self.owner = rows if self.owner is None else self.owner[rows]
+        starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
+        lengths = np.diff(starts, append=len(self.owner))
+        even = lengths.size and (lengths == lengths[0]).all()
+        self.runs = (self.owner[starts], int(lengths[0])) if even else None
 
 
 class Transformer:
     def __init__(self, config: ModelConfig, src_vocab_size: int,
-                 tgt_vocab_size: int):
+                 tgt_vocab_size: int, load=None):
+        """``load(name, shape)``, when given, supplies each parameter's
+        values (e.g. from a checkpoint) in place of a random draw."""
         if src_vocab_size < 5 or tgt_vocab_size < 5:
             raise ConfigError("vocabularies must include the four specials")
         self.config = config
@@ -186,23 +199,26 @@ class Transformer:
 
         # initial values are drawn in float64 and rounded to the model
         # dtype, so both dtypes start from the same draws
-        def param(name, values):
-            self.params[name] = Tensor(values.astype(self.dtype),
+        def param(name, shape, draw):
+            values = draw(shape) if load is None else load(name, shape)
+            self.params[name] = Tensor(values.astype(self.dtype, copy=False),
                                        requires_grad=True)
 
+        def uniform(bound):
+            return lambda shape: init.uniform(-bound, bound, size=shape)
+
         def embed(name, rows):
-            param(name, init.normal(0.0, 1.0 / math.sqrt(d), size=(rows, d)))
+            param(name, (rows, d),
+                  lambda shape: init.normal(0.0, 1.0 / math.sqrt(d), size=shape))
 
         def proj(name, fan_in, fan_out):
-            bound = 1.0 / math.sqrt(fan_in)
-            param(name + ".w", init.uniform(-bound, bound, size=(fan_in, fan_out)))
-            param(name + ".b", np.zeros(fan_out))
+            param(name + ".w", (fan_in, fan_out), uniform(1.0 / math.sqrt(fan_in)))
+            param(name + ".b", (fan_out,), np.zeros)
 
         embed("src_embed", src_vocab_size)
         embed("tgt_embed", tgt_vocab_size)
         if not config.tie_target_embeddings:
-            bound = 1.0 / math.sqrt(d)
-            param("out_proj", init.uniform(-bound, bound, size=(tgt_vocab_size, d)))
+            param("out_proj", (tgt_vocab_size, d), uniform(1.0 / math.sqrt(d)))
         for l in range(config.n_layers):
             for name in (f"enc{l}.self", f"dec{l}.self", f"dec{l}.cross"):
                 for part in ("wq", "wk", "wv", "wo"):
@@ -226,15 +242,29 @@ class Transformer:
                    cache: DecoderCache | None = None,
                    static_kv: bool = False) -> Tensor:
         """Multi-head attention; with a cache, keys and values are
-        appended to the cached ones, or reused as they are when
-        ``static_kv`` (cross-attention over a fixed memory)."""
+        appended to the cached ones, or, when ``static_kv``
+        (cross-attention over a fixed memory), computed once per source
+        and shared by the decoder rows that source owns."""
         q = self._linear(name + ".wq", q_in)
-        cached = cache.kv.get(name) if cache is not None else None
-        if static_kv and cached is not None:
-            k, v = Tensor(cached[0]), Tensor(cached[1])
+        shape = q.shape
+        if static_kv and cache is not None:
+            if name not in cache.cross_kv:
+                cache.cross_kv[name] = (self._linear(name + ".wk", kv_in).data,
+                                        self._linear(name + ".wv", kv_in).data)
+            k, v = cache.cross_kv[name]
+            runs = cache.runs
+            if runs and runs[1] > 1 and (mask is None or mask.shape[0] == 1):
+                # each source's run of rows queries it as one block, so
+                # keys are gathered per source, not per row
+                q = reshape(q, (len(runs[0]), runs[1] * shape[1], shape[2]))
+                k, v = k[runs[0]], v[runs[0]]
+            elif cache.owner is not None:
+                k, v = k[cache.owner], v[cache.owner]
+            k, v = Tensor(k), Tensor(v)
         else:
             k = self._linear(name + ".wk", kv_in)
             v = self._linear(name + ".wv", kv_in)
+            cached = cache.kv.get(name) if cache is not None else None
             if cached is not None:
                 k = concat([Tensor(cached[0]), k], axis=1)
                 v = concat([Tensor(cached[1]), v], axis=1)
@@ -242,6 +272,8 @@ class Transformer:
                 cache.kv[name] = (k.data, v.data)
         ctx = attention(q, k, v, mask, self.config.n_heads, self._rate(train),
                         self.rng)
+        if ctx.shape != shape:
+            ctx = reshape(ctx, shape)
         return self._linear(name + ".wo", ctx)
 
     def _ff(self, name: str, x: Tensor, train: bool) -> Tensor:

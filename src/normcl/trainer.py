@@ -256,11 +256,10 @@ def load_checkpoint(path) -> TrainerState:
         (n_tensors,) = struct.unpack("<Q", _read_exact(fh, 8))
         tensors = dict(_read_tensor(fh, dtype) for _ in range(n_tensors))
 
-    model = Transformer(model_config, meta["src_vocab_size"],
-                        meta["tgt_vocab_size"])
     # _read_tensor returned fresh arrays, so they are adopted uncopied
-    for name, p in model.params.items():
-        p.data = _take_tensor(tensors, "param/" + name, p.data.shape)
+    model = Transformer(
+        model_config, meta["src_vocab_size"], meta["tgt_vocab_size"],
+        load=lambda name, shape: _take_tensor(tensors, "param/" + name, shape))
     model.rng.bit_generator.state = meta["model_rng"]
 
     b1, b2 = meta["adam_betas"]

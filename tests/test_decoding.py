@@ -11,7 +11,7 @@ from normcl.decoding import (
     BeamConfig, DecodedHypothesis, beam_decode, decode_corpus, length_penalty,
 )
 from normcl.errors import ConfigError, DataError, ShapeError
-from normcl.model import DecoderCache, ModelConfig, Transformer
+from normcl.model import NEG_INF, DecoderCache, ModelConfig, Transformer
 from normcl.tensor import Tensor
 
 MICRO = dict(d_model=8, n_heads=2, n_layers=1, d_ff=16, dropout=0.0)
@@ -122,6 +122,125 @@ def _oracle_beam_decode(model, source, cfg):
     best = int(np.argmax(cum / lp))
     return DecodedHypothesis(tuple(prefixes[best, 1:].tolist()),
                              float(cum[best]) / lp, True)
+
+
+class _TiedLM:
+    """Logits from three integer levels, keyed on the source's first
+    token, the position and the parity of the last token, so candidate
+    scores tie exactly across beams and tokens.  From position ``stop``
+    on, which depends on the source through ``stops``, the end marker
+    tops every row, so the sentences of one batch finish at different
+    steps.  A decoder row finds its source through the cache's
+    ``owner``; every call's rows and prefixes are recorded.
+    """
+
+    def __init__(self, seed: int, stops, vocab: int = 12):
+        self.seed, self.stops, self.vocab = seed, stops, vocab
+        self.calls = []
+
+    def encode(self, src, mask):
+        return Tensor(src[:, :, None].astype(np.float64))
+
+    def decode(self, memory, mask, prefixes, train=False, cache=None):
+        b, t = prefixes.shape
+        owner = np.arange(b) if cache.owner is None else cache.owner
+        self.calls.append((owner.copy(), prefixes.copy()))
+        out = np.zeros((b, t, self.vocab))
+        for i in range(b):
+            first = int(memory.data[owner[i], 0, 0])
+            key = (self.seed, first, t, int(prefixes[i, -1]) % 2)
+            out[i, -1] = np.random.default_rng(key).integers(0, 3, self.vocab)
+            if t >= self.stops(first):
+                out[i, -1, EOS_ID] = 3.0
+        return Tensor(out)
+
+
+def _reference_expand(cum, logp, prefixes, step, cfg, finished):
+    """One sentence's beam step with a Python loop over its candidates:
+    the reference the batched step must match, tie order included."""
+    k = cfg.beam_size
+    flat = (cum[:, None] + logp).ravel()
+    take = min(2 * k, flat.size)
+    top = np.argpartition(-flat, take - 1)[:take]
+    top = top[np.argsort(-flat[top], kind="stable")]
+    survivors = []
+    for rank, idx in enumerate(top):
+        beam, tok = divmod(int(idx), logp.shape[1])
+        score = float(flat[idx])
+        if tok == EOS_ID:
+            if rank < k:
+                norm = score / length_penalty(step + 1, cfg.alpha)
+                finished.append((norm, tuple(prefixes[beam, 1:].tolist())))
+        elif len(survivors) < k:
+            survivors.append((beam, tok, score))
+    return survivors
+
+
+def _reference_beam_decode(model, sources, cfg):
+    """``beam_decode`` with a Python loop over sentences, each expanded
+    by ``_reference_expand``; returns the hypotheses and the number of
+    sentence steps whose top 2k + 1 scores hold an exact tie."""
+    k = cfg.beam_size
+    src = np.array([list(s) + [EOS_ID] for s in sources], dtype=np.int64)
+    src_mask = np.zeros((1, 1, 1, src.shape[1]))
+    lp_cap = length_penalty(cfg.max_decode_len, cfg.alpha)
+    finished = [[] for _ in sources]
+    results = [None] * len(sources)
+    ties = 0
+
+    def sentences(owner):
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        ends = np.append(starts[1:], len(owner))
+        return [(int(owner[lo]), int(lo), int(hi))
+                for lo, hi in zip(starts, ends)]
+
+    def best(pool, prefixes, cum):
+        if pool:
+            norm, tokens = max(pool, key=lambda f: f[0])
+            return DecodedHypothesis(tokens, norm, False)
+        lp = length_penalty(prefixes.shape[1] - 1, cfg.alpha)
+        i = int(np.argmax(cum / lp))
+        return DecodedHypothesis(tuple(prefixes[i, 1:].tolist()),
+                                 float(cum[i]) / lp, True)
+
+    memory = model.encode(src, src_mask)
+    cache = DecoderCache()
+    prefixes = np.full((len(sources), 1), BOS_ID, dtype=np.int64)
+    cum = np.zeros(len(sources))
+    owner = np.arange(len(sources))
+    for step in range(cfg.max_decode_len):
+        logits = model.decode(memory, src_mask, prefixes,
+                              cache=cache).data[:, -1, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        keep, keep_tok, keep_cum = [], [], []
+        for s, lo, hi in sentences(owner):
+            top = np.sort((cum[lo:hi, None] + logp[lo:hi]).ravel())[-2 * k - 1:]
+            ties += len(np.unique(top)) < len(top)
+            pool = finished[s]
+            survivors = _reference_expand(cum[lo:hi], logp[lo:hi],
+                                          prefixes[lo:hi], step, cfg, pool)
+            if (not survivors or len(pool) >= k
+                    or (pool and max(c for _, _, c in survivors) / lp_cap
+                        <= max(norm for norm, _ in pool))):
+                results[s] = best(pool, prefixes[lo:hi], cum[lo:hi])
+                continue
+            for beam, tok, score in survivors:
+                keep.append(lo + beam)
+                keep_tok.append(tok)
+                keep_cum.append(score)
+        if not keep:
+            break
+        prefixes = np.concatenate(
+            [prefixes[keep], np.array(keep_tok, dtype=np.int64)[:, None]],
+            axis=1)
+        cum = np.array(keep_cum)
+        owner = owner[keep]
+        cache.select(keep)
+    for s, lo, hi in sentences(owner):
+        if results[s] is None:
+            results[s] = best(finished[s], prefixes[lo:hi], cum[lo:hi])
+    return results, ties
 
 
 class TestLengthPenalty:
@@ -294,6 +413,45 @@ class TestBatchedAgainstOracle:
         assert decode_corpus(model, [], BeamConfig()) == []
 
 
+class TestTieOrder:
+    """The batched step against the per-sentence reference on scores
+    that tie exactly: the same survivors in the same order at every
+    step (the recorded decoder rows), hence the same finished pools and
+    the same hypotheses."""
+
+    SOURCES = [(first, 4) for first in range(4, 12)]
+
+    def _match(self, stops, beam_size, max_decode_len):
+        cfg = BeamConfig(beam_size=beam_size, max_decode_len=max_decode_len)
+        ties = 0
+        live_counts = set()
+        for seed in range(4):
+            got_lm, want_lm = _TiedLM(seed, stops), _TiedLM(seed, stops)
+            got = beam_decode(got_lm, self.SOURCES, cfg)
+            want, n_ties = _reference_beam_decode(want_lm, self.SOURCES, cfg)
+            ties += n_ties
+            assert got == want, seed
+            assert len(got_lm.calls) == len(want_lm.calls), seed
+            for (got_owner, got_rows), (want_owner, want_rows) in zip(
+                    got_lm.calls, want_lm.calls):
+                np.testing.assert_array_equal(got_owner, want_owner)
+                np.testing.assert_array_equal(got_rows, want_rows)
+                live_counts.add(len(np.unique(got_owner)))
+        assert ties > 0
+        return live_counts
+
+    @pytest.mark.parametrize("beam_size", [1, 3, 6])
+    @pytest.mark.parametrize("max_decode_len", [3, 12])
+    def test_tied_scores_match_the_reference(self, beam_size, max_decode_len):
+        self._match(lambda first: 99, beam_size, max_decode_len)
+
+    @pytest.mark.parametrize("beam_size", [1, 3, 6])
+    def test_sentences_finishing_at_different_steps(self, beam_size):
+        live_counts = self._match(lambda first: 2 + first % 5, beam_size, 12)
+        # sentences drop out over several steps, not all at once
+        assert len(live_counts) >= 3
+
+
 class TestDecoderCache:
     CONFIG = ModelConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32,
                          dropout=0.0, seed=4, dtype="float64")
@@ -335,6 +493,69 @@ class TestDecoderCache:
             want = model.decode(Tensor(memory.data[rows]), src_mask,
                                 prefixes[:, :hi]).data[:, lo:hi]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("dtype, atol", [
+        ("float64", 1e-12), ("float32", 64 * np.finfo(np.float32).eps)])
+    def test_even_select_matches_full_recompute(self, dtype, atol):
+        # every source's rows in one run of equal length: cross-attention
+        # runs one query block per source against its unrepeated keys
+        model = Transformer(replace(self.CONFIG, dtype=dtype), 12, 12)
+        runs = self._check_selects(model, atol, np.zeros((1, 1, 1, 5)))
+        assert [(list(s), m) for s, m in runs] == [
+            ([0, 1, 2], 2), ([1, 2], 2), ([1], 4)]
+
+    def test_per_row_mask_matches_full_recompute(self):
+        # a mask per decoder row cannot be shared by a run, so the keys
+        # are gathered per row
+        mask = np.zeros((3, 1, 1, 5))
+        mask[0, ..., 3:] = NEG_INF
+        mask[2, ..., 4:] = NEG_INF
+        self._check_selects(Transformer(self.CONFIG, 12, 12), 1e-12, mask)
+
+    def _check_selects(self, model, atol, src_mask):
+        rng = np.random.default_rng(1)
+        src = rng.integers(4, 12, size=(3, 5))
+        memory = model.encode(src, src_mask)
+        prefixes = np.concatenate(
+            [np.full((3, 1), BOS_ID), rng.integers(4, 12, size=(3, 5))], axis=1)
+        cache = DecoderCache()
+        rows = np.arange(3)
+        # every source repeated twice, then source 0 dropped with its
+        # mates' beams reordered, then one source's run of four rows
+        selects = {1: np.repeat(np.arange(3), 2), 2: [3, 2, 5, 5],
+                   4: [1, 1, 0, 0]}
+        runs = []
+        for pos in range(6):
+            if pos in selects:
+                cache.select(selects[pos])
+                rows = rows[selects[pos]]
+                prefixes = prefixes[selects[pos]]
+                runs.append(cache.runs)
+            mask = src_mask if len(src_mask) == 1 else src_mask[rows]
+            got = model.decode(memory, mask, prefixes[:, :pos + 1],
+                               cache=cache).data
+            want = model.decode(Tensor(memory.data[rows]), mask,
+                                prefixes[:, :pos + 1]).data[:, pos:]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        return runs
+
+    def test_select_leaves_cross_attention_arrays_uncopied(self):
+        model = Transformer(self.CONFIG, 12, 12)
+        mask = np.zeros((1, 1, 1, 5))
+        memory = model.encode(np.full((3, 5), 6), mask)
+        cache = DecoderCache()
+        prefixes = np.full((3, 1), BOS_ID)
+        model.decode(memory, mask, prefixes, cache=cache)
+        before = dict(cache.cross_kv)
+        assert len(before) == self.CONFIG.n_layers
+        cache.select(np.repeat(np.arange(3), 2))
+        cache.select([0, 1, 4])
+        np.testing.assert_array_equal(cache.owner, [0, 0, 2])
+        model.decode(memory, mask, np.full((3, 2), BOS_ID), cache=cache)
+        for name, (k, v) in before.items():
+            assert k.shape[0] == 3
+            assert cache.cross_kv[name][0] is k
+            assert cache.cross_kv[name][1] is v
 
     def test_cache_must_leave_a_position_to_run(self):
         model = Transformer(self.CONFIG, 12, 12)

@@ -419,6 +419,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="adam_m/dec0.ff1.w"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("how", ["missing", "wrong_shape"])
+    def test_damaged_parameter_rejected(self, tmp_path, how):
+        state = self._trained_state(steps=1)
+        name = "dec0.cross.wk.w"
+        if how == "missing":
+            del state.model.params[name]
+        else:
+            state.model.params[name].data = state.model.params[name].data[:3]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        with pytest.raises(CheckpointError, match=f"param/{name}"):
+            load_checkpoint(path)
+
+    def test_loaded_parameters_replace_the_random_draws(self):
+        fresh = Transformer(SMALL, 16, 17)
+        asked, given = [], {}
+
+        def load(name, shape):
+            asked.append((name, shape))
+            given[name] = np.full(shape, len(asked), dtype=np.float32)
+            return given[name]
+
+        model = Transformer(SMALL, 16, 17, load=load)
+        assert asked == [(n, p.shape) for n, p in fresh.params.items()]
+        for name, p in model.params.items():
+            assert p.data is given[name], name
+        assert np.array_equal(model.pe, fresh.pe)
+
     def test_float32_round_trip_is_bit_exact(self, tmp_path):
         # dropout on, so the model's RNG has moved past its seed
         state = self._trained_state(cfg=replace(SMALL, dropout=0.1))
