@@ -1,9 +1,8 @@
 """Corpus-level 4-gram BLEU.
 
 Geometric mean of modified n-gram precisions (n = 1..4) times the
-brevity penalty, scaled to [0, 100].  Without smoothing the score is
-zero as soon as any precision is zero; the add-one flag smooths the
-n >= 2 precisions so short-corpus scores stay informative.
+brevity penalty, scaled to [0, 100].  There is no smoothing: the score
+is zero as soon as any precision is zero.
 
 Scoring happens on word-level tokens: callers rejoin subwords first.
 """
@@ -24,16 +23,14 @@ Sentence = Sequence[str]
 
 
 def _ngrams(tokens: Sentence, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def bleu_report(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
-                smooth: bool = False) -> dict:
+def bleu_report(hypotheses: Sequence[Sentence],
+                references: Sequence[Sentence]) -> dict:
     """Full scoring breakdown.
 
-    Returns {"bleu", "brevity_penalty", "precisions", "n_sentences"};
-    precisions are the values the geometric mean actually used, so with
-    smoothing on they are the smoothed ones.
+    Returns {"bleu", "brevity_penalty", "precisions", "n_sentences"}.
     """
     if not hypotheses:
         raise DataError("need at least one hypothesis to score")
@@ -50,20 +47,13 @@ def bleu_report(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, MAX_ORDER + 1):
+        for n in range(1, min(len(hyp), MAX_ORDER) + 1):
             got = _ngrams(hyp, n)
-            if not got:
-                continue
             want = _ngrams(ref, n)
             matches[n - 1] += sum(min(c, want[g]) for g, c in got.items())
-            totals[n - 1] += sum(got.values())
+            totals[n - 1] += len(hyp) - n + 1
 
-    precisions = []
-    for n in range(1, MAX_ORDER + 1):
-        m, t = matches[n - 1], totals[n - 1]
-        if smooth and n > 1:
-            m, t = m + 1, t + 1
-        precisions.append(m / t if t > 0 else 0.0)
+    precisions = [m / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
 
     if hyp_len == 0:
         bp = 0.0
@@ -86,6 +76,6 @@ def bleu_report(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
     }
 
 
-def bleu(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
-         smooth: bool = False) -> float:
-    return bleu_report(hypotheses, references, smooth)["bleu"]
+def bleu(hypotheses: Sequence[Sentence],
+         references: Sequence[Sentence]) -> float:
+    return bleu_report(hypotheses, references)["bleu"]

@@ -294,8 +294,11 @@ def cmd_train(config: RunConfig, resume: bool = False,
     start_step = state.step + 1
     n = len(corpus)
 
-    with open(trace_path, "w", encoding="utf-8") as trace:
+    # the kept rows are rewritten whole before the loop appends, so a
+    # run killed here still has every row up to its checkpoint
+    with atomic_write(trace_path, "w", sync=False, encoding="utf-8") as trace:
         trace.write("\n".join([TRACE_HEADER, *trace_rows]) + "\n")
+    with open(trace_path, "a", encoding="utf-8") as trace:
         for t in range(start_step, config.total_steps + 1):
             c_used = schedule.competence(state.step)
             driver_before = schedule.driver
@@ -379,11 +382,12 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
         if merges_tgt is not None:
             words = detokenize_subwords(words)
         hyp_words.append(words)
-    with open(out / TRANSLATIONS_FILE, "w", encoding="utf-8") as fh:
+    with atomic_write(out / TRANSLATIONS_FILE, "w", sync=False,
+                      encoding="utf-8") as fh:
         for words in hyp_words:
             fh.write(" ".join(words) + "\n")
 
-    report = bleu_report(hyp_words, refs, smooth=config.eval.smooth_bleu)
+    report = bleu_report(hyp_words, refs)
     _write_json(out / EVAL_REPORT, report)
     truncated = sum(1 for h in hyps if h.truncated)
     print(f"evaluate: BLEU {report['bleu']:.2f} on {report['n_sentences']} "

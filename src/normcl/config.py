@@ -115,7 +115,6 @@ class EvalConfig:
     beam_size: int = 6
     alpha: float = 0.6
     max_decode_len: int = 64
-    smooth_bleu: bool = False
 
     def __post_init__(self):
         _prefixed("eval", self.beam_config)

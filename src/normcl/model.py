@@ -1,11 +1,11 @@
 """Compact transformer encoder-decoder over the local tensor kernels.
 
-Pre-layer-norm residual blocks by default (post-norm behind a config
-knob), sinusoidal positions, no affine parameters in layer norm.  The
-target input embedding doubles as the output projection when tying is
-on, with no output bias in either mode.  Loss is weighted per-token
-cross-entropy: sum_s(w_s * NLL_s) / sum_s(w_s * len_s), which reduces
-to plain per-token cross-entropy at all-ones weights.
+Pre-layer-norm residual blocks with a final layer norm on each stack,
+sinusoidal positions, no affine parameters in layer norm.  The target
+input embedding doubles as the output projection, with no output bias.
+Loss is weighted per-token cross-entropy:
+sum_s(w_s * NLL_s) / sum_s(w_s * len_s), which reduces to plain
+per-token cross-entropy at all-ones weights.
 
 The model computes in ``ModelConfig.dtype`` (float32 by default):
 parameters, positional encodings, attention masks, activations, dropout
@@ -50,9 +50,6 @@ class ModelConfig:
     d_ff: int = 128
     dropout: float = 0.1
     max_positions: int = 512
-    tie_target_embeddings: bool = True
-    label_smoothing: float = 0.0
-    pre_norm: bool = True
     seed: int = 0
     dtype: str = "float32"
 
@@ -68,10 +65,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(
-                f"label_smoothing must be in [0, 1), got {self.label_smoothing}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +210,6 @@ class Transformer:
 
         embed("src_embed", src_vocab_size)
         embed("tgt_embed", tgt_vocab_size)
-        if not config.tie_target_embeddings:
-            param("out_proj", (tgt_vocab_size, d), uniform(1.0 / math.sqrt(d)))
         for l in range(config.n_layers):
             for name in (f"enc{l}.self", f"dec{l}.self", f"dec{l}.cross"):
                 for part in ("wq", "wk", "wv", "wo"):
@@ -282,10 +273,8 @@ class Transformer:
         return self._linear(name + ".ff2", inner)
 
     def _sublayer(self, x: Tensor, fn, train: bool) -> Tensor:
-        p = self._rate(train)
-        if self.config.pre_norm:
-            return residual_dropout(x, fn(layer_norm(x)), p, self.rng)
-        return layer_norm(residual_dropout(x, fn(x), p, self.rng))
+        return residual_dropout(x, fn(layer_norm(x)), self._rate(train),
+                                self.rng)
 
     def _embed_in(self, name: str, ids: np.ndarray, train: bool,
                   start: int = 0) -> Tensor:
@@ -315,7 +304,7 @@ class Transformer:
                                                   src_mask, train), train)
             x = self._sublayer(x, lambda y, l=l: self._ff(f"enc{l}", y, train),
                                train)
-        return layer_norm(x) if self.config.pre_norm else x
+        return layer_norm(x)
 
     def decode(self, memory: Tensor, src_mask: np.ndarray,
                tgt_in: np.ndarray, train: bool = False,
@@ -346,11 +335,10 @@ class Transformer:
                                                   static_kv=True), train)
             x = self._sublayer(x, lambda y, l=l: self._ff(f"dec{l}", y, train),
                                train)
-        if self.config.pre_norm:
-            x = layer_norm(x)
-        out_table = self.output_table()
+        x = layer_norm(x)
         b, n, d = x.shape
-        flat = matmul(reshape(x, (b * n, d)), transpose(out_table))
+        flat = matmul(reshape(x, (b * n, d)),
+                      transpose(self.params["tgt_embed"]))
         if cache is not None:
             cache.length = t
         return reshape(flat, (b, n, self.tgt_vocab_size))
@@ -379,8 +367,7 @@ class Transformer:
 
         logits = self.forward(batch, train)
         flat = reshape(logits, (b * tt, self.tgt_vocab_size))
-        nll = cross_entropy_with_log_softmax(
-            flat, batch.tgt_out.reshape(-1), self.config.label_smoothing)
+        nll = cross_entropy_with_log_softmax(flat, batch.tgt_out.reshape(-1))
         masked = mul(nll, Tensor(batch.loss_mask.reshape(-1)))
         per_sentence = (masked.data.reshape(b, tt)).sum(axis=1)
 
@@ -391,13 +378,6 @@ class Transformer:
         return loss, per_sentence
 
     # -- parameter plumbing --------------------------------------------------
-
-    def output_table(self) -> Tensor:
-        """The (V, d) table projected against before the softmax; the
-        very same tensor as the target embedding when tying is on."""
-        if self.config.tie_target_embeddings:
-            return self.params["tgt_embed"]
-        return self.params["out_proj"]
 
     def zero_grad(self) -> None:
         for p in self.params.values():

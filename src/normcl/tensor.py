@@ -564,12 +564,13 @@ def embedding_lookup(table, ids) -> Tensor:
     return out
 
 
-def cross_entropy_with_log_softmax(logits, targets, label_smoothing: float = 0.0) -> Tensor:
-    """Per-position negative log-likelihood from raw logits.
+def cross_entropy_with_log_softmax(logits, targets) -> Tensor:
+    """Per-position negative log-likelihood of the one-hot target from
+    raw logits.
 
     ``logits`` is (N, V), ``targets`` an integer array (N,).  Returns a
-    tensor of shape (N,).  With ``label_smoothing`` epsilon, the target
-    distribution is (1-eps) one-hot plus eps uniform.
+    tensor of shape (N,); the gradient with respect to the logits is the
+    softmax minus the one-hot target.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -578,25 +579,20 @@ def cross_entropy_with_log_softmax(logits, targets, label_smoothing: float = 0.0
             f"cross entropy expects (N, V) logits and (N,) targets, "
             f"got {logits.shape} and {targets.shape}"
         )
-    n, v = logits.shape
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
-    rows = np.arange(n)
+    rows = np.arange(logits.shape[0])
     nll = -log_p[rows, targets]
-    if label_smoothing > 0.0:
-        nll = (1.0 - label_smoothing) * nll - label_smoothing * log_p.mean(axis=1)
     out = Tensor(nll, requires_grad=_needs_grad(logits))
     if out.requires_grad:
         out._parents = (logits,)
         probs = np.exp(log_p)
 
         def _bw(g):
-            target_dist = np.zeros_like(probs)
-            target_dist[rows, targets] = 1.0 - label_smoothing
-            if label_smoothing > 0.0:
-                target_dist += label_smoothing / v
-            logits._accumulate((probs - target_dist) * g[:, None], fresh=True)
+            d_logits = probs.copy()
+            d_logits[rows, targets] -= 1.0
+            logits._accumulate(d_logits * g[:, None], fresh=True)
 
         out._backward = _bw
     return out

@@ -346,6 +346,44 @@ class TestResume:
         resumed = (out / TRACE_FILE).read_text().splitlines()
         assert resumed[-1] == (trained / TRACE_FILE).read_text().splitlines()[-1]
 
+    def test_failed_trace_rewrite_keeps_the_previous_trace(
+            self, workdir, trained, monkeypatch):
+        """A resume that fails while rewriting the kept trace rows (the
+        disk fills after the second row) leaves the previous trace.csv
+        byte-identical, leaves no temporary file, and the run still
+        resumes."""
+        out = workdir / "interrupted_trace"
+        cfg = workdir / "run.json"
+        difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--set", "total_steps=8") == 0
+        before = (out / TRACE_FILE).read_bytes()
+
+        rows_upto = normcl.cli._trace_rows_upto
+
+        def fill_disk(path, step):
+            rows = rows_upto(path, step)  # read now, as the real one does
+
+            def written():
+                yield from rows[:2]
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return written()
+
+        monkeypatch.setattr(normcl.cli, "_trace_rows_upto", fill_disk)
+        with pytest.raises(OSError):
+            run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                    "--resume")
+        monkeypatch.undo()
+        assert (out / TRACE_FILE).read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--resume") == 0
+        resumed = (out / TRACE_FILE).read_bytes()
+        assert resumed.startswith(before)
+        assert (resumed.splitlines()[-1]
+                == (trained / TRACE_FILE).read_bytes().splitlines()[-1])
+
     def test_resume_needs_a_checkpoint(self, workdir, capsys):
         code = run_cli("train", "--config", workdir / "run.json",
                        "--out", workdir / "resume_empty", "--resume",
@@ -435,6 +473,19 @@ class TestValidation:
                        "--out", workdir / "never5", "--set", setting)
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "model.pre_norm=false", "model.tie_target_embeddings=false",
+        "model.label_smoothing=0.1", "eval.smooth_bleu=true"])
+    def test_removed_model_and_eval_settings_rejected(self, workdir, capsys,
+                                                      setting):
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", workdir / "never8", "--set", setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert setting.split("=")[0] in err
+        assert "Traceback" not in err
 
     def test_removed_deterministic_flag_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -624,19 +675,25 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         raw[4:8] = struct.pack("<I", 1)
         dst.write_bytes(bytes(raw))
         return "checkpoint format 1 unsupported"
-    if how in ("dtype_mismatch", "unknown_dtype"):
-        # a float32 checkpoint whose header names another dtype
-        claimed = "float64" if how == "dtype_mismatch" else "float16"
+    if how in ("dtype_mismatch", "unknown_dtype", "removed_field"):
+        # a float32 checkpoint whose header names another dtype, or a
+        # model setting this version no longer has
         raw = src.read_bytes()
         (blob_len,) = struct.unpack_from("<Q", raw, 8)
         meta = json.loads(raw[16:16 + blob_len])
         assert meta["model_config"]["dtype"] == "float32"
-        meta["model_config"]["dtype"] = claimed
+        if how == "removed_field":
+            meta["model_config"]["label_smoothing"] = 0.1
+        else:
+            claimed = "float64" if how == "dtype_mismatch" else "float16"
+            meta["model_config"]["dtype"] = claimed
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                         + raw[16 + blob_len:])
         if how == "dtype_mismatch":
             return "model_config.dtype float64 needs"
+        if how == "removed_field":
+            return "unexpected keyword argument 'label_smoothing'"
         return "bad model_config in checkpoint header"
     state = load_checkpoint(src)
     name = next(iter(state.model.params))
@@ -733,7 +790,8 @@ class TestMalformedArtifact:
 
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
                                  "short_adam_m", "format_1",
-                                 "dtype_mismatch", "unknown_dtype"])
+                                 "dtype_mismatch", "unknown_dtype",
+                                 "removed_field"])
 class TestDamagedCheckpoint:
     """A damaged checkpoint ends in exit 2 and a message, never a
     traceback, whether ``evaluate`` or ``train --resume`` reads it."""

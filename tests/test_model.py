@@ -40,11 +40,10 @@ class TestConfig:
         cfg = ModelConfig()
         assert (cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.d_ff) == (64, 4, 2, 128)
         assert cfg.dropout == 0.1
-        assert cfg.tie_target_embeddings
 
     @pytest.mark.parametrize("kwargs", [
         {"d_model": 0}, {"d_model": 30, "n_heads": 4}, {"dropout": 1.0},
-        {"n_layers": 0}, {"label_smoothing": 1.0}, {"dtype": "float16"},
+        {"n_layers": 0}, {"max_positions": 0}, {"dtype": "float16"},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
@@ -154,15 +153,10 @@ class TestLoss:
 
 class TestTiedEmbeddings:
     def test_output_table_is_target_embedding(self):
+        # the forward oracle in TestArchitecture checks the projection
+        # against tgt_embed, and the next test its gradient
         model = Transformer(MICRO, 12, 12)
-        assert model.output_table() is model.params["tgt_embed"]
         assert "out_proj" not in model.params
-
-    def test_untied_has_separate_projection(self):
-        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16,
-                          dropout=0.0, tie_target_embeddings=False, seed=3)
-        model = Transformer(cfg, 12, 12)
-        assert model.output_table() is model.params["out_proj"]
 
     def test_gradient_reaches_rows_unused_as_inputs(self):
         # token 11 never appears in the batch, so the only gradient
@@ -187,6 +181,63 @@ class TestTiedEmbeddings:
         for i, (name_a, grad_a) in enumerate(grads):
             for name_b, grad_b in grads[i + 1:]:
                 assert not np.shares_memory(grad_a, grad_b), (name_a, name_b)
+
+
+def _reference_logits(model, batch):
+    """The architecture in plain NumPy: pre-norm residual blocks, a final
+    layer norm on each stack, and logits projected against tgt_embed."""
+    P = {name: p.data for name, p in model.params.items()}
+    heads = model.config.n_heads
+
+    def ln(x):
+        c = x - x.mean(-1, keepdims=True)
+        return c / np.sqrt((c * c).mean(-1, keepdims=True) + 1e-12)
+
+    def lin(name, x):
+        return x @ P[name + ".w"] + P[name + ".b"]
+
+    def attn(name, x, mem, mask):
+        b, t, d = x.shape
+
+        def split(y):
+            return y.reshape(b, -1, heads, d // heads).transpose(0, 2, 1, 3)
+
+        q, k, v = (split(lin(name + part, y)) for part, y in
+                   ((".wq", x), (".wk", mem), (".wv", mem)))
+        s = q @ k.transpose(0, 1, 3, 2) / np.sqrt(d // heads) + mask
+        w = np.exp(s - s.max(-1, keepdims=True))
+        w /= w.sum(-1, keepdims=True)
+        return lin(name + ".wo", (w @ v).transpose(0, 2, 1, 3).reshape(b, t, d))
+
+    def ff(name, x):
+        return lin(name + ".ff2", np.maximum(lin(name + ".ff1", x), 0.0))
+
+    x = P["src_embed"][batch.src] + model.pe[:batch.src.shape[1]]
+    for l in range(model.config.n_layers):
+        x = x + attn(f"enc{l}.self", ln(x), ln(x), batch.src_mask)
+        x = x + ff(f"enc{l}", ln(x))
+    memory = ln(x)
+    t = batch.tgt_in.shape[1]
+    causal = np.triu(np.full((t, t), -1e9), k=1)
+    y = P["tgt_embed"][batch.tgt_in] + model.pe[:t]
+    for l in range(model.config.n_layers):
+        y = y + attn(f"dec{l}.self", ln(y), ln(y), causal)
+        y = y + attn(f"dec{l}.cross", ln(y), memory, batch.src_mask)
+        y = y + ff(f"dec{l}", ln(y))
+    return ln(y) @ P["tgt_embed"].T
+
+
+class TestArchitecture:
+    def test_forward_matches_a_plain_numpy_transformer(self):
+        model = Transformer(replace(MICRO64, n_layers=2), 12, 12)
+        rng = np.random.default_rng(5)
+        for p in model.params.values():
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+        batch = build_batch([SentencePair(0, (4, 5, 6, 7), (8, 9)),
+                             SentencePair(1, (10,), (4, 11, 6, 5))])
+        np.testing.assert_allclose(model.forward(batch).data,
+                                   _reference_logits(model, batch),
+                                   rtol=0, atol=1e-12)
 
 
 class TestGradients:

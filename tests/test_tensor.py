@@ -246,13 +246,6 @@ class TestKernelGradients:
                 cross_entropy_with_log_softmax(t, targets), Tensor(w)).sum()
         _check_kernel(build, lambda rng: (int(rng.integers(2, 5)), int(rng.integers(3, 7))), 24)
 
-    def test_cross_entropy_label_smoothing(self):
-        def build(rng, shape):
-            targets = rng.integers(0, shape[1], size=(shape[0],))
-            return lambda t: cross_entropy_with_log_softmax(
-                t, targets, label_smoothing=0.1).sum()
-        _check_kernel(build, lambda rng: (int(rng.integers(2, 5)), int(rng.integers(3, 7))), 25)
-
     def test_tensor_sum_axis(self):
         def build(rng, shape):
             w = rng.standard_normal(shape[0])
