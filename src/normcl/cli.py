@@ -119,14 +119,16 @@ def _load_pairs(src_path, tgt_path, src_units, tgt_units, vocab_src,
         raise DataError(f"{src_path} and {tgt_path}: {exc}") from None
 
 
-def _prepare_corpus(config: RunConfig):
+def _prepare_corpus(config: RunConfig, encode_target: bool = True):
+    """Without ``encode_target`` the target side only filters by length:
+    ``vocab_tgt`` and every pair's ``tgt`` are None."""
     ccfg = config.corpus
     require_file(ccfg.source, "corpus.source")
     require_file(ccfg.target, "corpus.target")
     src_units, merges_src = _prepare_side(ccfg.source, ccfg.merges)
     tgt_units, merges_tgt = _prepare_side(ccfg.target, ccfg.merges)
     vocab_src = build_vocab(src_units, ccfg.min_count)
-    vocab_tgt = build_vocab(tgt_units, ccfg.min_count)
+    vocab_tgt = build_vocab(tgt_units, ccfg.min_count) if encode_target else None
     corpus = _load_pairs(ccfg.source, ccfg.target, src_units, tgt_units,
                          vocab_src, vocab_tgt, ccfg.max_len)
     return vocab_src, vocab_tgt, merges_src, merges_tgt, corpus
@@ -178,7 +180,7 @@ def cmd_embed(config: RunConfig) -> Path:
 
 def cmd_score(config: RunConfig, vectors: str | None = None) -> Path:
     out = _prepare_out(config)
-    vocab_src, _, _, _, corpus = _prepare_corpus(config)
+    vocab_src, _, _, _, corpus = _prepare_corpus(config, encode_target=False)
     cur = config.curriculum
     table = None
     if cur.criterion == "norm":

@@ -264,7 +264,7 @@ def detokenize_subwords(symbols: Sequence[str]) -> list[str]:
 class SentencePair(NamedTuple):
     id: int
     src: tuple[int, ...]
-    tgt: tuple[int, ...]
+    tgt: tuple[int, ...] | None  # None when loaded without a target vocabulary
 
 
 @dataclass
@@ -283,13 +283,14 @@ class ParallelCorpus:
 
 def load_parallel(src_lines: Sequence[Sequence[str]],
                   tgt_lines: Sequence[Sequence[str]], vocab_src: Vocabulary,
-                  vocab_tgt: Vocabulary, max_len: int = 200) -> ParallelCorpus:
+                  vocab_tgt: Vocabulary | None, max_len: int = 200) -> ParallelCorpus:
     """Encode line-aligned segmented sentences, dropping bad pairs.
 
     ``src_lines`` and ``tgt_lines`` hold one token sequence per line,
     after tokenization and any subword merges.  A pair is dropped when
     either side is empty or longer than ``max_len`` tokens.  Survivors
-    keep their original order and are renumbered 0..M-1.
+    keep their original order and are renumbered 0..M-1.  Without
+    ``vocab_tgt`` the target side only filters: every ``tgt`` is None.
     """
     if len(src_lines) != len(tgt_lines):
         raise DataError(
@@ -298,11 +299,10 @@ def load_parallel(src_lines: Sequence[Sequence[str]],
         )
     pairs: list[SentencePair] = []
     for src_tokens, tgt_tokens in zip(src_lines, tgt_lines):
-        src = vocab_src.encode(src_tokens)
-        tgt = vocab_tgt.encode(tgt_tokens)
-        if not src or not tgt or len(src) > max_len or len(tgt) > max_len:
+        if not (0 < len(src_tokens) <= max_len and 0 < len(tgt_tokens) <= max_len):
             continue
-        pairs.append(SentencePair(len(pairs), tuple(src), tuple(tgt)))
+        tgt = None if vocab_tgt is None else tuple(vocab_tgt.encode(tgt_tokens))
+        pairs.append(SentencePair(len(pairs), tuple(vocab_src.encode(src_tokens)), tgt))
     if not pairs:
         raise DataError("no sentence pairs survived length filtering")
     return ParallelCorpus(pairs)

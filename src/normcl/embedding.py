@@ -4,11 +4,14 @@ Pure numpy trainer.  The corpus is one flat id array plus line offsets.
 Each chunk of lines is sampled with a few vectorized draws: word2vec
 occurrence subsampling, a window span per kept center, and negatives
 from the unigram distribution raised to the 3/4 power; the learning
-rate decays linearly with the raw tokens seen before each line.  Updates
-run in blocks of centers: one product of the block's distinct center
-and target rows gives every score, and every pair of a block reads the
-vectors as they were before the block.  Input-side vectors are the
-product; their Euclidean row norms drive sentence difficulty scoring.
+rate decays linearly with the raw tokens seen before each line.
+Negatives come from a table of power-of-two bins over the noise CDF,
+which gives the ids a binary search would.  Updates run in blocks of
+centers: vocabulary-sized tables map the block's ids to its distinct
+center and target rows without sorting, one product of those rows gives
+every score, and every pair of a block reads the vectors as they were
+before the block.  Input-side vectors are the product; their row norms
+drive sentence difficulty scoring.
 
 Training is single-threaded and bit-reproducible: a fixed seed gives
 the same vectors on every run.
@@ -152,6 +155,37 @@ class _Chunk(NamedTuple):
     noise: np.ndarray      # noise ids, negatives * n_context per center
 
 
+def _block_index(ids: np.ndarray, size: int):
+    """``np.unique(ids, return_inverse=True)`` for ids below ``size``,
+    through a table of ``size`` slots instead of a sort."""
+    table = np.zeros(size, dtype=np.intp)
+    table[ids] = 1
+    uniq = np.flatnonzero(table)
+    table[uniq] = np.arange(len(uniq))
+    return uniq, table[ids]
+
+
+class _NoiseTable:
+    """``np.searchsorted(cdf, r)`` for ``r`` in [0, 1), ``cdf`` accumulating
+    ``counts ** 0.75``.  A draw starts at the first cdf entry in its bin and
+    steps on at most ``steps`` times, the most entries one bin holds; with
+    a power-of-two ``bins``, ``r * bins`` and ``b / bins`` are exact."""
+
+    def __init__(self, counts: np.ndarray):
+        noise = counts ** 0.75
+        self.cdf = np.cumsum(noise / noise.sum())
+        self.cdf[-1] = 1.0  # guard against cumulative rounding
+        self.bins = 1 << (len(self.cdf) - 1).bit_length()
+        self.first = np.searchsorted(self.cdf, np.arange(self.bins + 1) / self.bins)
+        self.steps = int(np.diff(self.first).max())
+
+    def lookup(self, r: np.ndarray) -> np.ndarray:
+        i = self.first[(r * self.bins).astype(np.intp)]
+        for _ in range(self.steps):
+            i += self.cdf[i] < r
+        return i
+
+
 def sgns_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
               targets: np.ndarray, labels: np.ndarray, lr) -> None:
     """One in-place update for a block of (center, target) pairs.
@@ -163,8 +197,8 @@ def sgns_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
     repeated pairs accumulate, and every pair reads the vectors as they
     were before the block.
     """
-    rows, row_of = np.unique(centers, return_inverse=True)
-    cols, col_of = np.unique(targets, return_inverse=True)
+    rows, row_of = _block_index(centers, len(w_in))
+    cols, col_of = _block_index(targets, len(w_out))
     v = w_in[rows]
     u = w_out[cols]
     scores = np.clip((v @ u.T)[row_of, col_of], -50.0, 50.0)
@@ -178,7 +212,7 @@ def sgns_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
 
 
 def _sample_chunk(flat: np.ndarray, starts: np.ndarray, seen: int,
-                  keep_prob: np.ndarray, noise_cdf: np.ndarray,
+                  keep_prob: np.ndarray, noise: _NoiseTable,
                   config: SgnsConfig, total_budget: int,
                   rng: np.random.Generator) -> _Chunk:
     """Subsample, draw spans and draw negatives for the lines whose
@@ -206,10 +240,9 @@ def _sample_chunk(flat: np.ndarray, starts: np.ndarray, seen: int,
         config.initial_lr * (1.0 - (seen + starts[line[has]]) / total_budget),
         config.initial_lr * 1e-4)
     n_context = n_context[has]
-    noise = np.searchsorted(noise_cdf,
-                            rng.random(int(n_context.sum()) * config.negatives))
+    draws = rng.random(int(n_context.sum()) * config.negatives)
     return _Chunk(kept, kept[has], span[has], lr, n_context, kept[near[ok]],
-                  noise)
+                  noise.lookup(draws))
 
 
 def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
@@ -237,9 +270,7 @@ def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
     counts = np.bincount(flat, minlength=vocab_size).astype(np.float64)
     total = counts.sum()
 
-    noise = counts ** 0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
-    noise_cdf[-1] = 1.0  # guard against cumulative rounding
+    noise = _NoiseTable(counts)
 
     # word2vec-style occurrence subsampling
     freq = counts / total
@@ -257,7 +288,7 @@ def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
     for epoch in range(config.epochs):
         for line0 in range(0, len(starts) - 1, _CHUNK_LINES):
             chunk = _sample_chunk(flat, starts[line0:line0 + _CHUNK_LINES + 1],
-                                  epoch * len(flat), keep_prob, noise_cdf,
+                                  epoch * len(flat), keep_prob, noise,
                                   config, total_budget, rng)
             # pairs center by center: its positives, then its negatives
             n_pos = chunk.n_context

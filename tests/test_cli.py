@@ -2,6 +2,7 @@
 the trace conventions, resume, and the comparison harness."""
 
 import errno
+import hashlib
 import json
 import shutil
 import struct
@@ -20,8 +21,11 @@ from normcl.cli import (
     VECTORS_FILE, VOCAB_SRC_FILE, VOCAB_TGT_FILE, main,
 )
 from normcl.config import run_config_from_dict
-from normcl.corpus import EOW, UNK_ID, MergeTable, Vocabulary, tokenize
-from normcl.curriculum import competence_norm, competence_time
+from normcl.corpus import (
+    EOW, UNK_ID, MergeTable, Vocabulary, build_vocab, learn_merges,
+    load_parallel, read_lines, tokenize,
+)
+from normcl.curriculum import DifficultyProfile, competence_norm, competence_time
 from normcl.decoding import decode_corpus
 from normcl.embedding import EmbeddingTable
 from normcl.synth import synthetic_pairs
@@ -165,6 +169,99 @@ class TestScore:
                        "--out", workdir / "no_vectors_here")
         assert code == 2
         assert "run embed first" in capsys.readouterr().err
+
+
+class TestScoreTargetSide:
+    """``score`` reads the target side only to filter pairs by length."""
+
+    SRC = ["a b c", "d e", "a b", "c d e f", "e f a", "b c d", "f a",
+           "a c e", "b d f"]
+    TGT = ["x y z", "", "x y q r s t u v w k", "rare1 y", "z x", "y y",
+           "q rare2 x", "z", "x z y y z x"]
+
+    def _config(self, tmp_path, merges, src=SRC, tgt=TGT):
+        (tmp_path / "s.txt").write_text("\n".join(src) + "\n")
+        (tmp_path / "t.txt").write_text("\n".join(tgt) + "\n")
+        cfg = {"corpus": {"source": str(tmp_path / "s.txt"),
+                          "target": str(tmp_path / "t.txt"),
+                          "min_count": 2, "max_len": 6, "merges": merges},
+               "sgns": {"dim": 4, "epochs": 1, "negatives": 2}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        return tmp_path / "run.json"
+
+    @staticmethod
+    def _units(path, merges):
+        units = [tokenize(line) for line in Path(path).read_text().splitlines()]
+        if merges:
+            table = learn_merges(units, merges)
+            units = [table.apply(toks) for toks in units]
+        return units
+
+    @pytest.mark.parametrize("merges", [0, 20])
+    def test_matches_the_two_vocabulary_corpus(self, tmp_path, merges):
+        config = self._config(tmp_path, merges)
+        out = tmp_path / "out"
+        assert run_cli("embed", "--config", config, "--out", out) == 0
+        assert run_cli("score", "--config", config, "--out", out) == 0
+        src = self._units(tmp_path / "s.txt", merges)
+        tgt = self._units(tmp_path / "t.txt", merges)
+        vocab_src, vocab_tgt = build_vocab(src, 2), build_vocab(tgt, 2)
+        corpus = load_parallel(src, tgt, vocab_src, vocab_tgt, 6)
+        # the empty and the overlong target were dropped
+        assert len(corpus) < len(self.SRC) - 1
+        if not merges:  # the last target has exactly max_len tokens
+            assert len(corpus) == len(self.SRC) - 2
+            # rare1 and rare2 fall below min_count
+            assert sum(p.tgt.count(UNK_ID) for p in corpus) == 2
+        table = EmbeddingTable.load_vectors(out / VECTORS_FILE)
+        DifficultyProfile.build(corpus, "norm", table=table,
+                                vocab=vocab_src).save(tmp_path / "want.tsv")
+        assert (out / DIFFICULTY_FILE).read_bytes() == \
+            (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("tgt", [TGT[:-1], ["", "a b c d e f g"] + [""] * 7],
+                             ids=["line_counts_differ", "all_filtered"])
+    def test_bad_target_exits_2_naming_both_files(self, tmp_path, capsys, tgt):
+        config = self._config(tmp_path, 0, tgt=tgt)
+        code = run_cli("score", "--config", config, "--out", tmp_path / "out",
+                       "--set", "curriculum.criterion=length")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(tmp_path / "s.txt") in err and str(tmp_path / "t.txt") in err
+
+
+class TestGoldenBytes:
+    """``embed`` then ``score`` on a fixed corpus and seed write these exact
+    bytes.  The digests were recorded with NumPy 2.4 and OpenBLAS 0.3.31
+    on x86-64.  A change that alters the SGNS random stream or the update
+    arithmetic changes them; a deliberate change updates the digests here
+    and says so in CHANGES.md."""
+
+    DIGESTS = {
+        VECTORS_FILE:
+            "3b986f9acf842801103929284088e98b37e1f2e50cef434acdc0e40e012e0745",
+        DIFFICULTY_FILE:
+            "c27a5ee27b73b5934fdb4d952c5396c347ac8bdb84874c8b9ac05262a18bd532",
+    }
+
+    def test_embed_score_digests(self, tmp_path):
+        src, tgt = synthetic_pairs(seed=13, n_pairs=400, vocab_size=60,
+                                   task="mapped", min_len=2, max_len=14)
+        (tmp_path / "g.src").write_text("\n".join(src) + "\n")
+        (tmp_path / "g.tgt").write_text("\n".join(tgt) + "\n")
+        cfg = {"corpus": {"source": str(tmp_path / "g.src"),
+                          "target": str(tmp_path / "g.tgt"),
+                          "min_count": 2, "max_len": 12},
+               "sgns": {"dim": 8, "epochs": 3, "window": 3, "negatives": 4,
+                        "subsample_threshold": 1e-3, "seed": 5}}
+        (tmp_path / "g.json").write_text(json.dumps(cfg))
+        for command in ("embed", "score"):
+            assert run_cli(command, "--config", tmp_path / "g.json",
+                           "--out", tmp_path / "out") == 0
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in self.DIGESTS}
+        assert got == self.DIGESTS
 
 
 class TestTrace:
@@ -641,6 +738,23 @@ class TestReadOnce:
     def _lines(*paths):
         return Counter(line for path in paths
                        for line in Path(path).read_text().splitlines())
+
+    @pytest.mark.parametrize("merges", [0, 20])
+    def test_embed_reads_only_the_source(self, workdir, tmp_path, calls,
+                                         monkeypatch, merges):
+        opened = []
+
+        def recording(path):
+            opened.append(Path(path))
+            return read_lines(path)
+
+        monkeypatch.setattr(normcl.cli, "read_lines", recording)
+        monkeypatch.setattr(normcl.corpus, "read_lines", recording)
+        assert run_cli("embed", "--config", workdir / "run.json",
+                       "--out", tmp_path / "out",
+                       "--set", f"corpus.merges={merges}") == 0
+        assert calls == self._lines(workdir / "train.src")
+        assert opened == [workdir / "train.src"]
 
     @pytest.mark.parametrize("merges", [0, 20])
     def test_score_train_evaluate(self, workdir, tmp_path, calls, merges):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from normcl import embedding
@@ -38,6 +40,35 @@ def _naive_block(w_in, w_out, centers, targets, labels, lr):
         g = a * (y - 1.0 / (1.0 + np.exp(-s)))
         w_in[c] += g * u0[t]
         w_out[t] += g * v0[c]
+
+
+def _unique_sgns_step(w_in, w_out, centers, targets, labels, lr):
+    """``sgns_step`` with its block index taken from ``np.unique``."""
+    rows, row_of = np.unique(centers, return_inverse=True)
+    cols, col_of = np.unique(targets, return_inverse=True)
+    v = w_in[rows]
+    u = w_out[cols]
+    scores = np.clip((v @ u.T)[row_of, col_of], -50.0, 50.0)
+    sigma = 1.0 / (1.0 + np.exp(-scores))
+    g = labels * lr - sigma * lr
+    grad = np.bincount(row_of * len(cols) + col_of, weights=g,
+                       minlength=len(rows) * len(cols))
+    grad = grad.reshape(len(rows), len(cols))
+    w_out[cols] += grad.T @ v
+    w_in[rows] += grad @ u
+
+
+@st.composite
+def _blocks(draw):
+    """A vocabulary size and a block of (center, target, label) pairs;
+    half the ids come from a pool of at most three, so ids repeat."""
+    vocab = draw(st.integers(1, 30))
+    ids = st.integers(0, vocab - 1)
+    pool = draw(st.lists(ids, min_size=1, max_size=3))
+    pick = st.one_of(ids, st.sampled_from(pool))
+    pairs = draw(st.lists(st.tuples(pick, pick, st.booleans()),
+                          min_size=1, max_size=70))
+    return vocab, pairs, draw(st.integers(0, 2**32 - 1))
 
 
 def _record(monkeypatch, name):
@@ -277,6 +308,57 @@ class TestBlockStep:
                               float(lr[0]))
         assert len(calls) > 100
         assert np.abs(table.matrix - w_in).max() <= 1e-12
+
+
+class TestBlockIndex:
+    """``sgns_step``'s table-based block index against ``np.unique``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_blocks())
+    @example((1, [(0, 0, True)], 0))                           # one id
+    @example((9, [(0, 8, True), (8, 0, False), (8, 8, False)], 1))  # 0, V-1
+    @example((5, [(2, 2, True)] * 40 + [(2, 3, False)] * 40, 2))    # repeats
+    @example((6, [(3, 1, True), (1, 3, False), (3, 3, True)], 3))   # both sides
+    def test_matches_unique_oracle_bit_for_bit(self, block):
+        vocab, pairs, seed = block
+        rng = np.random.default_rng(seed)
+        w_in = rng.normal(size=(vocab, 5))
+        w_out = rng.normal(size=(vocab, 5))
+        centers, targets, labels = (np.array(a) for a in zip(*pairs))
+        lr = rng.uniform(1e-3, 0.5, size=len(pairs))
+        a_in, a_out = w_in.copy(), w_out.copy()
+        _unique_sgns_step(a_in, a_out, centers, targets, labels, lr)
+        sgns_step(w_in, w_out, centers, targets, labels, lr)
+        assert w_in.tobytes() == a_in.tobytes()
+        assert w_out.tobytes() == a_out.tobytes()
+
+
+class TestNoiseTable:
+    """Noise draws through the bin table equal ``np.searchsorted`` on the
+    same cdf, element by element."""
+
+    COUNTS = {
+        # the four specials have count 0
+        "leading_zeros": [0, 0, 0, 0, 5, 3, 3, 1, 1, 1],
+        "one_word_holds_most": [0, 0, 0, 0, 10**9, 1, 2, 1],
+        "many_words_in_one_bin": [0, 0, 0, 0, 10**9] + [1] * 500,
+        "zero_between": [0, 7, 0, 0, 2, 0, 0, 0, 9, 0],
+        "zipf": [0, 0, 0, 0] + [int(1e6 / k) for k in range(1, 300)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_matches_searchsorted(self, name):
+        table = embedding._NoiseTable(np.array(self.COUNTS[name], dtype=float))
+        cdf, bins = table.cdf, table.bins
+        assert cdf[-1] == 1.0 and bins & (bins - 1) == 0
+        edges = np.arange(bins) / bins
+        r = np.concatenate((
+            [0.0, np.nextafter(1.0, 0.0)],
+            edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+            cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0),
+            np.random.default_rng(3).random(20000)))
+        r = r[(r >= 0.0) & (r < 1.0)]
+        assert np.array_equal(table.lookup(r), np.searchsorted(cdf, r))
 
 
 class TestSgnsSampler:
