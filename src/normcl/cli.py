@@ -229,6 +229,16 @@ def _trace_rows_upto(path: Path, step: int) -> list[str]:
         raise DataError(f"malformed row in trace {path}") from None
 
 
+def _check_vocab_sizes(state: TrainerState, ckpt, vocab_src, vocab_tgt):
+    """Refuse a checkpoint trained on vocabularies of other sizes."""
+    trained = (state.model.src_vocab_size, state.model.tgt_vocab_size)
+    if trained != (len(vocab_src), len(vocab_tgt)):
+        raise DataError(
+            f"checkpoint {ckpt} has source and target vocabularies of "
+            f"{trained[0]} and {trained[1]} tokens, but the vocabularies in "
+            f"use have {len(vocab_src)} and {len(vocab_tgt)}")
+
+
 def cmd_train(config: RunConfig, resume: bool = False,
               checkpoint: str | None = None,
               difficulty: str | None = None) -> Path:
@@ -269,29 +279,25 @@ def cmd_train(config: RunConfig, resume: bool = False,
         ckpt = require_file(checkpoint or out / CKPT_LAST,
                             "checkpoint to resume from")
         state = load_checkpoint(ckpt)
-        if state.config_snapshot.get("hash") != chash:
+        if state.config_hash != chash:
             raise ConfigError(
                 "refusing to resume: the checkpoint was produced under a "
-                "different configuration (hash "
-                f"{state.config_snapshot.get('hash')} != {chash})"
+                f"different configuration (hash {state.config_hash} != {chash})"
             )
-        if "sampler_rng" in state.extra_state:
-            sampler.set_rng_state(state.extra_state["sampler_rng"])
-        evals = list(state.extra_state.get("evals", []))
+        _check_vocab_sizes(state, ckpt, vocab_src, vocab_tgt)
+        if state.sampler_rng is not None:
+            sampler.set_rng_state(state.sampler_rng)
         trace_rows = (_trace_rows_upto(trace_path, state.step)
                       if trace_path.exists() else [])
     else:
         model = Transformer(config.model, len(vocab_src), len(vocab_tgt))
-        state = TrainerState(
-            model=model, adam=AdamState(model.params),
-            schedule=cur.schedule(), matrix_norm_mode=cur.matrix_norm,
-            config_snapshot={"hash": chash},
-        )
+        state = TrainerState(model=model, adam=AdamState(model.params),
+                             schedule=cur.schedule(), config_hash=chash)
         state.capture_anchor()
-        evals = []
         trace_rows = []
 
     schedule = state.schedule
+    evals = state.evals
     best_acc = max((e["token_accuracy"] for e in evals), default=float("-inf"))
     start_step = state.step + 1
     n = len(corpus)
@@ -326,8 +332,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 acc = token_accuracy(state.model, dev_pairs)
                 evals.append({"step": t, "token_accuracy": float(acc),
                               "loss": float(metrics["loss"])})
-                state.extra_state = {"sampler_rng": sampler.rng_state(),
-                                     "evals": evals}
+                state.sampler_rng = sampler.rng_state()
                 save_checkpoint(state, out / CKPT_LAST)
                 if acc > best_acc:
                     best_acc = acc
@@ -338,7 +343,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
         "config_hash": chash,
         "kind": cur.kind,
         "criterion": cur.criterion,
-        "m0": float(state.m0),
+        "m0": float(schedule.m0),
         "final_step": state.step,
         "final_accuracy": evals[-1]["token_accuracy"],
         "best": best,
@@ -365,6 +370,7 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
         ckpt = require_file(out / CKPT_LAST, "checkpoint (run train first)")
     state = load_checkpoint(ckpt)
     vocab_src, vocab_tgt, merges_src, merges_tgt = _load_run_vocabs(out)
+    _check_vocab_sizes(state, ckpt, vocab_src, vocab_tgt)
 
     sources = _segment(require_file(test_source, "test source file"), merges_src)
     refs = _segment(require_file(test_target, "test target file"))

@@ -18,7 +18,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .curriculum import CRITERIA, MATRIX_NORMS, CompetenceSchedule
+from .curriculum import CRITERIA, CompetenceSchedule
 from .decoding import BeamConfig
 from .embedding import SgnsConfig
 from .errors import ConfigError
@@ -68,7 +68,6 @@ class CurriculumConfig:
     lambda_w: float = 0.5
     min_pool: int = 64
     token_budget: int = 512
-    matrix_norm: str = "row_sum"
     invert: bool = False
 
     def __post_init__(self):
@@ -85,11 +84,6 @@ class CurriculumConfig:
         if self.token_budget < 1:
             raise ConfigError(
                 f"curriculum.token_budget must be >= 1, got {self.token_budget}"
-            )
-        if self.matrix_norm not in MATRIX_NORMS:
-            raise ConfigError(
-                f"curriculum.matrix_norm must be one of {MATRIX_NORMS}, "
-                f"got {self.matrix_norm!r}"
             )
 
     def schedule(self) -> CompetenceSchedule:

@@ -28,12 +28,10 @@ __all__ = [
     "competence_time", "competence_norm", "embedding_matrix_norm",
     "sentence_weight", "DifficultyProfile", "CompetenceSchedule",
     "SamplerState", "sample_batch", "CRITERIA", "COMPETENCE_KINDS",
-    "MATRIX_NORMS",
 ]
 
 CRITERIA = ("norm", "length", "rarity")
 COMPETENCE_KINDS = ("time_sqrt", "norm_based", "none")
-MATRIX_NORMS = ("row_sum", "frobenius")
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +113,15 @@ def competence_norm(m_t: float, m0: float, c0: float, lambda_m: float) -> float:
     return min(1.0, math.sqrt(diff * (1.0 - c0 * c0) / (lambda_m * m0) + c0 * c0))
 
 
-def embedding_matrix_norm(matrix: np.ndarray, mode: str = "row_sum") -> float:
-    """Norm of an embedding matrix: sum of row norms, or Frobenius.
+def embedding_matrix_norm(matrix: np.ndarray) -> float:
+    """Sum of the row norms of an embedding matrix.
 
-    The row-norm sum keeps the scale commensurate with per-word norms;
-    the competence formula only sees (m_t - m0) / m0, so either mode is
-    a valid monotone driver.
+    The row-norm sum keeps the scale commensurate with per-word norms.
     It is reduced in float64 whatever the matrix dtype, so the
     competence of a float32 model moves as smoothly as a float64 one's.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if mode == "row_sum":
-        value = float(np.linalg.norm(matrix, axis=-1).sum())
-    elif mode == "frobenius":
-        value = float(np.linalg.norm(matrix))
-    else:
-        raise ConfigError(f"unknown matrix norm mode {mode!r}")
+    value = float(np.linalg.norm(matrix, axis=-1).sum())
     if value == 0.0:
         raise DegenerateStateError("embedding matrix is all zeros")
     return value
@@ -283,11 +274,13 @@ class CompetenceSchedule:
             raise ConfigError("lambda_m must be set when kind is norm_based")
         if self.lambda_m is not None and self.lambda_m <= 0:
             raise ConfigError(f"lambda_m must be > 0, got {self.lambda_m}")
-        if self.m0 is not None and self.driver < self.m0:
-            self.driver = self.m0
+        if not self.driver >= 0:
+            raise ConfigError(f"driver must be >= 0, got {self.driver}")
+        if self.m0 is not None:
+            self.set_anchor(self.m0)
 
     def set_anchor(self, m0: float) -> None:
-        if m0 <= 0:
+        if not m0 > 0:
             raise ConfigError(f"m0 must be positive, got {m0}")
         self.m0 = m0
         self.driver = max(self.driver, m0)
@@ -304,14 +297,6 @@ class CompetenceSchedule:
         if self.m0 is None:
             raise ConfigError("norm_based schedule used before set_anchor")
         return competence_norm(self.driver, self.m0, self.c0, self.lambda_m)
-
-    def state_dict(self) -> dict:
-        return {"kind": self.kind, "c0": self.c0, "lambda_t": self.lambda_t,
-                "lambda_m": self.lambda_m, "m0": self.m0, "driver": self.driver}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "CompetenceSchedule":
-        return cls(**state)
 
 
 # ---------------------------------------------------------------------------

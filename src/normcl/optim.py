@@ -11,6 +11,11 @@ from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step", "lr_schedule"]
 
+# the Adam settings of every run; no config or checkpoint carries them
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-9
+
 
 class AdamState:
     """First/second moments per named parameter plus a step counter.
@@ -22,16 +27,10 @@ class AdamState:
     must hold the same dtype.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.98, eps: float = 1e-9):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"betas must be in [0, 1): {beta1}, {beta2}")
+    def __init__(self, params: dict[str, Tensor]):
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ConfigError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         size = sum(p.data.size for p in params.values())
         dtype = dtypes.pop() if dtypes else np.float64
@@ -62,8 +61,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         if p.grad is None:
             state.grad[name].fill(0.0)
@@ -75,17 +74,17 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         bad = next(name for name, view in state.grad.items()
                    if not np.isfinite(view).all())
         raise TrainingDiverged(f"non-finite gradient in parameter '{bad}'", step=t)
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=s)
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=s)
     m += s
-    v *= state.beta2
+    v *= BETA2
     np.multiply(g, g, out=s)
-    s *= 1.0 - state.beta2
+    s *= 1.0 - BETA2
     v += s
     # the step lr * m_hat / (sqrt(v_hat) + eps), built in g
     np.divide(v, bc2, out=s)
     np.sqrt(s, out=s)
-    s += state.eps
+    s += EPS
     np.divide(m, bc1, out=g)
     g *= lr
     g /= s

@@ -1,13 +1,15 @@
 """Training steps, the norm probe, and checkpoint persistence.
 
 A checkpoint is one binary file: magic bytes, a format version, a
-length-prefixed UTF-8 JSON blob (config snapshot plus scalar state:
-step, the norm anchor, schedule state, RNG states, optimizer step),
-then named tensors covering parameters and Adam moments, stored
-little-endian in the dtype ``model_config.dtype`` names (``<f4`` for
-float32, ``<f8`` for float64).  Each tensor record carries its byte
-count, so a header that names the wrong dtype is refused.
-Round-trips are bit-exact, so resumed runs reproduce unbroken ones.
+length-prefixed UTF-8 JSON header of the ten fields of the state
+(``config_hash``, ``model_config``, ``src_vocab_size``,
+``tgt_vocab_size``, ``step``, ``schedule`` with its anchor ``m0``,
+``adam_step``, ``model_rng``, ``sampler_rng``, ``evals``), each checked
+on load, then named tensors covering parameters and Adam moments,
+stored little-endian in the dtype ``model_config.dtype`` names.  Each
+tensor record carries its byte count, so a header that names the wrong
+dtype is refused.  Round-trips are bit-exact, so resumed runs reproduce
+unbroken ones.
 
 A checkpoint is written to a temporary file beside its target, synced,
 and renamed over the target, so a crash mid-write leaves the previous
@@ -36,12 +38,7 @@ __all__ = ["TrainerState", "train_step", "token_accuracy",
            "save_checkpoint", "load_checkpoint", "atomic_write"]
 
 MAGIC = b"NCLK"
-FORMAT_VERSION = 2
-_META_KEYS = frozenset((
-    "config", "model_config", "src_vocab_size", "tgt_vocab_size", "step",
-    "m0", "matrix_norm_mode", "schedule", "adam_step", "adam_betas",
-    "adam_eps", "model_rng",
-))
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -50,24 +47,18 @@ class TrainerState:
 
     model: Transformer
     adam: AdamState
+    schedule: CompetenceSchedule = field(
+        default_factory=lambda: CompetenceSchedule("none"))
     step: int = 0
-    m0: float | None = None
-    schedule: CompetenceSchedule | None = None
-    matrix_norm_mode: str = "row_sum"
-    config_snapshot: dict = field(default_factory=dict)
-    # opaque JSON-safe extras persisted with the checkpoint (the cli
-    # parks the sampler RNG state and the dev evaluations so far here,
-    # so resume replays exact draws and reports every evaluation)
-    extra_state: dict = field(default_factory=dict)
+    config_hash: str = ""
+    sampler_rng: dict | None = None
+    evals: list = field(default_factory=list)
 
-    def capture_anchor(self) -> float:
-        """Record the source-embedding norm of the freshly initialized
-        model; must run before the first optimizer step."""
-        self.m0 = embedding_matrix_norm(self.model.source_embedding(),
-                                        self.matrix_norm_mode)
-        if self.schedule is not None:
-            self.schedule.set_anchor(self.m0)
-        return self.m0
+    def capture_anchor(self) -> None:
+        """Anchor the schedule at the source-embedding norm of the freshly
+        initialized model; must run before the first optimizer step."""
+        self.schedule.set_anchor(
+            embedding_matrix_norm(self.model.source_embedding()))
 
 
 def train_step(state: TrainerState, batch: EncodedBatch,
@@ -88,8 +79,7 @@ def train_step(state: TrainerState, batch: EncodedBatch,
         raise TrainingDiverged(str(exc), step=state.step + 1,
                                batch_ids=list(batch.ids)) from exc
     state.step += 1
-    m_t = embedding_matrix_norm(model.source_embedding(),
-                                state.matrix_norm_mode)
+    m_t = embedding_matrix_norm(model.source_embedding())
     return {"loss": value, "lr": lr, "m_t": m_t, "nll": per_sentence}
 
 
@@ -196,27 +186,20 @@ def _take_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
 def save_checkpoint(state: TrainerState, path) -> None:
     model = state.model
     meta = {
-        "config": state.config_snapshot,
-        "model_config": asdict(state.model.config),
+        "config_hash": state.config_hash,
+        "model_config": asdict(model.config),
         "src_vocab_size": model.src_vocab_size,
         "tgt_vocab_size": model.tgt_vocab_size,
         "step": state.step,
-        "m0": state.m0,
-        "matrix_norm_mode": state.matrix_norm_mode,
-        "schedule": None if state.schedule is None else state.schedule.state_dict(),
+        "schedule": asdict(state.schedule),
         "adam_step": state.adam.step,
-        "adam_betas": [state.adam.beta1, state.adam.beta2],
-        "adam_eps": state.adam.eps,
         "model_rng": model.rng.bit_generator.state,
-        "extra": state.extra_state,
+        "sampler_rng": state.sampler_rng,
+        "evals": state.evals,
     }
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, p in model.params.items():
-        tensors.append(("param/" + name, p.data))
-    for name, m in state.adam.m.items():
-        tensors.append(("adam_m/" + name, m))
-    for name, v in state.adam.v.items():
-        tensors.append(("adam_v/" + name, v))
+    tensors = [("param/" + name, p.data) for name, p in model.params.items()]
+    tensors += [("adam_m/" + name, m) for name, m in state.adam.m.items()]
+    tensors += [("adam_v/" + name, v) for name, v in state.adam.v.items()]
 
     dtype = _storage_dtype(model.config.dtype)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -230,6 +213,52 @@ def save_checkpoint(state: TrainerState, path) -> None:
             _write_tensor(fh, name, array, dtype)
 
 
+# the JSON types each header value may have (a bool is no int here);
+# every int is a count, so a negative one is refused too
+_META_TYPES = {
+    "config_hash": (str,), "model_config": (dict,), "src_vocab_size": (int,),
+    "tgt_vocab_size": (int,), "step": (int,), "schedule": (dict,),
+    "adam_step": (int,), "model_rng": (dict,),
+    "sampler_rng": (dict, type(None)), "evals": (list,),
+}
+_EVAL_TYPES = {"step": int, "token_accuracy": float, "loss": float}
+
+
+def _bad_header(key: str, why) -> CheckpointError:
+    return CheckpointError(f"bad {key} in checkpoint header: {why}")
+
+
+def _parse_header(text: str) -> tuple[dict, ModelConfig, CompetenceSchedule]:
+    """The checked header: its values, model config and schedule."""
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"garbled checkpoint header: {exc}") from exc
+    if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
+        raise CheckpointError("checkpoint header lacks required fields")
+    for key, types in _META_TYPES.items():
+        value = meta[key]
+        if type(value) not in types or type(value) is int and value < 0:
+            raise _bad_header(key, f"{value!r:.60}")
+    for key in ("model_rng", "sampler_rng"):
+        if meta[key] is not None:
+            try:
+                np.random.PCG64(0).state = meta[key]
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise _bad_header(key, exc) from None
+    if any(type(e) is not dict or {k: type(v) for k, v in e.items()} != _EVAL_TYPES
+           for e in meta["evals"]):
+        raise _bad_header("evals", f"{meta['evals']!r:.60}")
+    built = []
+    for key, cls in (("model_config", ModelConfig),
+                     ("schedule", CompetenceSchedule)):
+        try:
+            built.append(cls(**meta[key]))
+        except (TypeError, ConfigError) as exc:
+            raise _bad_header(key, exc) from None
+    return meta, *built
+
+
 def load_checkpoint(path) -> TrainerState:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
@@ -240,18 +269,8 @@ def load_checkpoint(path) -> TrainerState:
                 f"checkpoint format {version} unsupported (expected {FORMAT_VERSION})"
             )
         (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        header = _decode(_read_exact(fh, blob_len), "header")
-        try:
-            meta = json.loads(header)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"garbled checkpoint header: {exc}") from exc
-        if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
-            raise CheckpointError("checkpoint header lacks required fields")
-        try:
-            model_config = ModelConfig(**meta["model_config"])
-        except (TypeError, ConfigError) as exc:
-            raise CheckpointError(
-                f"bad model_config in checkpoint header: {exc}") from None
+        meta, model_config, schedule = _parse_header(
+            _decode(_read_exact(fh, blob_len), "header"))
         dtype = _storage_dtype(model_config.dtype)
         (n_tensors,) = struct.unpack("<Q", _read_exact(fh, 8))
         tensors = dict(_read_tensor(fh, dtype) for _ in range(n_tensors))
@@ -262,17 +281,12 @@ def load_checkpoint(path) -> TrainerState:
         load=lambda name, shape: _take_tensor(tensors, "param/" + name, shape))
     model.rng.bit_generator.state = meta["model_rng"]
 
-    b1, b2 = meta["adam_betas"]
-    adam = AdamState(model.params, beta1=b1, beta2=b2, eps=meta["adam_eps"])
+    adam = AdamState(model.params)
     adam.step = meta["adam_step"]
     for name, p in model.params.items():
         adam.m[name][...] = _take_tensor(tensors, "adam_m/" + name, p.data.shape)
         adam.v[name][...] = _take_tensor(tensors, "adam_v/" + name, p.data.shape)
 
-    schedule = (None if meta["schedule"] is None
-                else CompetenceSchedule.from_state(meta["schedule"]))
-    return TrainerState(
-        model=model, adam=adam, step=meta["step"], m0=meta["m0"],
-        schedule=schedule, matrix_norm_mode=meta["matrix_norm_mode"],
-        config_snapshot=meta["config"], extra_state=meta.get("extra", {}),
-    )
+    return TrainerState(model=model, adam=adam, schedule=schedule,
+                        step=meta["step"], config_hash=meta["config_hash"],
+                        sampler_rng=meta["sampler_rng"], evals=meta["evals"])

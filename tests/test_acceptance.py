@@ -339,7 +339,7 @@ def test_06_embedding_norm_grows_in_training(tmp_path):
     sampler = SamplerState(corpus, None, token_budget=512, min_pool=64,
                            seed=(0, 2))
 
-    ms = [state.m0]
+    ms = [state.schedule.m0]
     for t in range(1, 501):
         pairs = sample_batch(sampler, corpus, 1.0)
         metrics = train_step(state, build_batch(pairs), None,
@@ -563,7 +563,7 @@ def test_10_persistence_round_trip_and_resume(tmp_path):
                                     d_ff=32, dropout=0.0, max_positions=32,
                                     seed=9), 30, 30)
     state = TrainerState(model=model, adam=AdamState(model.params),
-                         config_snapshot={"hash": "roundtrip"})
+                         config_hash="roundtrip")
     state.capture_anchor()
     rng = np.random.default_rng(1)
     batch = build_batch(_int_pairs(rng, 6, lo=4, hi=30, min_len=2, max_len=7))
@@ -574,7 +574,7 @@ def test_10_persistence_round_trip_and_resume(tmp_path):
     save_checkpoint(state, ckpt)
     loaded = load_checkpoint(ckpt)
     assert np.array_equal(loaded.model.forward(batch).data, before)
-    assert loaded.m0 == state.m0
+    assert loaded.schedule.m0 == state.schedule.m0
 
     # resumed CLI training continues the unbroken loss trace
     src, tgt = _pair_files(tmp_path, "pairs", seed=7, n=300,

@@ -481,6 +481,31 @@ class TestResume:
         assert (resumed.splitlines()[-1]
                 == (trained / TRACE_FILE).read_bytes().splitlines()[-1])
 
+    def test_resume_refuses_other_vocabularies(self, workdir, tmp_path, capsys):
+        """A corpus edited in place keeps the config hash; a resume whose
+        rebuilt source vocabulary no longer fits the checkpoint is refused."""
+        cfg = json.loads((workdir / "run.json").read_text())
+        for side, suffix in (("source", "src"), ("target", "tgt")):
+            path = tmp_path / f"train.{suffix}"
+            shutil.copyfile(cfg["corpus"][side], path)
+            cfg["corpus"][side] = str(path)
+        cfg["curriculum"]["kind"] = "none"
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", tmp_path / "run.json",
+                       "--out", out, "--set", "total_steps=8") == 0
+        src = tmp_path / "train.src"
+        lines = src.read_text().splitlines()
+        lines[0] = "unseen1 unseen2 unseen3"
+        src.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", tmp_path / "run.json",
+                       "--out", out, "--resume")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocabularies in use" in err
+        assert "Traceback" not in err
+        assert load_checkpoint(out / CKPT_LAST).step == 8
+
     def test_resume_needs_a_checkpoint(self, workdir, capsys):
         code = run_cli("train", "--config", workdir / "run.json",
                        "--out", workdir / "resume_empty", "--resume",
@@ -564,7 +589,8 @@ class TestValidation:
         assert "criterion" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["workers=2", "deterministic=true",
-                                         "sgns.min_count=1"])
+                                         "sgns.min_count=1",
+                                         "curriculum.matrix_norm=frobenius"])
     def test_removed_settings_rejected(self, workdir, capsys, setting):
         code = run_cli("embed", "--config", workdir / "run.json",
                        "--out", workdir / "never5", "--set", setting)
@@ -639,6 +665,28 @@ class TestEvaluate:
                        "--test-target", workdir / "dev.tgt")
         assert code == 2
         assert "empty test file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", [VOCAB_SRC_FILE, VOCAB_TGT_FILE])
+    def test_checkpoint_of_other_vocabularies_rejected(
+            self, workdir, trained, tmp_path, capsys, side):
+        """A run directory whose source or target vocabulary is smaller
+        than the checkpoint's is refused, not decoded with wrong ids."""
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in (VOCAB_SRC_FILE, VOCAB_TGT_FILE):
+            lines = (trained / name).read_text().splitlines()
+            if name == side:
+                lines = lines[:20]
+            (run / name).write_text("\n".join(lines) + "\n")
+        code = run_cli("evaluate", "--config", workdir / "run.json",
+                       "--out", run, "--checkpoint", trained / CKPT_LAST,
+                       "--test-source", workdir / "dev.src",
+                       "--test-target", workdir / "dev.tgt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocabularies in use" in err
+        assert "Traceback" not in err
+        assert not (run / TRANSLATIONS_FILE).exists()
 
     def test_evaluate_without_training_rejected(self, workdir, tmp_path, capsys):
         code = run_cli("evaluate", "--config", workdir / "run.json",
@@ -775,6 +823,38 @@ class TestReadOnce:
         assert calls == self._lines(workdir / "dev.src", workdir / "dev.tgt")
 
 
+# how -> (an edit of the checkpoint header, a fragment of the message)
+_HEADER_EDITS = {
+    "dtype_mismatch": (lambda meta: meta["model_config"].update(dtype="float64"),
+                       "model_config.dtype float64 needs"),
+    "unknown_dtype": (lambda meta: meta["model_config"].update(dtype="float16"),
+                      "bad model_config in checkpoint header"),
+    # a model setting this version no longer has
+    "removed_field": (lambda meta: meta["model_config"].update(label_smoothing=0.1),
+                      "unexpected keyword argument 'label_smoothing'"),
+    "schedule_unknown_key": (lambda meta: meta["schedule"].update(lambda_x=1),
+                             "bad schedule in checkpoint header"),
+    "schedule_string_driver": (lambda meta: meta["schedule"].update(driver="9"),
+                               "bad schedule in checkpoint header"),
+    "schedule_nan_anchor": (lambda meta: meta["schedule"].update(m0=float("nan")),
+                            "m0 must be positive, got nan"),
+    "model_rng_other_generator": (
+        lambda meta: meta["model_rng"].update(bit_generator="MT19937"),
+        "bad model_rng in checkpoint header"),
+    "string_vocab_size": (lambda meta: meta.update(src_vocab_size="28"),
+                          "bad src_vocab_size in checkpoint header"),
+    "negative_step": (lambda meta: meta.update(step=-1),
+                      "bad step in checkpoint header"),
+    "sampler_rng_bad_state": (
+        lambda meta: meta["sampler_rng"]["state"].update(inc="x"),
+        "bad sampler_rng in checkpoint header"),
+    "evals_bad_entry": (lambda meta: meta["evals"].append({"step": 1}),
+                        "bad evals in checkpoint header"),
+    "config_hash_not_string": (lambda meta: meta.update(config_hash=7),
+                               "bad config_hash in checkpoint header"),
+}
+
+
 def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
     """Write a damaged copy of checkpoint ``src``; returns a fragment the
     error message must contain."""
@@ -784,31 +864,23 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         raw[16:16 + blob_len] = b"\xff" * blob_len
         dst.write_bytes(bytes(raw))
         return "garbled checkpoint header"
-    if how == "format_1":
+    if how in ("format_1", "format_2"):
         raw = bytearray(src.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", int(how[-1]))
         dst.write_bytes(bytes(raw))
-        return "checkpoint format 1 unsupported"
-    if how in ("dtype_mismatch", "unknown_dtype", "removed_field"):
-        # a float32 checkpoint whose header names another dtype, or a
-        # model setting this version no longer has
+        return f"checkpoint format {how[-1]} unsupported"
+    if how in _HEADER_EDITS:
+        # a float32 checkpoint whose header holds one bad value
         raw = src.read_bytes()
         (blob_len,) = struct.unpack_from("<Q", raw, 8)
         meta = json.loads(raw[16:16 + blob_len])
         assert meta["model_config"]["dtype"] == "float32"
-        if how == "removed_field":
-            meta["model_config"]["label_smoothing"] = 0.1
-        else:
-            claimed = "float64" if how == "dtype_mismatch" else "float16"
-            meta["model_config"]["dtype"] = claimed
+        edit, fragment = _HEADER_EDITS[how]
+        edit(meta)
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                         + raw[16 + blob_len:])
-        if how == "dtype_mismatch":
-            return "model_config.dtype float64 needs"
-        if how == "removed_field":
-            return "unexpected keyword argument 'label_smoothing'"
-        return "bad model_config in checkpoint header"
+        return fragment
     state = load_checkpoint(src)
     name = next(iter(state.model.params))
     if how == "missing_adam_v":
@@ -903,9 +975,8 @@ class TestMalformedArtifact:
 
 
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
-                                 "short_adam_m", "format_1",
-                                 "dtype_mismatch", "unknown_dtype",
-                                 "removed_field"])
+                                 "short_adam_m", "format_1", "format_2",
+                                 *_HEADER_EDITS])
 class TestDamagedCheckpoint:
     """A damaged checkpoint ends in exit 2 and a message, never a
     traceback, whether ``evaluate`` or ``train --resume`` reads it."""

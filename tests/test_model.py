@@ -418,7 +418,7 @@ class TestCheckpoint:
     def _trained_state(self, steps=3, cfg=SMALL):
         model = Transformer(cfg, 16, 16)
         state = TrainerState(model=model, adam=AdamState(model.params),
-                             config_snapshot={"demo": True})
+                             config_hash="demo")
         state.capture_anchor()
         rng = np.random.default_rng(9)
         for step in range(steps):
@@ -428,6 +428,8 @@ class TestCheckpoint:
 
     def test_round_trip_bit_identical_logits_and_anchor(self, tmp_path):
         state = self._trained_state()
+        state.sampler_rng = np.random.default_rng(4).bit_generator.state
+        state.evals = [{"step": 3, "token_accuracy": 0.5, "loss": 1.25}]
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
@@ -435,10 +437,12 @@ class TestCheckpoint:
         a = state.model.forward(batch).data
         b = back.model.forward(batch).data
         assert np.array_equal(a, b)
-        assert back.m0 == state.m0
+        assert back.schedule == state.schedule
         assert back.step == state.step
         assert back.adam.step == state.adam.step
-        assert back.config_snapshot == {"demo": True}
+        assert back.config_hash == "demo"
+        assert back.sampler_rng == state.sampler_rng
+        assert back.evals == state.evals
 
     def test_adam_moments_survive(self, tmp_path):
         state = self._trained_state()
