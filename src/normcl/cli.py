@@ -16,6 +16,7 @@ step/m_t therefore reproduces the competence column exactly.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -34,8 +35,7 @@ from .corpus import (
     detokenize_subwords, learn_merges, load_parallel, read_lines, tokenize,
 )
 from .curriculum import (
-    DifficultyProfile, SamplerState, competence_norm, competence_time,
-    sample_batch, sentence_weight,
+    DifficultyProfile, SamplerState, sample_batch, sentence_weight,
 )
 from .decoding import decode_corpus
 from .embedding import EmbeddingTable, train_sgns
@@ -229,14 +229,19 @@ def _trace_rows_upto(path: Path, step: int) -> list[str]:
         raise DataError(f"malformed row in trace {path}") from None
 
 
-def _check_vocab_sizes(state: TrainerState, ckpt, vocab_src, vocab_tgt):
-    """Refuse a checkpoint trained on vocabularies of other sizes."""
-    trained = (state.model.src_vocab_size, state.model.tgt_vocab_size)
-    if trained != (len(vocab_src), len(vocab_tgt)):
+def _vocab_digest(vocab_src: Vocabulary, vocab_tgt: Vocabulary) -> str:
+    """sha256 of both token lists: equal digests mean equal ids."""
+    blob = json.dumps([vocab_src.tokens, vocab_tgt.tokens]).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _check_vocab_digest(state: TrainerState, ckpt, digest: str) -> None:
+    """Refuse a checkpoint trained on other tokens or other token ids."""
+    if state.vocab_digest != digest:
         raise DataError(
-            f"checkpoint {ckpt} has source and target vocabularies of "
-            f"{trained[0]} and {trained[1]} tokens, but the vocabularies in "
-            f"use have {len(vocab_src)} and {len(vocab_tgt)}")
+            f"checkpoint {ckpt} was trained on other vocabularies than the "
+            f"vocabularies in use (digest {state.vocab_digest[:16]} != "
+            f"{digest[:16]})")
 
 
 def cmd_train(config: RunConfig, resume: bool = False,
@@ -271,6 +276,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
             )
 
     chash = config_hash(config)
+    vdigest = _vocab_digest(vocab_src, vocab_tgt)
     sampler = SamplerState(corpus, profile, cur.token_budget, cur.min_pool,
                            seed=(config.seed, 2))
     trace_path = out / TRACE_FILE
@@ -284,7 +290,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 "refusing to resume: the checkpoint was produced under a "
                 f"different configuration (hash {state.config_hash} != {chash})"
             )
-        _check_vocab_sizes(state, ckpt, vocab_src, vocab_tgt)
+        _check_vocab_digest(state, ckpt, vdigest)
         if state.sampler_rng is not None:
             sampler.set_rng_state(state.sampler_rng)
         trace_rows = (_trace_rows_upto(trace_path, state.step)
@@ -292,7 +298,8 @@ def cmd_train(config: RunConfig, resume: bool = False,
     else:
         model = Transformer(config.model, len(vocab_src), len(vocab_tgt))
         state = TrainerState(model=model, adam=AdamState(model.params),
-                             schedule=cur.schedule(), config_hash=chash)
+                             schedule=cur.schedule(), config_hash=chash,
+                             vocab_digest=vdigest)
         state.capture_anchor()
         trace_rows = []
 
@@ -370,7 +377,7 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
         ckpt = require_file(out / CKPT_LAST, "checkpoint (run train first)")
     state = load_checkpoint(ckpt)
     vocab_src, vocab_tgt, merges_src, merges_tgt = _load_run_vocabs(out)
-    _check_vocab_sizes(state, ckpt, vocab_src, vocab_tgt)
+    _check_vocab_digest(state, ckpt, _vocab_digest(vocab_src, vocab_tgt))
 
     sources = _segment(require_file(test_source, "test source file"), merges_src)
     refs = _segment(require_file(test_target, "test target file"))
@@ -383,7 +390,7 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
             raise DataError(f"test source line {i + 1} is empty")
 
     hyps = decode_corpus(state.model, [vocab_src.encode(t) for t in sources],
-                         config.eval.beam_config())
+                         config.eval)
     hyp_words = []
     for h in hyps:
         words = vocab_tgt.decode(h.tokens)
@@ -483,28 +490,37 @@ def cmd_compare(config_a: dict, config_b: dict, seeds, out_root: Path,
 # schedule-dump
 # ---------------------------------------------------------------------------
 
-def cmd_schedule_dump(args, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "schedule.csv"
-    lines = []
-    if args.kind == "time_sqrt":
-        if args.lambda_t is None:
-            raise ConfigError("schedule-dump with kind=time_sqrt needs --lambda-t")
-        lines.append("step,competence")
+def cmd_schedule_dump(config: RunConfig, args) -> Path:
+    """Write the competence curve of ``config.curriculum``: by step for
+    ``time_sqrt``, by embedding norm from ``--m0`` for ``norm_based``."""
+    schedule = config.curriculum.schedule()
+    if schedule.kind == "time_sqrt":
+        if args.t_step < 1:
+            raise ConfigError(f"--t-step must be positive, got {args.t_step}")
+        lines = ["step,competence"]
         for t in range(0, args.t_max + 1, args.t_step):
-            lines.append(f"{t},{_fmt(competence_time(t, args.c0, args.lambda_t))}")
-    else:
+            lines.append(f"{t},{_fmt(schedule.competence(t))}")
+    elif schedule.kind == "norm_based":
         if args.m0 is None:
-            raise ConfigError("schedule-dump with kind=norm_based needs --m0")
-        if args.m0 <= 0:
-            raise ConfigError(f"--m0 must be positive, got {args.m0}")
-        lines.append("m_t,competence")
+            raise ConfigError("schedule-dump needs --m0 for kind norm_based")
+        schedule.set_anchor(args.m0)
+        if not args.m_step > 0:
+            raise ConfigError(f"--m-step must be positive, got {args.m_step}")
+        stop = args.m_max if args.m_max is not None else \
+            args.m0 * (1 + schedule.lambda_m)
+        if not args.m0 <= stop < np.inf:
+            raise ConfigError(
+                f"--m-max must be finite and at least --m0 {args.m0}, got {stop}")
+        lines = ["m_t,competence"]
         m = args.m0
-        stop = args.m_max if args.m_max is not None else args.m0 * (1 + args.lambda_m)
         while m <= stop + 1e-12:
-            c = competence_norm(m, args.m0, args.c0, args.lambda_m)
-            lines.append(f"{_fmt(m)},{_fmt(c)}")
+            # m grows, so the schedule's running peak is m itself
+            schedule.observe_norm(m)
+            lines.append(f"{_fmt(m)},{_fmt(schedule.competence(0))}")
             m += args.m_step
+    else:
+        raise ConfigError("schedule-dump needs curriculum.kind time_sqrt or norm_based")
+    path = _prepare_out(config) / "schedule.csv"
     text = "\n".join(lines) + "\n"
     path.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -515,15 +531,22 @@ def cmd_schedule_dump(args, out_dir: Path) -> Path:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _output_flags() -> argparse.ArgumentParser:
+    """``--out`` and ``--set``: every command takes them."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--out", help="output directory (default: "
+                       "$NORMCL_OUT or the working directory)")
+    flags.add_argument("--set", action="append", dest="overrides",
+                       metavar="KEY=VALUE",
+                       help="override any config field, e.g. curriculum.kind=none")
+    return flags
+
+
 def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    """The output flags plus ``--config`` and ``--seed``: all but ``compare``."""
+    common = argparse.ArgumentParser(add_help=False, parents=[_output_flags()])
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument("--out", help="output directory (default: "
-                        "$NORMCL_OUT or the working directory)")
-    common.add_argument("--set", action="append", dest="overrides",
-                        metavar="KEY=VALUE",
-                        help="override any config field, e.g. curriculum.kind=none")
     return common
 
 
@@ -557,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint",
                    help="checkpoint to load (default: best, then last)")
 
-    p = sub.add_parser("compare", parents=[common],
+    # no abbreviations: --seed, which compare lacks, would mean --seeds
+    p = sub.add_parser("compare", parents=[_output_flags()], allow_abbrev=False,
                        help="train two configurations across seeds and "
                             "report steps-to-target")
     p.add_argument("--config-a", required=True, help="method configuration")
@@ -571,12 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0.9)")
 
     p = sub.add_parser("schedule-dump", parents=[common],
-                       help="emit a competence curve without training")
-    p.add_argument("--kind", required=True, choices=("time_sqrt", "norm_based"))
-    p.add_argument("--c0", type=float, default=0.01)
-    p.add_argument("--lambda-t", type=int, dest="lambda_t")
-    p.add_argument("--lambda-m", type=float, dest="lambda_m", default=2.5)
-    p.add_argument("--m0", type=float)
+                       help="emit the curriculum block's competence curve "
+                            "without training")
+    p.add_argument("--m0", type=float,
+                   help="anchor norm (required for kind norm_based)")
     p.add_argument("--t-max", type=int, dest="t_max", default=1000)
     p.add_argument("--t-step", type=int, dest="t_step", default=10)
     p.add_argument("--m-max", type=float, dest="m_max")
@@ -624,9 +646,7 @@ def main(argv=None) -> int:
                         target_accuracy=args.target_accuracy,
                         target_fraction=args.target_fraction)
         elif args.command == "schedule-dump":
-            out = Path(args.out) if args.out else \
-                run_config_from_dict({}).resolved_out_dir()
-            cmd_schedule_dump(args, out)
+            cmd_schedule_dump(_assemble_config(args), args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
     except NormclError as exc:

@@ -1,11 +1,11 @@
 """Run configuration: nested blocks, JSON round-trip, overrides, hashing.
 
 One JSON document configures a whole run.  Block subconfigs reuse the
-owning module's dataclass where one exists (sgns, model), or build the
-owning module's object from their values (curriculum builds its
-competence schedule, eval its beam settings), so every range check
-lives in one place and fires at construction time, before any compute
-starts.
+owning module's dataclass where one exists (sgns, model, eval), or
+build the owning module's object from their values (curriculum builds
+its competence schedule), so every range check lives in one place and
+fires at construction time, before any compute starts.  Each check
+names its field; ``run_config_from_dict`` adds the block name.
 The ``seed`` at the top level flows into sgns/model seeds unless those
 blocks pin their own.
 """
@@ -25,18 +25,10 @@ from .errors import ConfigError
 from .model import ModelConfig
 
 __all__ = [
-    "CorpusConfig", "CurriculumConfig", "OptimizerConfig", "EvalConfig",
+    "CorpusConfig", "CurriculumConfig", "OptimizerConfig",
     "RunConfig", "run_config_from_dict", "run_config_to_dict",
     "load_config_file", "apply_overrides", "config_hash", "require_file",
 ]
-
-
-def _prefixed(block: str, build):
-    """Run ``build`` and prefix any ConfigError with the block name."""
-    try:
-        return build()
-    except ConfigError as exc:
-        raise ConfigError(f"{block}.{exc}") from None
 
 
 @dataclass
@@ -51,11 +43,11 @@ class CorpusConfig:
 
     def __post_init__(self):
         if self.min_count < 1:
-            raise ConfigError(f"corpus.min_count must be >= 1, got {self.min_count}")
+            raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
         if self.max_len < 1:
-            raise ConfigError(f"corpus.max_len must be >= 1, got {self.max_len}")
+            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         if self.merges < 0:
-            raise ConfigError(f"corpus.merges must be >= 0, got {self.merges}")
+            raise ConfigError(f"merges must be >= 0, got {self.merges}")
 
 
 @dataclass
@@ -73,18 +65,14 @@ class CurriculumConfig:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ConfigError(
-                f"curriculum.criterion must be one of {CRITERIA}, "
-                f"got {self.criterion!r}"
-            )
-        _prefixed("curriculum", self.schedule)
+                f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
+        self.schedule()
         if self.lambda_w < 0:
-            raise ConfigError(f"curriculum.lambda_w must be >= 0, got {self.lambda_w}")
+            raise ConfigError(f"lambda_w must be >= 0, got {self.lambda_w}")
         if self.min_pool < 1:
-            raise ConfigError(f"curriculum.min_pool must be >= 1, got {self.min_pool}")
+            raise ConfigError(f"min_pool must be >= 1, got {self.min_pool}")
         if self.token_budget < 1:
-            raise ConfigError(
-                f"curriculum.token_budget must be >= 1, got {self.token_budget}"
-            )
+            raise ConfigError(f"token_budget must be >= 1, got {self.token_budget}")
 
     def schedule(self) -> CompetenceSchedule:
         """A fresh, unanchored competence schedule for this block."""
@@ -99,23 +87,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.warmup < 1:
-            raise ConfigError(f"optimizer.warmup must be >= 1, got {self.warmup}")
+            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
         if self.peak_lr <= 0:
-            raise ConfigError(f"optimizer.peak_lr must be > 0, got {self.peak_lr}")
-
-
-@dataclass
-class EvalConfig:
-    beam_size: int = 6
-    alpha: float = 0.6
-    max_decode_len: int = 64
-
-    def __post_init__(self):
-        _prefixed("eval", self.beam_config)
-
-    def beam_config(self) -> BeamConfig:
-        return BeamConfig(beam_size=self.beam_size, alpha=self.alpha,
-                          max_decode_len=self.max_decode_len)
+            raise ConfigError(f"peak_lr must be > 0, got {self.peak_lr}")
 
 
 @dataclass
@@ -125,7 +99,7 @@ class RunConfig:
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
+    eval: BeamConfig = field(default_factory=BeamConfig)
     seed: int = 0
     total_steps: int = 1000
     log_interval: int = 50
@@ -153,7 +127,7 @@ _BLOCKS = {
     "curriculum": CurriculumConfig,
     "model": ModelConfig,
     "optimizer": OptimizerConfig,
-    "eval": EvalConfig,
+    "eval": BeamConfig,
 }
 
 # blocks whose own seed defaults to the run-level seed
@@ -166,7 +140,10 @@ def _build_block(name: str, cls, data: dict):
     if unknown:
         raise ConfigError("unknown config fields: " + ", ".join(
             f"{name}.{key}" for key in sorted(unknown)))
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

@@ -1,8 +1,10 @@
 """Compact transformer encoder-decoder over the local tensor kernels.
 
 Pre-layer-norm residual blocks with a final layer norm on each stack,
-sinusoidal positions, no affine parameters in layer norm.  The target
-input embedding doubles as the output projection, with no output bias.
+sinusoidal positions, no affine parameters in layer norm.  Position
+rows are computed for the positions each call embeds, so sequences
+have no length limit.  The target input embedding doubles as the
+output projection, with no output bias.
 Loss is weighted per-token cross-entropy:
 sum_s(w_s * NLL_s) / sum_s(w_s * len_s), which reduces to plain
 per-token cross-entropy at all-ones weights.
@@ -49,14 +51,13 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 128
     dropout: float = 0.1
-    max_positions: int = 512
     seed: int = 0
     dtype: str = "float32"
 
     def __post_init__(self):
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
-        for name in ("d_model", "n_heads", "n_layers", "d_ff", "max_positions"):
+        for name in ("d_model", "n_heads", "n_layers", "d_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
@@ -124,11 +125,13 @@ def _causal_mask(t: int, dtype) -> np.ndarray:
     return m[None, None, :, :]
 
 
-def _positional_encoding(max_positions: int, d_model: int, dtype) -> np.ndarray:
-    pos = np.arange(max_positions, dtype=np.float64)[:, None]
+def _positional_encoding(start: int, end: int, d_model: int, dtype) -> np.ndarray:
+    """Sinusoid rows for positions ``start`` to ``end - 1``; each entry
+    depends only on its own position and column."""
+    pos = np.arange(start, end, dtype=np.float64)[:, None]
     i = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, i / d_model)
-    pe = np.zeros((max_positions, d_model))
+    pe = np.empty((end - start, d_model))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : d_model // 2])
     return pe.astype(dtype)
@@ -218,8 +221,6 @@ class Transformer:
                 proj(f"{side}.ff1", d, ff)
                 proj(f"{side}.ff2", ff, d)
 
-        self.pe = _positional_encoding(config.max_positions, d, self.dtype)
-
     # -- building blocks ---------------------------------------------------
 
     def _rate(self, train: bool) -> float:
@@ -279,17 +280,12 @@ class Transformer:
     def _embed_in(self, name: str, ids: np.ndarray, train: bool,
                   start: int = 0) -> Tensor:
         """Embed ``ids`` as the positions from ``start`` on."""
-        end = start + ids.shape[1]
-        if end > self.config.max_positions:
-            raise ConfigError(
-                f"sequence length {end} exceeds max_positions "
-                f"{self.config.max_positions}"
-            )
         # no sqrt(d_model) lookup scaling: rows start small against the
         # positional signal, and training grows them as they take on
         # lexical content — the live norm is a meaningful progress signal
         x = embedding_lookup(self.params[name], ids)
-        x = add(x, Tensor(self.pe[start:end]))
+        x = add(x, Tensor(_positional_encoding(
+            start, start + ids.shape[1], self.config.d_model, self.dtype)))
         return dropout(x, self._rate(train), self.rng)
 
     # -- forward -----------------------------------------------------------

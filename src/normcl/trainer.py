@@ -1,12 +1,13 @@
 """Training steps, the norm probe, and checkpoint persistence.
 
 A checkpoint is one binary file: magic bytes, a format version, a
-length-prefixed UTF-8 JSON header of the ten fields of the state
-(``config_hash``, ``model_config``, ``src_vocab_size``,
-``tgt_vocab_size``, ``step``, ``schedule`` with its anchor ``m0``,
-``adam_step``, ``model_rng``, ``sampler_rng``, ``evals``), each checked
-on load, then named tensors covering parameters and Adam moments,
-stored little-endian in the dtype ``model_config.dtype`` names.  Each
+length-prefixed UTF-8 JSON header of the eleven fields of the state
+(``config_hash``, ``vocab_digest``, ``model_config``,
+``src_vocab_size``, ``tgt_vocab_size``, ``step``, ``schedule`` with its
+anchor ``m0``, ``adam_step``, ``model_rng``, ``sampler_rng``,
+``evals``), each checked on load, then named tensors covering
+parameters and Adam moments, stored little-endian in the dtype
+``model_config.dtype`` names.  Each
 tensor record carries its byte count, so a header that names the wrong
 dtype is refused.  Round-trips are bit-exact, so resumed runs reproduce
 unbroken ones.
@@ -38,7 +39,7 @@ __all__ = ["TrainerState", "train_step", "token_accuracy",
            "save_checkpoint", "load_checkpoint", "atomic_write"]
 
 MAGIC = b"NCLK"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -51,6 +52,7 @@ class TrainerState:
         default_factory=lambda: CompetenceSchedule("none"))
     step: int = 0
     config_hash: str = ""
+    vocab_digest: str = ""
     sampler_rng: dict | None = None
     evals: list = field(default_factory=list)
 
@@ -187,6 +189,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
     model = state.model
     meta = {
         "config_hash": state.config_hash,
+        "vocab_digest": state.vocab_digest,
         "model_config": asdict(model.config),
         "src_vocab_size": model.src_vocab_size,
         "tgt_vocab_size": model.tgt_vocab_size,
@@ -216,9 +219,9 @@ def save_checkpoint(state: TrainerState, path) -> None:
 # the JSON types each header value may have (a bool is no int here);
 # every int is a count, so a negative one is refused too
 _META_TYPES = {
-    "config_hash": (str,), "model_config": (dict,), "src_vocab_size": (int,),
-    "tgt_vocab_size": (int,), "step": (int,), "schedule": (dict,),
-    "adam_step": (int,), "model_rng": (dict,),
+    "config_hash": (str,), "vocab_digest": (str,), "model_config": (dict,),
+    "src_vocab_size": (int,), "tgt_vocab_size": (int,), "step": (int,),
+    "schedule": (dict,), "adam_step": (int,), "model_rng": (dict,),
     "sampler_rng": (dict, type(None)), "evals": (list,),
 }
 _EVAL_TYPES = {"step": int, "token_accuracy": float, "loss": float}
@@ -289,4 +292,5 @@ def load_checkpoint(path) -> TrainerState:
 
     return TrainerState(model=model, adam=adam, schedule=schedule,
                         step=meta["step"], config_hash=meta["config_hash"],
+                        vocab_digest=meta["vocab_digest"],
                         sampler_rng=meta["sampler_rng"], evals=meta["evals"])

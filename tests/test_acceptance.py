@@ -269,7 +269,7 @@ def test_04_gradient_fidelity():
         assert err <= 1e-6, f"{name}: {err}"
 
     cfg = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16,
-                      dropout=0.0, max_positions=32, seed=3, dtype="float64")
+                      dropout=0.0, seed=3, dtype="float64")
     model = Transformer(cfg, 10, 10)
     batch = build_batch([SentencePair(0, (4, 5, 6), (5, 4)),
                          SentencePair(1, (7,), (8, 9, 6))])
@@ -332,7 +332,7 @@ def test_06_embedding_norm_grows_in_training(tmp_path):
     corpus = load_parallel(src_tokens, tgt_tokens, vocab_src, vocab_tgt, 64)
 
     cfg = ModelConfig(d_model=64, n_heads=4, n_layers=2, d_ff=128,
-                      dropout=0.1, max_positions=64, seed=0)
+                      dropout=0.1, seed=0)
     model = Transformer(cfg, len(vocab_src), len(vocab_tgt))
     state = TrainerState(model=model, adam=AdamState(model.params))
     state.capture_anchor()
@@ -381,7 +381,7 @@ def test_07_norm_curriculum_reaches_target_no_later(tmp_path):
                    "min_count": 1, "max_len": 64},
         "sgns": {"dim": 64, "window": 5, "negatives": 5, "epochs": 3},
         "model": {"d_model": 64, "n_heads": 4, "n_layers": 2, "d_ff": 128,
-                  "dropout": 0.1, "max_positions": 64},
+                  "dropout": 0.1},
         # lambda_m sized to the task: source-matrix growth over these 600
         # steps is ~0.3-0.5 of m0, so competence saturates mid-run instead
         # of never leaving its floor
@@ -448,7 +448,7 @@ def test_08_vanilla_reduction(tmp_path):
         "corpus": {"source": str(src), "target": str(tgt),
                    "min_count": 1, "max_len": 64},
         "model": {"d_model": 32, "n_heads": 2, "n_layers": 1, "d_ff": 64,
-                  "dropout": 0.1, "max_positions": 64},
+                  "dropout": 0.1},
         "curriculum": {"criterion": "norm", "kind": "none", "lambda_w": 0.0,
                        "token_budget": 256, "min_pool": 16},
         "optimizer": {"warmup": 20, "peak_lr": 1e-3},
@@ -469,8 +469,7 @@ def test_08_vanilla_reduction(tmp_path):
     vocab_tgt = build_vocab(tgt_tokens, 1)
     corpus = load_parallel(src_tokens, tgt_tokens, vocab_src, vocab_tgt, 64)
     model = Transformer(ModelConfig(d_model=32, n_heads=2, n_layers=1,
-                                    d_ff=64, dropout=0.1, max_positions=64,
-                                    seed=42),
+                                    d_ff=64, dropout=0.1, seed=42),
                         len(vocab_src), len(vocab_tgt))
     state = TrainerState(model=model, adam=AdamState(model.params))
     state.capture_anchor()
@@ -560,8 +559,8 @@ def test_10_persistence_round_trip_and_resume(tmp_path):
 
     # in-memory round trip preserves logits bitwise and m0 exactly
     model = Transformer(ModelConfig(d_model=16, n_heads=2, n_layers=1,
-                                    d_ff=32, dropout=0.0, max_positions=32,
-                                    seed=9), 30, 30)
+                                    d_ff=32, dropout=0.0, seed=9),
+                        30, 30)
     state = TrainerState(model=model, adam=AdamState(model.params),
                          config_hash="roundtrip")
     state.capture_anchor()
@@ -584,7 +583,7 @@ def test_10_persistence_round_trip_and_resume(tmp_path):
         "corpus": {"source": str(src), "target": str(tgt),
                    "min_count": 1, "max_len": 32},
         "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "d_ff": 32,
-                  "dropout": 0.1, "max_positions": 32},
+                  "dropout": 0.1},
         "curriculum": {"criterion": "length", "kind": "norm_based",
                        "c0": 0.1, "lambda_m": 2.5, "lambda_w": 0.5,
                        "token_budget": 128, "min_pool": 16},

@@ -65,7 +65,7 @@ def workdir(tmp_path_factory):
                    "dev_target": str(root / "dev.tgt")},
         "sgns": {"dim": 16, "epochs": 2},
         "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "d_ff": 32,
-                  "dropout": 0.0, "max_positions": 64},
+                  "dropout": 0.0},
         "curriculum": {"token_budget": 64, "min_pool": 16},
         "optimizer": {"warmup": 20, "peak_lr": 1e-3},
         "eval": {"beam_size": 2, "max_decode_len": 12},
@@ -506,6 +506,35 @@ class TestResume:
         assert "Traceback" not in err
         assert load_checkpoint(out / CKPT_LAST).step == 8
 
+    def test_resume_refuses_reordered_vocabulary(self, workdir, tmp_path,
+                                                 capsys):
+        """Swapping two source words of different counts throughout the
+        corpus keeps the config hash and the vocabulary's size, but
+        reorders its ids: the resume is refused."""
+        cfg = json.loads((workdir / "run.json").read_text())
+        src = tmp_path / "train.src"
+        shutil.copyfile(cfg["corpus"]["source"], src)
+        cfg["corpus"]["source"] = str(src)
+        cfg["curriculum"]["kind"] = "none"
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", tmp_path / "run.json",
+                       "--out", out, "--set", "total_steps=8") == 0
+        lines = [tokenize(line) for line in src.read_text().splitlines()]
+        ranked = build_vocab(lines).tokens[4:]
+        swap = {ranked[0]: ranked[-1], ranked[-1]: ranked[0]}
+        lines = [[swap.get(tok, tok) for tok in toks] for toks in lines]
+        src.write_text("".join(" ".join(toks) + "\n" for toks in lines))
+        before = Vocabulary.load(out / VOCAB_SRC_FILE).tokens
+        after = build_vocab(lines).tokens
+        assert sorted(after) == sorted(before) and after != before
+        code = run_cli("train", "--config", tmp_path / "run.json",
+                       "--out", out, "--resume")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocabularies in use" in err
+        assert "Traceback" not in err
+
     def test_resume_needs_a_checkpoint(self, workdir, capsys):
         code = run_cli("train", "--config", workdir / "run.json",
                        "--out", workdir / "resume_empty", "--resume",
@@ -599,7 +628,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("setting", [
         "model.pre_norm=false", "model.tie_target_embeddings=false",
-        "model.label_smoothing=0.1", "eval.smooth_bleu=true"])
+        "model.label_smoothing=0.1", "eval.smooth_bleu=true",
+        "model.max_positions=64"])
     def test_removed_model_and_eval_settings_rejected(self, workdir, capsys,
                                                       setting):
         code = run_cli("train", "--config", workdir / "run.json",
@@ -608,6 +638,17 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert setting.split("=")[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", [
+        "corpus.min_count=0", "sgns.dim=0", "curriculum.min_pool=0",
+        "model.d_model=0", "optimizer.warmup=0", "eval.beam_size=0"])
+    def test_range_errors_name_their_block(self, workdir, capsys, setting):
+        code = run_cli("embed", "--config", workdir / "run.json",
+                       "--out", workdir / "never9", "--set", setting)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + setting.split("=")[0] + " must be")
         assert "Traceback" not in err
 
     def test_removed_deterministic_flag_rejected(self, workdir, capsys):
@@ -635,8 +676,8 @@ class TestValidation:
     def test_out_dir_env_fallback(self, workdir, monkeypatch):
         target = workdir / "env_out"
         monkeypatch.setenv("NORMCL_OUT", str(target))
-        assert run_cli("schedule-dump", "--kind", "time_sqrt",
-                       "--lambda-t", "10", "--t-max", "10") == 0
+        assert run_cli("schedule-dump", "--set", "curriculum.kind=time_sqrt",
+                       "--set", "curriculum.lambda_t=10", "--t-max", "10") == 0
         assert (target / "schedule.csv").is_file()
 
 
@@ -688,6 +729,27 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not (run / TRANSLATIONS_FILE).exists()
 
+    def test_reordered_target_vocabulary_rejected(self, workdir, trained,
+                                                  tmp_path, capsys):
+        """The same target tokens under other ids would decode to wrong
+        words: the checkpoint's vocabulary digest refuses them."""
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copyfile(trained / VOCAB_SRC_FILE, run / VOCAB_SRC_FILE)
+        vocab = Vocabulary.load(trained / VOCAB_TGT_FILE)
+        Vocabulary(vocab.tokens[:4] + vocab.tokens[:3:-1],
+                   vocab.counts[:4] + vocab.counts[:3:-1]).save(
+                       run / VOCAB_TGT_FILE)
+        code = run_cli("evaluate", "--config", workdir / "run.json",
+                       "--out", run, "--checkpoint", trained / CKPT_LAST,
+                       "--test-source", workdir / "dev.src",
+                       "--test-target", workdir / "dev.tgt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocabularies in use" in err
+        assert "Traceback" not in err
+        assert not (run / TRANSLATIONS_FILE).exists()
+
     def test_evaluate_without_training_rejected(self, workdir, tmp_path, capsys):
         code = run_cli("evaluate", "--config", workdir / "run.json",
                        "--out", tmp_path,
@@ -714,7 +776,7 @@ class TestEvaluate:
             "corpus": {"source": str(tmp_path / "mem.src"),
                        "target": str(tmp_path / "mem.tgt")},
             "model": {"d_model": 32, "n_heads": 2, "n_layers": 1,
-                      "d_ff": 64, "dropout": 0.0, "max_positions": 32},
+                      "d_ff": 64, "dropout": 0.0},
             "curriculum": {"kind": "none", "token_budget": 256},
             "optimizer": {"warmup": 40, "peak_lr": 3e-3},
             "eval": {"beam_size": 1, "max_decode_len": 16},
@@ -852,6 +914,8 @@ _HEADER_EDITS = {
                         "bad evals in checkpoint header"),
     "config_hash_not_string": (lambda meta: meta.update(config_hash=7),
                                "bad config_hash in checkpoint header"),
+    "vocab_digest_not_string": (lambda meta: meta.update(vocab_digest=None),
+                                "bad vocab_digest in checkpoint header"),
 }
 
 
@@ -864,7 +928,7 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         raw[16:16 + blob_len] = b"\xff" * blob_len
         dst.write_bytes(bytes(raw))
         return "garbled checkpoint header"
-    if how in ("format_1", "format_2"):
+    if how in ("format_1", "format_2", "format_3"):
         raw = bytearray(src.read_bytes())
         raw[4:8] = struct.pack("<I", int(how[-1]))
         dst.write_bytes(bytes(raw))
@@ -976,7 +1040,7 @@ class TestMalformedArtifact:
 
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
                                  "short_adam_m", "format_1", "format_2",
-                                 *_HEADER_EDITS])
+                                 "format_3", *_HEADER_EDITS])
 class TestDamagedCheckpoint:
     """A damaged checkpoint ends in exit 2 and a message, never a
     traceback, whether ``evaluate`` or ``train --resume`` reads it."""
@@ -1039,6 +1103,15 @@ class TestCompare:
         assert "ratio" not in rows[0]
         assert rows[1]["steps_a"] == "not reached"
 
+    @pytest.mark.parametrize("flag", ["--config", "--seed"])
+    def test_single_run_flags_refused(self, workdir, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--config-a", workdir / "self.json",
+                    "--config-b", workdir / "self.json", flag, "1",
+                    "--out", tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_mismatched_corpora_rejected(self, workdir, tmp_path, capsys):
         other = json.loads((workdir / "self.json").read_text())
         other["corpus"] = dict(other["corpus"], source=str(tmp_path / "o.src"))
@@ -1051,10 +1124,12 @@ class TestCompare:
 
 
 class TestScheduleDump:
+    TIME_SQRT = ("--set", "curriculum.kind=time_sqrt",
+                 "--set", "curriculum.lambda_t=100")
+
     def test_time_curve_endpoints(self, tmp_path, capsys):
-        code = run_cli("schedule-dump", "--kind", "time_sqrt",
-                       "--lambda-t", "100", "--t-max", "100", "--t-step", "50",
-                       "--out", tmp_path)
+        code = run_cli("schedule-dump", *self.TIME_SQRT,
+                       "--t-max", "100", "--t-step", "50", "--out", tmp_path)
         assert code == 0
         lines = (tmp_path / "schedule.csv").read_text().splitlines()
         assert lines[0] == "step,competence"
@@ -1064,7 +1139,7 @@ class TestScheduleDump:
         assert capsys.readouterr().out.splitlines()[0] == "step,competence"
 
     def test_norm_curve(self, tmp_path):
-        code = run_cli("schedule-dump", "--kind", "norm_based", "--m0", "10",
+        code = run_cli("schedule-dump", "--m0", "10",
                        "--m-max", "35", "--m-step", "12.5", "--out", tmp_path)
         assert code == 0
         lines = (tmp_path / "schedule.csv").read_text().splitlines()
@@ -1073,7 +1148,70 @@ class TestScheduleDump:
         assert float(lines[-1].split(",")[1]) == 1.0
 
     def test_norm_curve_needs_m0(self, tmp_path, capsys):
-        code = run_cli("schedule-dump", "--kind", "norm_based",
-                       "--out", tmp_path)
+        code = run_cli("schedule-dump", "--out", tmp_path)
         assert code == 2
         assert "--m0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, first_row", [
+        (TIME_SQRT, "0,0.5"), (("--m0", "10"), "10.0,0.5")],
+        ids=["time_sqrt", "norm_based"])
+    def test_reads_config_and_overrides(self, tmp_path, flags, first_row):
+        (tmp_path / "run.json").write_text(
+            json.dumps({"curriculum": {"c0": 0.2, "lambda_m": 0.3}}))
+        code = run_cli("schedule-dump", "--config", tmp_path / "run.json",
+                       *flags, "--set", "curriculum.c0=0.5", "--out", tmp_path)
+        assert code == 0
+        lines = (tmp_path / "schedule.csv").read_text().splitlines()
+        assert lines[1] == first_row
+        if flags[0] == "--m0":
+            # lambda_m 0.3 from the file sets where the curve ends
+            assert lines[-1] == "13.0,1.0"
+
+    def test_time_curve_is_the_trace_competence(self, workdir, trained,
+                                                tmp_path):
+        """schedule-dump and train read one schedule: each trace row's
+        competence is the curve's at the steps completed before it."""
+        flags = ("--config", workdir / "run.json",
+                 "--set", "curriculum.kind=time_sqrt",
+                 "--set", "curriculum.lambda_t=16")
+        assert run_cli("train", *flags, "--out", tmp_path / "run",
+                       "--difficulty", trained / DIFFICULTY_FILE,
+                       "--set", "log_interval=1") == 0
+        assert run_cli("schedule-dump", *flags, "--out", tmp_path,
+                       "--t-max", "24", "--t-step", "1") == 0
+        curve = dict(line.split(",") for line in
+                     (tmp_path / "schedule.csv").read_text().splitlines()[1:])
+        rows = (tmp_path / "run" / TRACE_FILE).read_text().splitlines()[1:]
+        assert len(rows) == 24
+        for row in rows:
+            step, _, competence = row.split(",")[:3]
+            assert curve[str(int(step) - 1)] == competence
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (("--set", "curriculum.bogus=1"), "curriculum.bogus"),
+        (("--config", "no/such/run.json"), "config file not found"),
+        (("--set", "curriculum.kind=none"), "time_sqrt or norm_based"),
+        (TIME_SQRT + ("--t-step", "0"), "--t-step must be positive"),
+        (("--m0", "10", "--m-step", "0"), "--m-step must be positive"),
+        (("--m0", "10", "--m-step", "-1"), "--m-step must be positive"),
+        (("--m0", "10", "--m-max", "5"), "at least --m0"),
+        (("--m0", "10", "--m-max", "inf"), "must be finite"),
+    ], ids=["unknown_key", "missing_config", "kind_none", "t_step_0",
+            "m_step_0", "m_step_negative", "m_max_below_m0", "m_max_inf"])
+    def test_refused_before_any_curve(self, tmp_path, capsys, flags, fragment):
+        code = run_cli("schedule-dump", *flags, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kind", "time_sqrt"), ("--c0", "0.5"), ("--lambda-t", "10"),
+        ("--lambda-m", "0.3")])
+    def test_schedule_flags_removed(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("schedule-dump", "--m0", "10", flag, value,
+                    "--out", tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

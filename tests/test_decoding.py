@@ -539,6 +539,24 @@ class TestDecoderCache:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
         return runs
 
+    def test_positions_have_no_length_limit(self):
+        """A 600-token source encodes, and cached decoding past position
+        512 matches the full recompute."""
+        model = Transformer(self.CONFIG, 12, 12)
+        rng = np.random.default_rng(2)
+        src_mask = np.zeros((1, 1, 1, 600))
+        memory = model.encode(rng.integers(4, 12, size=(2, 600)), src_mask)
+        assert memory.shape == (2, 600, 16)
+        assert np.isfinite(memory.data).all()
+        prefixes = np.concatenate(
+            [np.full((2, 1), BOS_ID), rng.integers(4, 12, size=(2, 519))], axis=1)
+        cache = DecoderCache()
+        for lo, hi in [(0, 511), (511, 512), (512, 513), (513, 520)]:
+            got = model.decode(memory, src_mask, prefixes[:, :hi],
+                               cache=cache).data
+            want = model.decode(memory, src_mask, prefixes[:, :hi]).data[:, lo:hi]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_select_leaves_cross_attention_arrays_uncopied(self):
         model = Transformer(self.CONFIG, 12, 12)
         mask = np.zeros((1, 1, 1, 5))

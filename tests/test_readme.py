@@ -1,12 +1,32 @@
-"""README's configuration table lists exactly the fields of each block."""
+"""README stays true to the code: its configuration table lists exactly
+the fields of each block, its commands parse, and its quickstart config
+loads."""
 
+import json
 import re
+import shlex
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from normcl.config import RunConfig
+from normcl.cli import _PARSER
+from normcl.config import RunConfig, run_config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced_blocks(lang: str) -> list[str]:
+    """The bodies of README's fenced blocks opened with ``lang``."""
+    blocks, opened, body = [], None, []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("```"):
+            body.append(line)
+        elif opened is None:
+            opened, body = line[3:].strip(), []
+        else:
+            if opened == lang:
+                blocks.append("\n".join(body) + "\n")
+            opened = None
+    return blocks
 
 
 def _top_level_names(cell: str) -> list[str]:
@@ -36,3 +56,35 @@ def test_config_table_matches_the_dataclasses():
     blocks = {f.name: [g.name for g in fields(f.default_factory)]
               for f in fields(RunConfig) if is_dataclass(f.default_factory)}
     assert rows == blocks
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each ``normcl`` command line of the plain fenced blocks, with
+    backslash continuations joined and comments dropped."""
+    commands = []
+    for block in _fenced_blocks(""):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["normcl"]:
+                commands.append(words[1:])
+    return commands
+
+
+def _parses(argv: list[str]) -> bool:
+    try:
+        _PARSER.parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+def test_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    assert [argv for argv in commands if not _parses(argv)] == []
+
+
+def test_quickstart_config_loads():
+    (block,) = _fenced_blocks("json")
+    config = run_config_from_dict(json.loads(block))
+    assert config.curriculum.kind == "norm_based"
