@@ -31,8 +31,8 @@ from .config import (
     run_config_from_dict, run_config_to_dict,
 )
 from .corpus import (
-    UNK_ID, MergeTable, ParallelCorpus, Vocabulary, build_vocab,
-    detokenize_subwords, learn_merges, load_parallel, read_lines, tokenize,
+    UNK_ID, MergeTable, ParallelCorpus, TokenLines, Vocabulary, build_vocab,
+    detokenize_subwords, load_parallel, read_lines, tokenize,
 )
 from .curriculum import (
     DifficultyProfile, SamplerState, sample_batch, sentence_weight,
@@ -93,45 +93,36 @@ def _prepare_out(config: RunConfig) -> Path:
 # Shared corpus preparation
 # ---------------------------------------------------------------------------
 
-def _segment(path, merges: MergeTable | None = None) -> list[list[str]]:
-    """Tokenize each line of ``path``, then apply ``merges`` if any."""
-    units = [tokenize(line) for line in read_lines(path)]
-    if merges is not None:
-        units = [merges.apply(toks) for toks in units]
-    return units
+def _token_lines(path, merges=None) -> TokenLines:
+    """The tokenized lines of ``path``, segmented by ``merges`` (a
+    ``MergeTable``, or a number of merges to learn).  The file is read
+    at the first use, inside ``build_vocab`` or ``load_parallel``."""
+    return TokenLines(map(tokenize, read_lines(path)), merges)
 
 
-def _prepare_side(path, merges_count: int):
-    units = _segment(path)
-    if merges_count == 0:
-        return units, None
-    merges = learn_merges(units, merges_count)
-    return [merges.apply(toks) for toks in units], merges
-
-
-def _load_pairs(src_path, tgt_path, src_units, tgt_units, vocab_src,
+def _load_pairs(src_path, tgt_path, src_lines, tgt_lines, vocab_src,
                 vocab_tgt, max_len: int) -> ParallelCorpus:
     """``load_parallel`` over the segmented lines of two files, with
     both file names in its errors."""
     try:
-        return load_parallel(src_units, tgt_units, vocab_src, vocab_tgt, max_len)
+        return load_parallel(src_lines, tgt_lines, vocab_src, vocab_tgt, max_len)
     except DataError as exc:
         raise DataError(f"{src_path} and {tgt_path}: {exc}") from None
 
 
 def _prepare_corpus(config: RunConfig, encode_target: bool = True):
     """Without ``encode_target`` the target side only filters by length:
-    ``vocab_tgt`` and every pair's ``tgt`` are None."""
+    ``vocab_tgt`` and the corpus's ``tgt`` are None."""
     ccfg = config.corpus
     require_file(ccfg.source, "corpus.source")
     require_file(ccfg.target, "corpus.target")
-    src_units, merges_src = _prepare_side(ccfg.source, ccfg.merges)
-    tgt_units, merges_tgt = _prepare_side(ccfg.target, ccfg.merges)
-    vocab_src = build_vocab(src_units, ccfg.min_count)
-    vocab_tgt = build_vocab(tgt_units, ccfg.min_count) if encode_target else None
-    corpus = _load_pairs(ccfg.source, ccfg.target, src_units, tgt_units,
+    src = _token_lines(ccfg.source, ccfg.merges or None)
+    tgt = _token_lines(ccfg.target, ccfg.merges or None)
+    vocab_src = build_vocab(src, ccfg.min_count)
+    vocab_tgt = build_vocab(tgt, ccfg.min_count) if encode_target else None
+    corpus = _load_pairs(ccfg.source, ccfg.target, src, tgt,
                          vocab_src, vocab_tgt, ccfg.max_len)
-    return vocab_src, vocab_tgt, merges_src, merges_tgt, corpus
+    return vocab_src, vocab_tgt, src.merges, tgt.merges, corpus
 
 
 def _load_run_vocabs(out: Path):
@@ -155,18 +146,21 @@ def cmd_embed(config: RunConfig) -> Path:
     out = _prepare_out(config)
     ccfg = config.corpus
     require_file(ccfg.source, "corpus.source")
-    src_units, merges_src = _prepare_side(ccfg.source, ccfg.merges)
-    vocab = build_vocab(src_units, ccfg.min_count)
+    src = _token_lines(ccfg.source, ccfg.merges or None)
+    vocab = build_vocab(src, ccfg.min_count)
 
     # one vocabulary, cut at corpus.min_count, serves both the encoder and
     # the difficulty vectors; out-of-vocabulary tokens never enter the
     # stream (their difficulty comes from the max-norm unknown rule instead)
-    lines = [[i for i in vocab.encode(toks) if i != UNK_ID] for toks in src_units]
-    table = train_sgns(lines, config.sgns, vocab.tokens)
+    ids = src.encode(vocab)
+    known = ids != UNK_ID
+    kept_before = np.concatenate(([0], np.cumsum(known)))
+    table = train_sgns(ids[known], kept_before[src.offsets], config.sgns,
+                       vocab.tokens)
 
     vocab.save(out / VOCAB_SRC_FILE)
-    if merges_src is not None:
-        merges_src.save(out / MERGES_SRC_FILE)
+    if src.merges is not None:
+        src.merges.save(out / MERGES_SRC_FILE)
     table.save_vectors(out / VECTORS_FILE)
     table.save_norms(out / NORMS_FILE)
     print(f"embed: {len(vocab)} vectors of dim {config.sgns.dim} "
@@ -203,17 +197,18 @@ def cmd_score(config: RunConfig, vectors: str | None = None) -> Path:
 # train
 # ---------------------------------------------------------------------------
 
-def _dev_pairs(config: RunConfig, vocab_src, vocab_tgt, merges_src, merges_tgt,
-               corpus: ParallelCorpus):
+def _dev_corpus(config: RunConfig, vocab_src, vocab_tgt, merges_src, merges_tgt,
+                corpus: ParallelCorpus) -> ParallelCorpus:
+    """The dev files segmented with the training merges, or else the
+    first 200 training pairs."""
     ccfg = config.corpus
     if ccfg.dev_source and ccfg.dev_target:
         src = require_file(ccfg.dev_source, "corpus.dev_source")
         tgt = require_file(ccfg.dev_target, "corpus.dev_target")
-        dev = _load_pairs(src, tgt, _segment(src, merges_src),
-                          _segment(tgt, merges_tgt), vocab_src, vocab_tgt,
-                          ccfg.max_len)
-        return dev.pairs
-    return corpus.pairs[: min(200, len(corpus))]
+        return _load_pairs(src, tgt, _token_lines(src, merges_src),
+                           _token_lines(tgt, merges_tgt), vocab_src, vocab_tgt,
+                           ccfg.max_len)
+    return corpus.head(min(200, len(corpus)))
 
 
 def _trace_rows_upto(path: Path, step: int) -> list[str]:
@@ -247,16 +242,10 @@ def _check_vocab_digest(state: TrainerState, ckpt, digest: str) -> None:
 def cmd_train(config: RunConfig, resume: bool = False,
               checkpoint: str | None = None,
               difficulty: str | None = None) -> Path:
-    out = _prepare_out(config)
+    out = config.resolved_out_dir()
     vocab_src, vocab_tgt, merges_src, merges_tgt, corpus = _prepare_corpus(config)
-    vocab_src.save(out / VOCAB_SRC_FILE)
-    vocab_tgt.save(out / VOCAB_TGT_FILE)
-    if merges_src is not None:
-        merges_src.save(out / MERGES_SRC_FILE)
-    if merges_tgt is not None:
-        merges_tgt.save(out / MERGES_TGT_FILE)
-    dev_pairs = _dev_pairs(config, vocab_src, vocab_tgt, merges_src,
-                           merges_tgt, corpus)
+    dev = _dev_corpus(config, vocab_src, vocab_tgt, merges_src, merges_tgt,
+                      corpus)
 
     cur = config.curriculum
     profile = None
@@ -303,6 +292,15 @@ def cmd_train(config: RunConfig, resume: bool = False,
         state.capture_anchor()
         trace_rows = []
 
+    # the run directory changes only once a resume has been accepted
+    _prepare_out(config)
+    vocab_src.save(out / VOCAB_SRC_FILE)
+    vocab_tgt.save(out / VOCAB_TGT_FILE)
+    if merges_src is not None:
+        merges_src.save(out / MERGES_SRC_FILE)
+    if merges_tgt is not None:
+        merges_tgt.save(out / MERGES_TGT_FILE)
+
     schedule = state.schedule
     evals = state.evals
     best_acc = max((e["token_accuracy"] for e in evals), default=float("-inf"))
@@ -317,14 +315,13 @@ def cmd_train(config: RunConfig, resume: bool = False,
         for t in range(start_step, config.total_steps + 1):
             c_used = schedule.competence(state.step)
             driver_before = schedule.driver
-            pairs = sample_batch(sampler, corpus, c_used)
+            ids = sample_batch(sampler, corpus, c_used)
             if profile is None:
                 weights = None
             else:
-                weights = sentence_weight(profile.cdf[[p.id for p in pairs]],
-                                          c_used, cur.lambda_w)
+                weights = sentence_weight(profile.cdf[ids], c_used, cur.lambda_w)
             lr = lr_schedule(t, config.optimizer.warmup, config.optimizer.peak_lr)
-            metrics = train_step(state, build_batch(pairs), weights, lr)
+            metrics = train_step(state, build_batch(corpus, ids), weights, lr)
             schedule.observe_norm(metrics["m_t"])
 
             if t == start_step or t % config.log_interval == 0 \
@@ -336,7 +333,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
                     f"{_fmt(mean_w)},{_fmt(metrics['loss'])},{_fmt(lr)}\n"
                 )
             if t % config.eval_interval == 0 or t == config.total_steps:
-                acc = token_accuracy(state.model, dev_pairs)
+                acc = token_accuracy(state.model, dev)
                 evals.append({"step": t, "token_accuracy": float(acc),
                               "loss": float(metrics["loss"])})
                 state.sampler_rng = sampler.rng_state()
@@ -379,17 +376,20 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
     vocab_src, vocab_tgt, merges_src, merges_tgt = _load_run_vocabs(out)
     _check_vocab_digest(state, ckpt, _vocab_digest(vocab_src, vocab_tgt))
 
-    sources = _segment(require_file(test_source, "test source file"), merges_src)
-    refs = _segment(require_file(test_target, "test target file"))
-    if not sources or not refs:
+    sources = _token_lines(require_file(test_source, "test source file"),
+                           merges_src)
+    refs = list(map(tokenize, read_lines(require_file(test_target,
+                                                      "test target file"))))
+    if not len(sources) or not refs:
         raise ConfigError("empty test file")
     if len(sources) != len(refs):
         raise DataError(f"test line counts differ: {len(sources)} vs {len(refs)}")
-    for i, toks in enumerate(sources):
-        if not toks:
-            raise DataError(f"test source line {i + 1} is empty")
+    empty = np.flatnonzero(np.diff(sources.offsets) == 0)
+    if empty.size:
+        raise DataError(f"test source line {empty[0] + 1} is empty")
 
-    hyps = decode_corpus(state.model, [vocab_src.encode(t) for t in sources],
+    ids = np.split(sources.encode(vocab_src), sources.offsets[1:-1])
+    hyps = decode_corpus(state.model, [line.tolist() for line in ids],
                          config.eval)
     hyp_words = []
     for h in hyps:

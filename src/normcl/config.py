@@ -5,7 +5,9 @@ owning module's dataclass where one exists (sgns, model, eval), or
 build the owning module's object from their values (curriculum builds
 its competence schedule), so every range check lives in one place and
 fires at construction time, before any compute starts.  Each check
-names its field; ``run_config_from_dict`` adds the block name.
+names its field; ``run_config_from_dict`` adds the block name.  Before
+that, ``_build_block`` checks each value's JSON type against its field's
+annotation.
 The ``seed`` at the top level flows into sgns/model seeds unless those
 blocks pin their own.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -134,12 +137,26 @@ _BLOCKS = {
 _SEEDED_BLOCKS = ("sgns", "model")
 
 
+def _check_types(prefix: str, cls, data: dict) -> None:
+    """Refuse a value whose JSON type its field's annotation does not
+    allow: a bool is no int, an int is a float, None only where named."""
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if not any(type(value) is t or t is float and type(value) is int
+                   for t in allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__
+                                for t in allowed)
+            raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")
+
+
 def _build_block(name: str, cls, data: dict):
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError("unknown config fields: " + ", ".join(
             f"{name}.{key}" for key in sorted(unknown)))
+    _check_types(f"{name}.", cls, data)
     try:
         return cls(**data)
     except ConfigError as exc:
@@ -153,6 +170,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - top_fields
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    _check_types("", RunConfig, {k: v for k, v in data.items() if k not in _BLOCKS})
     seed = data.get("seed", 0)
     kwargs = {}
     for name, cls in _BLOCKS.items():

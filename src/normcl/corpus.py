@@ -7,10 +7,11 @@ from word frequencies; a word is represented as its characters plus a
 standalone end-of-word marker, so zero merges gives character-level
 segmentation.
 
-``learn_merges``, ``build_vocab`` and ``load_parallel`` take lines that
-are already tokenized, so a caller reads and segments each text file
-once and hands the same token lines to all three.  All functions here
-are pure over their inputs: identical lines and settings produce
+Text is held as flat arrays plus line offsets.  ``TokenLines`` reads a
+file once and interns its tokens, so a vocabulary is counted with one
+``np.bincount`` and encoded with one gather; ``ParallelCorpus`` holds
+one id array and one offsets array per side.  All functions here are
+pure over their inputs: identical lines and settings produce
 byte-identical vocab, merge, and corpus artifacts.
 """
 
@@ -21,14 +22,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 __all__ = [
     "PAD", "UNK", "BOS", "EOS", "SPECIALS",
     "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID", "EOW",
-    "tokenize", "Vocabulary", "build_vocab",
+    "tokenize", "TokenLines", "Vocabulary", "build_vocab",
     "MergeTable", "learn_merges", "detokenize_subwords",
-    "SentencePair", "ParallelCorpus", "load_parallel", "read_lines",
+    "ParallelCorpus", "load_parallel", "read_lines",
 ]
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
@@ -42,6 +45,8 @@ _PUNCT_SPACED = str.maketrans({c: f" {c} " for c in string.punctuation})
 
 def tokenize(line: str) -> list[str]:
     """Whitespace tokens after separating punctuation characters."""
+    if line.replace(" ", "").isalnum():
+        return line.split()  # no punctuation and no other whitespace
     return line.translate(_PUNCT_SPACED).split()
 
 
@@ -53,6 +58,75 @@ def read_lines(path) -> Iterator[str]:
 
 def _line_tokens(line) -> Sequence[str]:
     return line.split() if isinstance(line, str) else line
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Line ``i`` of ``lengths`` spans ``offsets[i]:offsets[i + 1]``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+class TokenLines:
+    """One side of a corpus after segmentation, interned: line ``i`` is
+    ``[types[t] for t in ids[offsets[i]:offsets[i + 1]]]``, and
+    ``types`` holds each distinct token once.
+
+    ``lines`` yields one token sequence per line (a string is split on
+    whitespace).  ``merges`` is a ``MergeTable`` to apply, a number of
+    merges to learn from these lines and apply, or None; ``.merges`` is
+    then the table applied.  The lines are read once, at the first use of
+    ``types``, ``ids``, ``offsets`` or ``merges``.
+    """
+
+    def __init__(self, lines: Iterable, merges=None):
+        self._lines, self._merges = lines, merges
+
+    def __getattr__(self, name: str):
+        if name in ("types", "ids"):
+            # interned at first use: a side read only for its lengths,
+            # such as the target side of ``score``, skips this pass
+            flat = self._flat
+            index = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+            self.types = list(index)
+            self.ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
+                                   count=len(flat))
+            del self._flat
+            return getattr(self, name)
+        if name not in ("_flat", "offsets", "merges"):
+            raise AttributeError(name)
+        lines, merges = self._lines, self._merges
+        if isinstance(merges, int):
+            lines = list(map(_line_tokens, lines))
+            merges = learn_merges(lines, merges)
+        if merges is not None:
+            lines = (merges.apply(_line_tokens(line)) for line in lines)
+        # each line's list is dropped once copied, which keeps the garbage
+        # collector's count of live containers, and so its work, flat
+        flat, lengths = [], []
+        for line in lines:
+            tokens = line.split() if isinstance(line, str) else line
+            flat += tokens
+            lengths.append(len(tokens))
+        self._flat, self.offsets, self.merges = flat, _offsets(lengths), merges
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def counts(self) -> np.ndarray:
+        """Occurrences of each of ``types``."""
+        return np.bincount(self.ids, minlength=len(self.types))
+
+    def encode(self, vocab: "Vocabulary") -> np.ndarray:
+        """Every token's id in ``vocab``, flat, aligned with ``offsets``."""
+        table = np.fromiter(map(vocab.encode_token, self.types), dtype=np.int64,
+                            count=len(self.types))
+        return table[self.ids]
+
+
+def _as_token_lines(lines) -> TokenLines:
+    return lines if isinstance(lines, TokenLines) else TokenLines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +191,20 @@ class Vocabulary:
 def build_vocab(tokenized_text: Iterable, min_count: int = 1) -> Vocabulary:
     """Count tokens and keep those with count >= min_count.
 
-    ``tokenized_text`` is a stream of lines (strings split on
-    whitespace, or pre-split token sequences).  Entries after the
-    specials are ordered by descending count, then lexicographically.
+    ``tokenized_text`` is a ``TokenLines`` or a stream of lines (strings
+    split on whitespace, or pre-split token sequences).  Entries after
+    the specials are ordered by descending count, then lexicographically.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    counter: Counter[str] = Counter()
-    empty = True
-    for line in tokenized_text:
-        empty = False
-        counter.update(_line_tokens(line))
-    if empty:
+    text = _as_token_lines(tokenized_text)
+    if not len(text):
         raise DataError("cannot build a vocabulary from an empty stream")
-    kept = sorted(
-        ((tok, c) for tok, c in counter.items() if c >= min_count),
-        key=lambda item: (-item[1], item[0]),
-    )
-    tokens = list(SPECIALS) + [tok for tok, _ in kept]
-    counts = [0, 0, 0, 0] + [c for _, c in kept]
-    return Vocabulary(tokens, counts)
+    types, counts = text.types, text.counts().tolist()
+    kept = sorted((i for i, c in enumerate(counts) if c >= min_count),
+                  key=lambda i: (-counts[i], types[i]))
+    return Vocabulary(list(SPECIALS) + [types[i] for i in kept],
+                      [0, 0, 0, 0] + [counts[i] for i in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +282,10 @@ def learn_merges(tokenized_text: Iterable, n_merges: int) -> MergeTable:
     """
     if n_merges < 0:
         raise ConfigError(f"n_merges must be >= 0, got {n_merges}")
-    word_freq: Counter[str] = Counter()
-    empty = True
-    for line in tokenized_text:
-        empty = False
-        word_freq.update(_line_tokens(line))
-    if empty:
+    words = _as_token_lines(tokenized_text)
+    if not len(words):
         raise DataError("cannot learn merges from an empty stream")
+    word_freq = dict(zip(words.types, words.counts().tolist()))
 
     types: dict[str, tuple[str, ...]] = {w: _word_symbols(w) for w in word_freq}
     merges: list[tuple[str, str]] = []
@@ -261,48 +326,68 @@ def detokenize_subwords(symbols: Sequence[str]) -> list[str]:
 # Parallel corpus
 # ---------------------------------------------------------------------------
 
-class SentencePair(NamedTuple):
-    id: int
+class Pair(NamedTuple):
     src: tuple[int, ...]
-    tgt: tuple[int, ...] | None  # None when loaded without a target vocabulary
+    tgt: tuple[int, ...] | None
 
 
 @dataclass
 class ParallelCorpus:
-    pairs: list[SentencePair]
+    """Sentence pairs as flat id arrays: pair ``i``'s source is
+    ``src[src_offsets[i]:src_offsets[i + 1]]``, its target likewise.
+    ``tgt`` is None when loaded without a target vocabulary."""
+
+    src: np.ndarray
+    src_offsets: np.ndarray
+    tgt: np.ndarray | None
+    tgt_offsets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.src_offsets) - 1
 
-    def __iter__(self):
-        return iter(self.pairs)
+    @property
+    def src_lengths(self) -> np.ndarray:
+        return np.diff(self.src_offsets)
 
-    def __getitem__(self, idx: int) -> SentencePair:
-        return self.pairs[idx]
+    @property
+    def tgt_lengths(self) -> np.ndarray:
+        return np.diff(self.tgt_offsets)
+
+    def head(self, n: int) -> "ParallelCorpus":
+        """The first ``n`` pairs."""
+        return ParallelCorpus(self.src[:self.src_offsets[n]], self.src_offsets[:n + 1],
+                              self.tgt[:self.tgt_offsets[n]], self.tgt_offsets[:n + 1])
+
+    def __getitem__(self, i: int) -> Pair:
+        """Pair ``i`` as tuples of ids, for inspection."""
+        src = self.src[self.src_offsets[i]:self.src_offsets[i + 1]]
+        tgt = None if self.tgt is None else \
+            self.tgt[self.tgt_offsets[i]:self.tgt_offsets[i + 1]]
+        return Pair(tuple(src.tolist()), None if tgt is None else tuple(tgt.tolist()))
 
 
-def load_parallel(src_lines: Sequence[Sequence[str]],
-                  tgt_lines: Sequence[Sequence[str]], vocab_src: Vocabulary,
+def load_parallel(src_lines, tgt_lines, vocab_src: Vocabulary,
                   vocab_tgt: Vocabulary | None, max_len: int = 200) -> ParallelCorpus:
     """Encode line-aligned segmented sentences, dropping bad pairs.
 
-    ``src_lines`` and ``tgt_lines`` hold one token sequence per line,
-    after tokenization and any subword merges.  A pair is dropped when
-    either side is empty or longer than ``max_len`` tokens.  Survivors
-    keep their original order and are renumbered 0..M-1.  Without
-    ``vocab_tgt`` the target side only filters: every ``tgt`` is None.
+    ``src_lines`` and ``tgt_lines`` are ``TokenLines``, or one token
+    sequence per line, after tokenization and any subword merges.  A
+    pair is dropped when either side is empty or longer than
+    ``max_len`` tokens.  Survivors keep their original order and are
+    renumbered 0..M-1.  Without ``vocab_tgt`` the target side only
+    filters: ``tgt`` is None.
     """
-    if len(src_lines) != len(tgt_lines):
+    src, tgt = _as_token_lines(src_lines), _as_token_lines(tgt_lines)
+    if len(src) != len(tgt):
         raise DataError(
-            f"line counts differ: source has {len(src_lines)}, "
-            f"target has {len(tgt_lines)}"
+            f"line counts differ: source has {len(src)}, target has {len(tgt)}"
         )
-    pairs: list[SentencePair] = []
-    for src_tokens, tgt_tokens in zip(src_lines, tgt_lines):
-        if not (0 < len(src_tokens) <= max_len and 0 < len(tgt_tokens) <= max_len):
-            continue
-        tgt = None if vocab_tgt is None else tuple(vocab_tgt.encode(tgt_tokens))
-        pairs.append(SentencePair(len(pairs), tuple(vocab_src.encode(src_tokens)), tgt))
-    if not pairs:
+    src_len, tgt_len = np.diff(src.offsets), np.diff(tgt.offsets)
+    keep = (src_len > 0) & (src_len <= max_len) & (tgt_len > 0) & (tgt_len <= max_len)
+    if not keep.any():
         raise DataError("no sentence pairs survived length filtering")
-    return ParallelCorpus(pairs)
+    tgt_ids = None if vocab_tgt is None else \
+        tgt.encode(vocab_tgt)[np.repeat(keep, tgt_len)]
+    return ParallelCorpus(src.encode(vocab_src)[np.repeat(keep, src_len)],
+                          _offsets(src_len[keep]), tgt_ids,
+                          _offsets(tgt_len[keep]))

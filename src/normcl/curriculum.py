@@ -12,7 +12,6 @@ weighted by (difficulty / competence) ** lambda_w.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,16 +45,14 @@ def _sentence_sums(corpus: ParallelCorpus, value: np.ndarray) -> np.ndarray:
     of the sentences longer than ``j``.  np.add.reduceat would add in
     another order and change the last bits.
     """
-    lengths = np.array([len(p.src) for p in corpus], dtype=np.int64)
+    lengths, ids = corpus.src_lengths, corpus.src
     if (lengths == 0).any():
         raise DataError("cannot score an empty sentence")
     if len(lengths) == 0:
         return np.zeros(0)
-    ids = np.fromiter(itertools.chain.from_iterable(p.src for p in corpus),
-                      dtype=np.int64, count=int(lengths.sum()))
     if ids.min() < 0 or ids.max() >= len(value):
         raise DataError(f"token id outside the scoring table of {len(value)} ids")
-    starts = np.cumsum(lengths) - lengths
+    starts = corpus.src_offsets[:-1]
     sums = np.zeros(len(lengths))
     for j in range(lengths.max()):
         rows = np.flatnonzero(lengths > j)
@@ -185,7 +182,7 @@ class DifficultyProfile:
                 raise ConfigError("criterion=norm needs an embedding table")
             raw = _sentence_sums(corpus, table.word_norms)
         elif criterion == "length":
-            raw = np.array([len(p.src) for p in corpus], dtype=np.float64)
+            raw = corpus.src_lengths.astype(np.float64)
         elif criterion == "rarity":
             if vocab is None:
                 raise ConfigError("criterion=rarity needs a vocabulary")
@@ -204,10 +201,10 @@ class DifficultyProfile:
         return cls(raw, cdf, criterion)
 
     def save(self, path) -> None:
+        rows = zip(self.raw.tolist(), self.cdf.tolist())
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(len(self.raw)):
-                fh.write(f"{i}\t{float(self.raw[i])!r}\t"
-                         f"{float(self.cdf[i])!r}\t{self.criterion}\n")
+            fh.write("".join(f"{i}\t{raw!r}\t{cdf!r}\t{self.criterion}\n"
+                             for i, (raw, cdf) in enumerate(rows)))
 
     @classmethod
     def load(cls, path) -> "DifficultyProfile":
@@ -331,9 +328,8 @@ class SamplerState:
             self.order = np.lexsort((np.arange(n), profile.cdf))
             self.sorted_cdf = profile.cdf[self.order]
         # longer side of each pair, in difficulty order, for budget checks
-        max_side = np.fromiter((max(len(p.src), len(p.tgt)) for p in corpus),
-                               dtype=np.int64, count=n)
-        self.max_side = max_side[self.order]
+        self.max_side = np.maximum(corpus.src_lengths,
+                                   corpus.tgt_lengths)[self.order]
         self.token_budget = token_budget
         self.min_pool = min_pool
         self.rng = np.random.default_rng(seed)
@@ -355,8 +351,9 @@ class SamplerState:
 
 
 def sample_batch(state: SamplerState, corpus: ParallelCorpus,
-                 c_hat: float) -> list:
-    """Uniform draw from the eligible pool under a per-side token budget.
+                 c_hat: float) -> np.ndarray:
+    """Uniform draw from the eligible pool under a per-side token budget;
+    returns the sentence ids in draw order.
 
     Within a batch sentences never repeat; across batches they can.
     The first drawn pair is always taken, then pairs accumulate until
@@ -367,16 +364,8 @@ def sample_batch(state: SamplerState, corpus: ParallelCorpus,
         raise ConfigError(
             f"token_budget {state.token_budget} cannot fit any eligible pair"
         )
-    perm = state.rng.permutation(k)
-    batch = []
-    src_total = tgt_total = 0
-    for idx in perm:
-        pair = corpus[int(state.order[idx])]
-        s, t = len(pair.src), len(pair.tgt)
-        if batch and (src_total + s > state.token_budget
-                      or tgt_total + t > state.token_budget):
-            break
-        batch.append(pair)
-        src_total += s
-        tgt_total += t
-    return batch
+    ids = state.order[state.rng.permutation(k)]
+    # running totals only grow, so the pairs that fit are a prefix
+    fits = ((np.cumsum(corpus.src_lengths[ids]) <= state.token_budget)
+            & (np.cumsum(corpus.tgt_lengths[ids]) <= state.token_budget))
+    return ids[:max(1, int(fits.sum()))]

@@ -19,10 +19,9 @@ the same vectors on every run.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -245,25 +244,22 @@ def _sample_chunk(flat: np.ndarray, starts: np.ndarray, seen: int,
                   noise.lookup(draws))
 
 
-def train_sgns(corpus: Iterable[Sequence[int]], config: SgnsConfig,
+def train_sgns(flat: np.ndarray, offsets: np.ndarray, config: SgnsConfig,
                tokens: Sequence[str]) -> EmbeddingTable:
-    """Train input-side vectors over a stream of token-id lines.
+    """Train input-side vectors over token-id lines.
 
-    Ids in the corpus index into the vocabulary ``tokens``, which the
-    caller has already cut to its minimum count.  The corpus is read once.
+    Line ``i`` is ``flat[offsets[i]:offsets[i + 1]]``; empty lines are
+    skipped.  Ids index into the vocabulary ``tokens``, which the caller
+    has already cut to its minimum count.
     """
     vocab_size = len(tokens)
     if vocab_size < config.negatives + 1:
         raise ConfigError(
             f"vocabulary of {vocab_size} is too small for {config.negatives} negatives"
         )
-    lines = [line for line in corpus if len(line) > 0]
-    if not lines:
+    starts = np.unique(offsets)  # the first position of each non-empty line
+    if len(starts) < 2:
         raise DataError("cannot train embeddings on an empty corpus")
-    starts = np.cumsum([0] + [len(line) for line in lines])
-    flat = np.fromiter(itertools.chain.from_iterable(lines), dtype=np.int64,
-                       count=starts[-1])
-    del lines
     if flat.min() < 0 or flat.max() >= vocab_size:
         raise DataError("token id outside vocabulary range in training corpus")
 

@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair
+from .corpus import BOS_ID, EOS_ID, PAD_ID, ParallelCorpus
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
     Tensor, add, attention, concat, cross_entropy_with_log_softmax, dropout,
@@ -74,7 +72,7 @@ class ModelConfig:
 
 @dataclass
 class EncodedBatch:
-    ids: list[int]
+    ids: np.ndarray        # (B,) sentence ids
     src: np.ndarray        # (B, Ts) source ids, eos-terminated, padded
     tgt_in: np.ndarray     # (B, Tt) bos + target
     tgt_out: np.ndarray    # (B, Tt) target + eos
@@ -87,37 +85,38 @@ class EncodedBatch:
         return len(self.ids)
 
 
-def build_batch(pairs: Sequence[SentencePair]) -> EncodedBatch:
-    """Pad a list of sentence pairs into dense arrays.
+def _pad(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+         width: int) -> np.ndarray:
+    """Rows ``flat[starts[i]:starts[i] + lengths[i]]``, padded to ``width``."""
+    out = np.full((len(starts), width), PAD_ID, dtype=np.int64)
+    cols = np.arange(width)
+    real = cols < lengths[:, None]
+    out[real] = flat[(starts[:, None] + cols)[real]]
+    return out
+
+
+def build_batch(corpus: ParallelCorpus, ids) -> EncodedBatch:
+    """Pad the pairs ``ids`` of ``corpus`` into dense arrays.
 
     The source gets an end-of-sentence terminator; target input/output
     are the usual one-step-shifted pair around bos/eos.
     """
-    if not pairs:
+    ids = np.asarray(ids, dtype=np.int64)
+    if not len(ids):
         raise DataError("cannot build an empty batch")
-    b = len(pairs)
-    ts = max(len(p.src) for p in pairs) + 1
-    tt = max(len(p.tgt) for p in pairs) + 1
-    src = np.full((b, ts), PAD_ID, dtype=np.int64)
-    tgt_in = np.full((b, tt), PAD_ID, dtype=np.int64)
-    tgt_out = np.full((b, tt), PAD_ID, dtype=np.int64)
-    src_pad = np.zeros((b, ts), dtype=bool)
-    loss_mask = np.zeros((b, tt), dtype=np.float64)
-    tgt_lens = np.zeros(b, dtype=np.int64)
-    for i, p in enumerate(pairs):
-        ns, nt = len(p.src), len(p.tgt)
-        src[i, :ns] = p.src
-        src[i, ns] = EOS_ID
-        src_pad[i, ns + 1:] = True
-        tgt_in[i, 0] = BOS_ID
-        tgt_in[i, 1:nt + 1] = p.tgt
-        tgt_out[i, :nt] = p.tgt
-        tgt_out[i, nt] = EOS_ID
-        loss_mask[i, :nt + 1] = 1.0
-        tgt_lens[i] = nt + 1
-    src_mask = np.where(src_pad, NEG_INF, 0.0)[:, None, None, :]
-    return EncodedBatch([p.id for p in pairs], src, tgt_in, tgt_out,
-                        src_mask, loss_mask, tgt_lens)
+    rows = np.arange(len(ids))
+    ns, nt = corpus.src_lengths[ids], corpus.tgt_lengths[ids]
+    ts, tt = int(ns.max()) + 1, int(nt.max()) + 1
+    src = _pad(corpus.src, corpus.src_offsets[ids], ns, ts)
+    src[rows, ns] = EOS_ID
+    tgt_out = _pad(corpus.tgt, corpus.tgt_offsets[ids], nt, tt)
+    tgt_in = np.empty_like(tgt_out)
+    tgt_in[:, 0] = BOS_ID
+    tgt_in[:, 1:] = tgt_out[:, :-1]
+    tgt_out[rows, nt] = EOS_ID
+    loss_mask = (np.arange(tt) <= nt[:, None]).astype(np.float64)
+    src_mask = np.where(np.arange(ts) > ns[:, None], NEG_INF, 0.0)[:, None, None, :]
+    return EncodedBatch(ids, src, tgt_in, tgt_out, src_mask, loss_mask, nt + 1)
 
 
 def _causal_mask(t: int, dtype) -> np.ndarray:

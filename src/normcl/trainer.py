@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import ParallelCorpus
 from .curriculum import CompetenceSchedule, embedding_matrix_norm
 from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .model import EncodedBatch, ModelConfig, Transformer, build_batch
@@ -72,25 +73,27 @@ def train_step(state: TrainerState, batch: EncodedBatch,
     if not np.isfinite(value):
         raise TrainingDiverged(
             f"non-finite loss {value!r}", step=state.step + 1,
-            batch_ids=list(batch.ids))
+            batch_ids=batch.ids.tolist())
     model.zero_grad()
     loss.backward()
     try:
         adam_step(model.params, state.adam, lr)
     except TrainingDiverged as exc:
         raise TrainingDiverged(str(exc), step=state.step + 1,
-                               batch_ids=list(batch.ids)) from exc
+                               batch_ids=batch.ids.tolist()) from exc
     state.step += 1
     m_t = embedding_matrix_norm(model.source_embedding())
     return {"loss": value, "lr": lr, "m_t": m_t, "nll": per_sentence}
 
 
-def token_accuracy(model: Transformer, pairs, batch_size: int = 64) -> float:
-    """Teacher-forced next-token argmax accuracy, padding excluded."""
+def token_accuracy(model: Transformer, corpus: ParallelCorpus,
+                   batch_size: int = 64) -> float:
+    """Teacher-forced next-token argmax accuracy over every pair of
+    ``corpus``, padding excluded."""
     correct = 0
     total = 0
-    for lo in range(0, len(pairs), batch_size):
-        batch = build_batch(pairs[lo:lo + batch_size])
+    for lo in range(0, len(corpus), batch_size):
+        batch = build_batch(corpus, np.arange(lo, min(lo + batch_size, len(corpus))))
         with no_grad():
             logits = model.forward(batch, train=False)
         pred = logits.data.argmax(axis=-1)
@@ -141,30 +144,34 @@ def _write_tensor(fh, name: str, array: np.ndarray, dtype: np.dtype) -> None:
     fh.write(data)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return buf
+class _Reader:
+    """A checkpoint's bytes, read in one call and parsed front to back."""
 
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            self.view, self.pos = memoryview(fh.read()), 0
 
-def _read_tensor(fh, dtype: np.dtype) -> tuple[str, np.ndarray]:
-    """One tensor record, read into a fresh writable array of ``dtype``."""
-    (name_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-    name = _decode(_read_exact(fh, name_len), "tensor name")
-    (rank,) = struct.unpack("<Q", _read_exact(fh, 8))
-    shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank))
-    (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8))
-    want = math.prod(shape) * dtype.itemsize
-    if nbytes != want:
-        raise CheckpointError(
-            f"tensor {name} holds {nbytes} bytes, but shape {shape} in the "
-            f"header's model_config.dtype {dtype.name} needs {want}"
-        )
-    data = np.empty(shape, dtype=dtype)
-    if fh.readinto(data) != nbytes:
-        raise CheckpointError("truncated checkpoint file")
-    return name, data
+    def take(self, n: int) -> memoryview:
+        if n > len(self.view) - self.pos:
+            raise CheckpointError("truncated checkpoint file")
+        self.pos += n
+        return self.view[self.pos - n:self.pos]
+
+    def counts(self, n: int) -> tuple:
+        return struct.unpack(f"<{n}Q", self.take(8 * n))
+
+    def tensor(self, dtype: np.dtype) -> tuple[str, np.ndarray]:
+        """One tensor record, copied into a fresh aligned array of ``dtype``."""
+        name = _decode(bytes(self.take(*self.counts(1))), "tensor name")
+        shape = self.counts(*self.counts(1))
+        (nbytes,) = self.counts(1)
+        want = math.prod(shape) * dtype.itemsize
+        if nbytes != want:
+            raise CheckpointError(
+                f"tensor {name} holds {nbytes} bytes, but shape {shape} in the "
+                f"header's model_config.dtype {dtype.name} needs {want}"
+            )
+        return name, np.frombuffer(self.take(nbytes), dtype=dtype).reshape(shape).copy()
 
 
 def _decode(raw: bytes, what: str) -> str:
@@ -263,22 +270,20 @@ def _parse_header(text: str) -> tuple[dict, ModelConfig, CompetenceSchedule]:
 
 
 def load_checkpoint(path) -> TrainerState:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format {version} unsupported (expected {FORMAT_VERSION})"
-            )
-        (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        meta, model_config, schedule = _parse_header(
-            _decode(_read_exact(fh, blob_len), "header"))
-        dtype = _storage_dtype(model_config.dtype)
-        (n_tensors,) = struct.unpack("<Q", _read_exact(fh, 8))
-        tensors = dict(_read_tensor(fh, dtype) for _ in range(n_tensors))
+    buf = _Reader(path)
+    if buf.take(4) != MAGIC:
+        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+    (version,) = struct.unpack("<I", buf.take(4))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format {version} unsupported (expected {FORMAT_VERSION})"
+        )
+    meta, model_config, schedule = _parse_header(
+        _decode(bytes(buf.take(*buf.counts(1))), "header"))
+    dtype = _storage_dtype(model_config.dtype)
+    tensors = dict(buf.tensor(dtype) for _ in range(*buf.counts(1)))
 
-    # _read_tensor returned fresh arrays, so they are adopted uncopied
+    # the tensors are fresh arrays, so they are adopted uncopied
     model = Transformer(
         model_config, meta["src_vocab_size"], meta["tgt_vocab_size"],
         load=lambda name, shape: _take_tensor(tensors, "param/" + name, shape))

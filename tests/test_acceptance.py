@@ -17,8 +17,9 @@ from collections import Counter
 import numpy as np
 from scipy.stats import spearmanr
 
+from corpus_oracle import corpus_of
 from normcl.cli import main
-from normcl.corpus import ParallelCorpus, SentencePair, build_vocab, load_parallel, tokenize
+from normcl.corpus import build_vocab, load_parallel, tokenize
 from normcl.curriculum import (
     DifficultyProfile,
     SamplerState,
@@ -166,24 +167,24 @@ def _int_pairs(rng, n, lo=4, hi=40, min_len=3, max_len=8):
     for i in range(n):
         k = int(rng.integers(min_len, max_len + 1))
         toks = tuple(int(t) for t in rng.integers(lo, hi, size=k))
-        pairs.append(SentencePair(i, toks, toks))
-    return pairs
+        pairs.append((toks, toks))
+    return corpus_of(pairs)
 
 
 def test_03_sampler_soundness_and_uniformity():
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
     n = 2000
-    corpus = ParallelCorpus(_int_pairs(rng, n))
+    corpus = _int_pairs(rng, n)
     raw = rng.permutation(n).astype(float)
     profile = DifficultyProfile(raw, cdf_normalize(raw), "length")
 
     sampler = SamplerState(corpus, profile, token_budget=64, min_pool=1, seed=123)
     c_hat, drawn, violations = 0.37, 0, 0
     while drawn < 100_000:
-        for p in sample_batch(sampler, corpus, c_hat):
+        for i in sample_batch(sampler, corpus, c_hat):
             drawn += 1
-            if profile.cdf[p.id] >= c_hat:
+            if profile.cdf[i] >= c_hat:
                 violations += 1
     assert violations == 0
 
@@ -192,12 +193,11 @@ def test_03_sampler_soundness_and_uniformity():
     easiest = set(np.lexsort((np.arange(n), profile.cdf))[:64].tolist())
     got = set()
     for _ in range(200):
-        got.update(p.id for p in sample_batch(floor, corpus, 1e-4))
+        got.update(sample_batch(floor, corpus, 1e-4).tolist())
     assert got <= easiest
 
     # uniformity: 10 same-length pairs, budget forces one pair per batch
-    pool = ParallelCorpus([SentencePair(i, (4 + i, 5, 6, 7), (4 + i, 5, 6, 7))
-                           for i in range(10)])
+    pool = corpus_of([((4 + i, 5, 6, 7), (4 + i, 5, 6, 7)) for i in range(10)])
     raw10 = np.arange(10, dtype=float)
     prof10 = DifficultyProfile(raw10, cdf_normalize(raw10), "length")
     n_draws = 20_000
@@ -208,7 +208,7 @@ def test_03_sampler_soundness_and_uniformity():
         for _ in range(n_draws):
             batch = sample_batch(smp, pool, 1.0)
             assert len(batch) == 1
-            counts[batch[0].id] += 1
+            counts[int(batch[0])] += 1
         for i in range(10):
             assert abs(counts[i] - n_draws / 10) <= bound, (seed, i, counts[i])
     assert time.monotonic() - t0 < 30.0
@@ -271,8 +271,8 @@ def test_04_gradient_fidelity():
     cfg = ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16,
                       dropout=0.0, seed=3, dtype="float64")
     model = Transformer(cfg, 10, 10)
-    batch = build_batch([SentencePair(0, (4, 5, 6), (5, 4)),
-                         SentencePair(1, (7,), (8, 9, 6))])
+    batch = build_batch(corpus_of([((4, 5, 6), (5, 4)), ((7,), (8, 9, 6))]),
+                        [0, 1])
     for name in ("src_embed", "tgt_embed", "enc0.self.wq.w", "dec0.cross.wv.w",
                  "dec0.ff1.w", "enc0.ff2.b", "dec0.self.wo.b"):
         original = model.params[name]
@@ -302,8 +302,10 @@ def test_05_norms_track_rarity():
         lines = zipfian_corpus(seed=seed, vocab_size=220, n_tokens=200_000)
         vocab = build_vocab(lines, min_count=5)
         ids = [vocab.encode(line.split()) for line in lines]
+        flat = np.array([i for line in ids for i in line], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(line) for line in ids])
         cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=seed)
-        table = train_sgns(ids, cfg, vocab.tokens)
+        table = train_sgns(flat, offsets, cfg, vocab.tokens)
         logf, norms = [], []
         for tid in range(4, len(vocab)):
             count = vocab.count_of(tid)
@@ -341,8 +343,8 @@ def test_06_embedding_norm_grows_in_training(tmp_path):
 
     ms = [state.schedule.m0]
     for t in range(1, 501):
-        pairs = sample_batch(sampler, corpus, 1.0)
-        metrics = train_step(state, build_batch(pairs), None,
+        ids = sample_batch(sampler, corpus, 1.0)
+        metrics = train_step(state, build_batch(corpus, ids), None,
                              lr_schedule(t, 400, 2e-3))
         if t % 50 == 0:
             ms.append(float(metrics["m_t"]))
@@ -483,10 +485,10 @@ def test_08_vanilla_reduction(tmp_path):
             s, g = len(pair.src), len(pair.tgt)
             if batch and (src_total + s > budget or tgt_total + g > budget):
                 break
-            batch.append(pair)
+            batch.append(int(idx))
             src_total += s
             tgt_total += g
-        metrics = train_step(state, build_batch(batch), None,
+        metrics = train_step(state, build_batch(corpus, batch), None,
                              lr_schedule(t, 20, 1e-3))
         losses.append(float(metrics["loss"]))
 
@@ -565,7 +567,8 @@ def test_10_persistence_round_trip_and_resume(tmp_path):
                          config_hash="roundtrip")
     state.capture_anchor()
     rng = np.random.default_rng(1)
-    batch = build_batch(_int_pairs(rng, 6, lo=4, hi=30, min_len=2, max_len=7))
+    batch = build_batch(_int_pairs(rng, 6, lo=4, hi=30, min_len=2, max_len=7),
+                        range(6))
     for t in range(1, 4):
         train_step(state, batch, None, 1e-3)
     before = state.model.forward(batch).data.copy()

@@ -407,6 +407,24 @@ class TestResume:
         assert code == 2
         assert "refusing to resume" in capsys.readouterr().err
 
+    def test_refused_resume_leaves_the_run_directory_as_it_was(
+            self, workdir, trained, capsys):
+        """config.json and the vocabularies are written only once the
+        resume checks pass: a refused resume, here under other merges and
+        so other vocabularies, changes no file of the run directory."""
+        out = workdir / "resume_untouched"
+        cfg = workdir / "run.json"
+        difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--set", "total_steps=8") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"config.json", VOCAB_SRC_FILE, VOCAB_TGT_FILE} <= before.keys()
+        code = run_cli("train", "--config", cfg, "--out", out, "--resume",
+                       *difficulty, "--set", "corpus.merges=5")
+        assert code == 2
+        assert "refusing to resume" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_failed_save_keeps_the_previous_checkpoint(
             self, workdir, trained, monkeypatch):
         """A save that dies partway (the disk fills at the fifth tensor)
@@ -587,6 +605,32 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert str(workdir / "train.src") in err and str(short) in err
+
+    @pytest.mark.parametrize("override", [
+        "model.d_model=abc", "curriculum.invert=no", "model.n_layers=1.5",
+        "curriculum.lambda_m=null", "seed=true", "corpus.source=7",
+    ])
+    def test_value_of_the_wrong_type_rejected(self, workdir, tmp_path, capsys,
+                                               override):
+        """Each value is checked against its field's annotation: a bool is
+        no int, a string no bool, and null only where the field allows it."""
+        code = run_cli("score", "--config", workdir / "run.json",
+                       "--out", tmp_path, "--set", override,
+                       "--set", "curriculum.criterion=length")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{override.split('=')[0]} must be" in err
+        assert not (tmp_path / DIFFICULTY_FILE).exists()
+
+    @pytest.mark.parametrize("override", [
+        "curriculum.c0=1", "curriculum.lambda_t=null", "model.dropout=0",
+    ])
+    def test_int_for_float_and_allowed_null_accepted(self, workdir, tmp_path,
+                                                     override):
+        assert run_cli("score", "--config", workdir / "run.json",
+                       "--out", tmp_path, "--set", override,
+                       "--set", "curriculum.criterion=length") == 0
 
     def test_unknown_config_key_rejected(self, workdir, capsys):
         code = run_cli("score", "--config", workdir / "run.json",

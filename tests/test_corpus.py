@@ -3,17 +3,28 @@
 import random
 import re
 import string
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normcl.cli import _dev_pairs, _prepare_corpus
+import corpus_oracle as oracle
+from corpus_oracle import SentencePair, corpus_of, pairs_of
+from normcl.cli import _dev_corpus, _prepare_corpus
 from normcl.config import run_config_from_dict
 from normcl.corpus import (
-    BOS_ID, EOS_ID, EOW, PAD_ID, SPECIALS, UNK_ID,
-    MergeTable, ParallelCorpus, SentencePair, Vocabulary, build_vocab,
+    _PUNCT_SPACED, BOS_ID, EOS_ID, EOW, PAD_ID, SPECIALS, UNK_ID,
+    MergeTable, TokenLines, Vocabulary, build_vocab,
     detokenize_subwords, learn_merges, load_parallel, read_lines, tokenize,
 )
+from normcl.curriculum import (
+    DifficultyProfile, SamplerState, cdf_normalize, sample_batch,
+)
 from normcl.errors import ConfigError, DataError
+from normcl.model import EncodedBatch, build_batch
+from normcl.synth import synthetic_pairs
 
 
 class TestTokenize:
@@ -164,7 +175,6 @@ class TestLoadParallel:
         corpus = load_parallel(src, tgt, self._vocab(), self._vocab(), max_len=3)
         # line 2 is empty on the source side, line 3 exceeds max_len
         assert len(corpus) == 2
-        assert [p.id for p in corpus] == [0, 1]
         assert corpus[1].src == tuple(self._vocab().encode(["g"]))
 
     def test_lengths_measured_after_subword_split(self):
@@ -207,7 +217,7 @@ def _oracle_load_parallel(source_file, target_file, vocab_src, vocab_tgt,
         pairs.append(SentencePair(len(pairs), tuple(src), tuple(tgt)))
     if not pairs:
         raise DataError("no sentence pairs survived length filtering")
-    return ParallelCorpus(pairs)
+    return pairs
 
 
 class TestReadOncePath:
@@ -240,17 +250,118 @@ class TestReadOncePath:
             assert len(merges_src) == len(merges_tgt) == merges
         want = _oracle_load_parallel(ccfg.source, ccfg.target, vocab_src,
                                      vocab_tgt, max_len, merges_src, merges_tgt)
-        assert corpus.pairs == want.pairs
+        assert pairs_of(corpus) == want
         # empty lines and overlong lines were both dropped
         assert 0 < len(corpus) < len(self.SRC) - 2
-        dev = _dev_pairs(config, vocab_src, vocab_tgt, merges_src,
-                         merges_tgt, corpus)
-        assert dev == want.pairs
+        dev = _dev_corpus(config, vocab_src, vocab_tgt, merges_src,
+                          merges_tgt, corpus)
+        assert pairs_of(dev) == want
         for path, vocab, table in ((ccfg.source, vocab_src, merges_src),
                                    (ccfg.target, vocab_tgt, merges_tgt)):
             units = [tokenize(line) for line in read_lines(path)]
             if table is not None:
                 units = [table.apply(toks) for toks in units]
-            want_vocab = build_vocab(units)
+            want_vocab = oracle.build_vocab(units)
             assert (vocab.tokens, vocab.counts) == \
                 (want_vocab.tokens, want_vocab.counts)
+
+
+def test_dev_set_defaults_to_the_first_200_training_pairs(tmp_path):
+    src, tgt = synthetic_pairs(seed=3, n_pairs=260, vocab_size=30)
+    (tmp_path / "s").write_text("\n".join(src) + "\n")
+    (tmp_path / "t").write_text("\n".join(tgt) + "\n")
+    config = run_config_from_dict({"corpus": {
+        "source": str(tmp_path / "s"), "target": str(tmp_path / "t")}})
+    vocab_src, vocab_tgt, merges_src, merges_tgt, corpus = _prepare_corpus(config)
+    dev = _dev_corpus(config, vocab_src, vocab_tgt, merges_src, merges_tgt,
+                      corpus)
+    assert len(corpus) == 260
+    assert pairs_of(dev) == pairs_of(corpus)[:200]
+
+
+# ---------------------------------------------------------------------------
+# The flat-array path against the list path it replaced (corpus_oracle)
+# ---------------------------------------------------------------------------
+
+# few short words, so that counts tie, merges find pairs and lines repeat
+_WORDS = st.sampled_from(["a", "b", "ab", "ba", "abc", "cab", "c", "bb"])
+_LINES = st.lists(st.lists(_WORDS, max_size=7), min_size=1, max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_LINES, min_count=st.integers(1, 3), merges=st.sampled_from([0, 20]))
+def test_vocabulary_and_ids_match_the_list_path(lines, min_count, merges):
+    text = TokenLines(lines, merges or None)
+    units = lines
+    if merges:
+        table = learn_merges(lines, merges)
+        units = [table.apply(toks) for toks in lines]
+        assert text.merges.merges == table.merges
+    want = oracle.build_vocab(units, min_count)
+    got = build_vocab(text, min_count)
+    assert (got.tokens, got.counts) == (want.tokens, want.counts)
+    ids = text.encode(got)
+    assert [ids[a:b].tolist() for a, b in zip(text.offsets, text.offsets[1:])] \
+        == [want.encode(toks) for toks in units]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.lists(_WORDS, max_size=6),
+                                st.lists(_WORDS, max_size=6)),
+                      min_size=1, max_size=20),
+       max_len=st.integers(1, 6), encode_target=st.booleans())
+def test_length_filter_matches_the_list_path(pairs, max_len, encode_target):
+    """Empty lines and lines over ``max_len`` drop the pair, on either side."""
+    src, tgt = [s for s, _ in pairs], [t for _, t in pairs]
+    vocab_src = oracle.build_vocab(src, 2)
+    vocab_tgt = oracle.build_vocab(tgt, 2) if encode_target else None
+    try:
+        want = oracle.load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
+    except DataError:
+        with pytest.raises(DataError):
+            load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
+        return
+    got = load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
+    assert pairs_of(got) == want
+    assert got.tgt_lengths.tolist() == [
+        len(t) for s, t in pairs if 0 < len(s) <= max_len and 0 < len(t) <= max_len]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                        min_size=1, max_size=30),
+       budget=st.integers(1, 40), min_pool=st.integers(1, 6),
+       c_hat=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_sampled_ids_and_batches_match_the_list_path(lengths, budget, min_pool,
+                                                     c_hat, seed):
+    rng = np.random.default_rng(seed)
+    corpus = corpus_of([(rng.integers(4, 30, s).tolist(),
+                         rng.integers(4, 30, t).tolist()) for s, t in lengths])
+    raw = rng.integers(0, 5, len(lengths)).astype(float)  # with ties
+    profile = DifficultyProfile(raw, cdf_normalize(raw), "length")
+    got_state = SamplerState(corpus, profile, budget, min_pool, seed=seed)
+    want_state = SamplerState(corpus, profile, budget, min_pool, seed=seed)
+    pairs = pairs_of(corpus)
+    for _ in range(4):
+        try:
+            want = oracle.sample_batch(want_state, pairs, c_hat)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                sample_batch(got_state, corpus, c_hat)
+            return
+        got = sample_batch(got_state, corpus, c_hat)
+        assert got.tolist() == [p.id for p in want]
+        got_batch, want_batch = build_batch(corpus, got), oracle.build_batch(want)
+        for f in fields(EncodedBatch):
+            a = np.asarray(getattr(got_batch, f.name))
+            b = np.asarray(getattr(want_batch, f.name))
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=string.punctuation + " \t\r\x1c\x1d\x1e\x1f\u00a0\u2028"
+               "aZ9\u00e9\u00df\u0301\u4e2d\u0663", max_size=20))
+def test_tokenize_equals_the_translate_path(line):
+    """The split-only shortcut for lines of letters, digits and spaces
+    gives what separating punctuation and splitting always gave."""
+    assert tokenize(line) == line.translate(_PUNCT_SPACED).split()

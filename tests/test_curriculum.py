@@ -7,9 +7,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from normcl.corpus import (
-    UNK_ID, ParallelCorpus, SentencePair, Vocabulary,
-)
+from corpus_oracle import corpus_of
+from normcl.corpus import UNK_ID, Vocabulary
 from normcl.curriculum import (
     CompetenceSchedule, DifficultyProfile, SamplerState, cdf_normalize,
     competence_norm, competence_time, embedding_matrix_norm, sample_batch,
@@ -56,16 +55,12 @@ def _oracle_rarity(sentence, vocab):
 
 def _score(criterion, sentence, **inputs):
     """Raw difficulty of one sentence through DifficultyProfile.build."""
-    corpus = ParallelCorpus([SentencePair(0, tuple(sentence), (4,))])
+    corpus = corpus_of([(sentence, (4,))])
     return DifficultyProfile.build(corpus, criterion, **inputs).raw[0]
 
 
 def _corpus(lengths):
-    pairs = [
-        SentencePair(i, tuple([4] * s), tuple([4] * t))
-        for i, (s, t) in enumerate(lengths)
-    ]
-    return ParallelCorpus(pairs)
+    return corpus_of([([4] * s, [4] * t) for s, t in lengths])
 
 
 class TestDifficultyCriteria:
@@ -131,8 +126,7 @@ class TestDifficultyCriteria:
         table = EmbeddingTable(vocab.tokens, rng.normal(size=(n_ids, 7)))
         sentences = [rng.integers(UNK_ID, n_ids, size=rng.integers(1, 31))
                      for _ in range(300)]
-        corpus = ParallelCorpus([SentencePair(i, tuple(s.tolist()), (4,))
-                                 for i, s in enumerate(sentences)])
+        corpus = corpus_of([(s.tolist(), (4,)) for s in sentences])
         for criterion, oracle, inputs in (("norm", _oracle_norm, table),
                                           ("rarity", _oracle_rarity, vocab)):
             prof = DifficultyProfile.build(corpus, criterion, table=table,
@@ -306,11 +300,7 @@ class TestSentenceWeight:
 
 class TestDifficultyProfile:
     def _corpus(self):
-        return ParallelCorpus([
-            SentencePair(0, (4, 5), (4,)),
-            SentencePair(1, (6,), (5, 6)),
-            SentencePair(2, (4, 5, 6), (6,)),
-        ])
+        return corpus_of([((4, 5), (4,)), ((6,), (5, 6)), ((4, 5, 6), (6,))])
 
     def test_norm_criterion_orders_by_norm_sums(self):
         table = _table([0, 0, 0, 0, 1.0, 2.0, 10.0])
@@ -432,8 +422,7 @@ class TestSampler:
         assert state.eligible_count(0.35) == 3
         seen = set()
         for trial in range(200):
-            for pair in sample_batch(state, corpus, 0.35):
-                seen.add(pair.id)
+            seen.update(sample_batch(state, corpus, 0.35).tolist())
         assert seen == {0, 1, 2}
 
     def test_chat_one_includes_whole_corpus(self):
@@ -442,7 +431,7 @@ class TestSampler:
         assert state.eligible_count(1.0) == 10
         seen = set()
         for trial in range(300):
-            seen.update(p.id for p in sample_batch(state, corpus, 1.0))
+            seen.update(sample_batch(state, corpus, 1.0).tolist())
         assert seen == set(range(10))
 
     def test_min_pool_floor(self):
@@ -452,7 +441,7 @@ class TestSampler:
         assert state.eligible_count(0.05) == 2
         seen = set()
         for trial in range(100):
-            seen.update(p.id for p in sample_batch(state, corpus, 0.05))
+            seen.update(sample_batch(state, corpus, 0.05).tolist())
         assert seen == {0, 1}
 
     def test_budget_respected_after_first_pair(self):
@@ -461,14 +450,14 @@ class TestSampler:
         for trial in range(200):
             batch = sample_batch(state, corpus, 1.0)
             assert len(batch) >= 1
-            assert sum(len(p.src) for p in batch) <= 12
-            assert sum(len(p.tgt) for p in batch) <= 12
+            assert corpus.src_lengths[batch].sum() <= 12
+            assert corpus.tgt_lengths[batch].sum() <= 12
 
     def test_no_repeats_within_batch(self):
         corpus = _corpus([(1, 1)] * 6)
         state = SamplerState(corpus, self._profile(6), token_budget=100, seed=4)
         for trial in range(100):
-            ids = [p.id for p in sample_batch(state, corpus, 1.0)]
+            ids = sample_batch(state, corpus, 1.0).tolist()
             assert len(ids) == len(set(ids))
 
     def test_budget_too_small_rejected(self):
@@ -486,7 +475,7 @@ class TestSampler:
             for trial in range(n_draws):
                 batch = sample_batch(state, corpus, 1.0)
                 assert len(batch) == 1
-                counts[batch[0].id] += 1
+                counts[batch[0]] += 1
             # binomial 3-sigma band around n/10
             sigma = math.sqrt(n_draws * 0.1 * 0.9)
             assert (np.abs(counts - n_draws / 10) <= 3 * sigma).all()
@@ -497,17 +486,17 @@ class TestSampler:
         for _ in range(5):
             sample_batch(a, corpus, 1.0)
         saved = a.rng_state()
-        next_a = [p.id for p in sample_batch(a, corpus, 1.0)]
+        next_a = sample_batch(a, corpus, 1.0).tolist()
         b = SamplerState(corpus, self._profile(8), token_budget=10, seed=0)
         b.set_rng_state(saved)
-        assert [p.id for p in sample_batch(b, corpus, 1.0)] == next_a
+        assert sample_batch(b, corpus, 1.0).tolist() == next_a
 
     def test_natural_order_matches_reference_walk(self):
         corpus = _corpus([(2, 2), (3, 1), (1, 4), (2, 2), (4, 4), (1, 1)])
         state = SamplerState(corpus, None, token_budget=8, seed=11)
         ref_rng = np.random.default_rng(11)
         for step in range(50):
-            batch = [p.id for p in sample_batch(state, corpus, 1.0)]
+            batch = sample_batch(state, corpus, 1.0).tolist()
             perm = ref_rng.permutation(6)
             want, s_tot, t_tot = [], 0, 0
             for i in perm:

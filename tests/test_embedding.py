@@ -19,6 +19,12 @@ def _tiny_corpus(rng, n_lines=40, line_len=6, lo=4, hi=8):
     return [rng.integers(lo, hi, size=line_len).tolist() for _ in range(n_lines)]
 
 
+def _flat(lines):
+    """``train_sgns``'s input for id lines: the ids and the line offsets."""
+    flat = np.array([i for line in lines for i in line], dtype=np.int64)
+    return flat, np.cumsum([0] + [len(line) for line in lines])
+
+
 def _oracle_sgns_step(w_in, w_out, center, targets, n_pos, lr):
     """The per-center update: ``targets[:n_pos]`` carry label 1."""
     v = w_in[center]
@@ -148,34 +154,36 @@ class TestTrainSgns:
     def test_output_shape(self):
         corpus = _tiny_corpus(np.random.default_rng(0))
         cfg = SgnsConfig(dim=8, epochs=1, negatives=2, seed=1, subsample_threshold=1.0)
-        table = train_sgns(corpus, cfg, TOKENS8)
+        table = train_sgns(*_flat(corpus), cfg, TOKENS8)
         assert table.matrix.shape == (8, 8)
 
     def test_single_thread_determinism(self):
         corpus = _tiny_corpus(np.random.default_rng(1))
         cfg = SgnsConfig(dim=8, epochs=2, negatives=3, seed=5, subsample_threshold=1.0)
-        a = train_sgns(corpus, cfg, TOKENS8)
-        b = train_sgns(corpus, cfg, TOKENS8)
+        a = train_sgns(*_flat(corpus), cfg, TOKENS8)
+        b = train_sgns(*_flat(corpus), cfg, TOKENS8)
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_seed_changes_output(self):
         corpus = _tiny_corpus(np.random.default_rng(2))
         kw = dict(dim=8, epochs=1, negatives=2, subsample_threshold=1.0)
-        a = train_sgns(corpus, SgnsConfig(seed=1, **kw), TOKENS8)
-        b = train_sgns(corpus, SgnsConfig(seed=2, **kw), TOKENS8)
+        a = train_sgns(*_flat(corpus), SgnsConfig(seed=1, **kw), TOKENS8)
+        b = train_sgns(*_flat(corpus), SgnsConfig(seed=2, **kw), TOKENS8)
         assert not np.array_equal(a.matrix, b.matrix)
 
     def test_vocab_too_small_for_negatives(self):
         with pytest.raises(ConfigError):
-            train_sgns([[0, 1]], SgnsConfig(negatives=5), ["a", "b"])
+            train_sgns(*_flat([[0, 1]]), SgnsConfig(negatives=5), ["a", "b"])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            train_sgns([], SgnsConfig(negatives=2), TOKENS8)
+            train_sgns(*_flat([]), SgnsConfig(negatives=2), TOKENS8)
+        with pytest.raises(DataError):
+            train_sgns(*_flat([[], []]), SgnsConfig(negatives=2), TOKENS8)
 
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(DataError):
-            train_sgns([[0, 99]], SgnsConfig(negatives=2), TOKENS8)
+            train_sgns(*_flat([[0, 99]]), SgnsConfig(negatives=2), TOKENS8)
 
 
 class TestGradientDirection:
@@ -233,7 +241,7 @@ class TestNormTrends:
         for seed in range(10):
             cfg = SgnsConfig(dim=16, window=2, negatives=5, epochs=20,
                              subsample_threshold=1.0, seed=seed)
-            table = train_sgns(ids, cfg, vocab.tokens)
+            table = train_sgns(*_flat(ids), cfg, vocab.tokens)
             s = table.word_norm(vocab.encode_token("S"))
             f = table.word_norm(vocab.encode_token("F"))
             wins += s > f
@@ -244,7 +252,7 @@ class TestNormTrends:
         vocab = build_vocab(lines, min_count=5)
         ids = [vocab.encode(line.split()) for line in lines]
         cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=0)
-        table = train_sgns(ids, cfg, vocab.tokens)
+        table = train_sgns(*_flat(ids), cfg, vocab.tokens)
         logf, norms = [], []
         for tid in range(4, len(vocab)):
             if vocab.count_of(tid) >= 5:
@@ -298,7 +306,7 @@ class TestBlockStep:
         corpus = _tiny_corpus(np.random.default_rng(23), n_lines=30)
         cfg = SgnsConfig(dim=8, epochs=2, negatives=3, window=3, seed=4,
                          subsample_threshold=0.05)
-        table = train_sgns(corpus, cfg, TOKENS8)
+        table = train_sgns(*_flat(corpus), cfg, TOKENS8)
         w_in, w_out = calls[0][0][0], calls[0][0][1]
         for (_, _, centers, targets, labels, lr), _ in calls:
             n_pos = int(labels.sum())
@@ -374,7 +382,7 @@ class TestSgnsSampler:
         chunks = _record(monkeypatch, "_sample_chunk")
         steps = _record(monkeypatch, "sgns_step")
         cfg = SgnsConfig(dim=6, epochs=2, negatives=2, window=3, seed=7, **kw)
-        train_sgns(self.LINES, cfg, TOKENS8)
+        train_sgns(*_flat(self.LINES), cfg, TOKENS8)
         return cfg, chunks, steps
 
     def test_contexts_come_from_the_span_among_kept_tokens(self, monkeypatch):
@@ -457,10 +465,14 @@ class TestSgnsSampler:
             labels = args[4]
             assert (~labels).sum() == cfg.negatives * labels.sum()
 
-    def test_one_shot_generator_equals_list(self):
+    def test_empty_lines_are_skipped(self, monkeypatch):
+        """Empty lines (an encoded line whose ids were all unknown) leave
+        the chunks, and so the vectors, as they are without them."""
+        monkeypatch.setattr(embedding, "_CHUNK_LINES", 3)
         corpus = _tiny_corpus(np.random.default_rng(24))
         cfg = SgnsConfig(dim=8, epochs=2, negatives=3, seed=2,
                          subsample_threshold=0.05)
-        a = train_sgns(corpus, cfg, TOKENS8)
-        b = train_sgns((line for line in corpus), cfg, TOKENS8)
+        a = train_sgns(*_flat(corpus), cfg, TOKENS8)
+        padded = [[]] + [x for line in corpus for x in (line, [])]
+        b = train_sgns(*_flat(padded), cfg, TOKENS8)
         assert np.array_equal(a.matrix, b.matrix)

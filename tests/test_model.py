@@ -8,7 +8,8 @@ import pytest
 
 from normcl import model as model_module
 from normcl import tensor
-from normcl.corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair
+from corpus_oracle import corpus_of
+from normcl.corpus import BOS_ID, EOS_ID, PAD_ID
 from normcl.errors import CheckpointError, ConfigError, DataError, TrainingDiverged
 from normcl.model import EncodedBatch, ModelConfig, Transformer, build_batch
 from normcl.optim import AdamState
@@ -31,8 +32,13 @@ def _pairs(n, rng, lo=4, hi=12, max_len=6):
     for i in range(n):
         k = int(rng.integers(1, max_len))
         toks = tuple(int(t) for t in rng.integers(lo, hi, size=k))
-        out.append(SentencePair(i, toks, toks))
-    return out
+        out.append((toks, toks))
+    return corpus_of(out)
+
+
+def _batch(corpus):
+    """Every pair of ``corpus``, in order, as one batch."""
+    return build_batch(corpus, np.arange(len(corpus)))
 
 
 class TestConfig:
@@ -52,8 +58,7 @@ class TestConfig:
 
 class TestBatchBuilding:
     def test_layout(self):
-        batch = build_batch([SentencePair(0, (5, 6), (7,)),
-                             SentencePair(1, (8,), (9, 10, 11))])
+        batch = _batch(corpus_of([((5, 6), (7,)), ((8,), (9, 10, 11))]))
         assert batch.src[0].tolist() == [5, 6, EOS_ID]
         assert batch.src[1].tolist() == [8, EOS_ID, PAD_ID]
         assert batch.tgt_in[0].tolist() == [BOS_ID, 7, PAD_ID, PAD_ID]
@@ -67,18 +72,18 @@ class TestBatchBuilding:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            build_batch([])
+            build_batch(_pairs(2, np.random.default_rng(0)), [])
 
 
 class TestForward:
     def test_logit_shape(self):
         model = Transformer(MICRO, 12, 12)
-        batch = build_batch(_pairs(3, np.random.default_rng(0)))
+        batch = _batch(_pairs(3, np.random.default_rng(0)))
         logits = model.forward(batch)
         assert logits.shape == (3, batch.tgt_in.shape[1], 12)
 
     def test_same_seed_same_output(self):
-        batch = build_batch(_pairs(2, np.random.default_rng(1)))
+        batch = _batch(_pairs(2, np.random.default_rng(1)))
         a = Transformer(MICRO, 12, 12).forward(batch)
         b = Transformer(MICRO, 12, 12).forward(batch)
         assert np.array_equal(a.data, b.data)
@@ -88,7 +93,7 @@ class TestLoss:
     def _setup(self, n=3, seed=2, cfg=MICRO):
         rng = np.random.default_rng(seed)
         model = Transformer(cfg, 12, 12)
-        return model, build_batch(_pairs(n, rng))
+        return model, _batch(_pairs(n, rng))
 
     def test_unit_weights_equal_per_token_cross_entropy(self):
         model, batch = self._setup()
@@ -113,10 +118,10 @@ class TestLoss:
     def test_near_zero_weight_approaches_single_sentence_loss(self):
         model, batch = self._setup(n=2)
         both, _ = model.forward_loss(batch, np.array([1.0, 1e-6]))
-        single, _ = model.forward_loss(build_batch([
-            SentencePair(0, tuple(batch.src[0, :batch.src[0].tolist().index(EOS_ID)]),
-                         tuple(batch.tgt_out[0, :batch.tgt_lens[0] - 1])),
-        ]))
+        single, _ = model.forward_loss(_batch(corpus_of([
+            (tuple(batch.src[0, :batch.src[0].tolist().index(EOS_ID)]),
+             tuple(batch.tgt_out[0, :batch.tgt_lens[0] - 1])),
+        ])))
         assert abs(both.item() - single.item()) < 1e-3
 
     def test_padding_append_leaves_loss_unchanged(self):
@@ -157,7 +162,7 @@ class TestTiedEmbeddings:
         # path to its embedding row is the softmax projection; tying
         # must route that gradient into tgt_embed
         model = Transformer(MICRO, 12, 12)
-        batch = build_batch([SentencePair(0, (4, 5), (6, 7))])
+        batch = _batch(corpus_of([((4, 5), (6, 7))]))
         loss, _ = model.forward_loss(batch)
         model.zero_grad()
         loss.backward()
@@ -168,7 +173,7 @@ class TestTiedEmbeddings:
         # backward adopts kernel results as gradient buffers; a buffer
         # shared by two parameters would mix their Adam updates
         model = Transformer(SMALL, 14, 14)
-        batch = build_batch(_pairs(6, np.random.default_rng(8), hi=14))
+        batch = _batch(_pairs(6, np.random.default_rng(8), hi=14))
         model.forward_loss(batch)[0].backward()
         grads = [(name, p.grad) for name, p in model.params.items()]
         assert all(g is not None for _, g in grads)
@@ -231,8 +236,8 @@ class TestArchitecture:
         rng = np.random.default_rng(5)
         for p in model.params.values():
             p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
-        batch = build_batch([SentencePair(0, (4, 5, 6, 7), (8, 9)),
-                             SentencePair(1, (10,), (4, 11, 6, 5))])
+        batch = _batch(corpus_of([((4, 5, 6, 7), (8, 9)),
+                                  ((10,), (4, 11, 6, 5))]))
         np.testing.assert_allclose(model.forward(batch).data,
                                    _reference_logits(model, batch),
                                    rtol=0, atol=1e-12)
@@ -241,8 +246,7 @@ class TestArchitecture:
 class TestGradients:
     def test_full_model_grad_check_key_parameters(self):
         model = Transformer(MICRO64, 10, 10)
-        batch = build_batch([SentencePair(0, (4, 5, 6), (5, 4)),
-                             SentencePair(1, (7,), (8, 9, 6))])
+        batch = _batch(corpus_of([((4, 5, 6), (5, 4)), ((7,), (8, 9, 6))]))
         names = ["src_embed", "tgt_embed", "enc0.self.wq.w", "dec0.cross.wv.w",
                  "dec0.ff1.w", "enc0.ff2.b", "dec0.self.wo.b"]
         for name in names:
@@ -283,7 +287,7 @@ def _acceptance_step():
     model = Transformer(ModelConfig(), 200, 200)
     state = TrainerState(model=model, adam=AdamState(model.params))
     state.capture_anchor()
-    batch = build_batch(_pairs(64, np.random.default_rng(12), hi=200,
+    batch = _batch(_pairs(64, np.random.default_rng(12), hi=200,
                                max_len=5))
     return state, batch
 
@@ -348,7 +352,7 @@ class TestTrainStep:
 
     def test_metrics_and_counter(self):
         state = self._state()
-        batch = build_batch(_pairs(4, np.random.default_rng(3), hi=16))
+        batch = _batch(_pairs(4, np.random.default_rng(3), hi=16))
         metrics = train_step(state, batch, None, lr=1e-3)
         assert state.step == 1
         assert metrics["m_t"] > 0 and np.isfinite(metrics["m_t"])
@@ -361,7 +365,7 @@ class TestTrainStep:
             state = self._state()
             rng = np.random.default_rng(4)
             for step in range(5):
-                batch = build_batch(_pairs(3, rng, hi=16))
+                batch = _batch(_pairs(3, rng, hi=16))
                 out.append(train_step(state, batch, None, 1e-3)["loss"])
         assert r1 == r2
 
@@ -374,7 +378,7 @@ class TestTrainStep:
         order = np.random.default_rng(6)
         for step in range(200):
             take = order.choice(50, size=8, replace=False)
-            batch = build_batch([pairs[i] for i in take])
+            batch = build_batch(pairs, take)
             losses.append(train_step(state, batch, None, 3e-3)["loss"])
         assert losses[-1] < losses[0]
 
@@ -382,7 +386,7 @@ class TestTrainStep:
     def test_non_finite_loss_aborts_with_diagnostics(self):
         state = self._state()
         state.model.params["src_embed"].data[4, 0] = np.inf
-        batch = build_batch(_pairs(2, np.random.default_rng(7), hi=16))
+        batch = _batch(_pairs(2, np.random.default_rng(7), hi=16))
         with pytest.raises(TrainingDiverged) as info:
             train_step(state, batch, None, 1e-3)
         assert info.value.step == 1
@@ -399,7 +403,7 @@ class TestTrainStep:
         pairs = _pairs(150, np.random.default_rng(10), hi=16)
         correct = total = 0
         for lo in range(0, len(pairs), 64):
-            batch = build_batch(pairs[lo:lo + 64])
+            batch = build_batch(pairs, np.arange(lo, min(lo + 64, len(pairs))))
             logits = state.model.forward(batch)
             assert logits.requires_grad
             with no_grad():
@@ -420,7 +424,7 @@ class TestCheckpoint:
         state.capture_anchor()
         rng = np.random.default_rng(9)
         for step in range(steps):
-            batch = build_batch(_pairs(3, rng, hi=16))
+            batch = _batch(_pairs(3, rng, hi=16))
             train_step(state, batch, None, 1e-3)
         return state
 
@@ -431,7 +435,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
-        batch = build_batch(_pairs(2, np.random.default_rng(10), hi=16))
+        batch = _batch(_pairs(2, np.random.default_rng(10), hi=16))
         a = state.model.forward(batch).data
         b = back.model.forward(batch).data
         assert np.array_equal(a, b)
@@ -456,7 +460,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
-        batch = build_batch(_pairs(3, np.random.default_rng(12), hi=16))
+        batch = _batch(_pairs(3, np.random.default_rng(12), hi=16))
         for s in (state, back):
             train_step(s, batch, None, 1e-3)
         for name, p in state.model.params.items():
@@ -514,7 +518,7 @@ class TestCheckpoint:
                 assert np.array_equal(got, want), name
         assert (back.model.rng.bit_generator.state
                 == state.model.rng.bit_generator.state)
-        batch = build_batch(_pairs(3, np.random.default_rng(11), hi=16))
+        batch = _batch(_pairs(3, np.random.default_rng(11), hi=16))
         a, _ = state.model.forward_loss(batch, train=True)
         b, _ = back.model.forward_loss(batch, train=True)
         assert a.item() == b.item()
