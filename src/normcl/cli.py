@@ -253,11 +253,6 @@ def cmd_train(config: RunConfig, resume: bool = False,
         dpath = require_file(difficulty or out / DIFFICULTY_FILE,
                              "difficulty file (run score first)")
         profile = DifficultyProfile.load(dpath)
-        if len(profile) != len(corpus):
-            raise DataError(
-                f"difficulty file covers {len(profile)} sentences, "
-                f"corpus has {len(corpus)}"
-            )
         if profile.criterion != cur.criterion:
             raise ConfigError(
                 f"difficulty file was scored with criterion "

@@ -7,7 +7,8 @@ its competence schedule), so every range check lives in one place and
 fires at construction time, before any compute starts.  Each check
 names its field; ``run_config_from_dict`` adds the block name.  Before
 that, ``_build_block`` checks each value's JSON type against its field's
-annotation.
+annotation and refuses a non-finite float; checkpoint headers pass the
+same check.
 The ``seed`` at the top level flows into sgns/model seeds unless those
 blocks pin their own.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -139,7 +141,8 @@ _SEEDED_BLOCKS = ("sgns", "model")
 
 def _check_types(prefix: str, cls, data: dict) -> None:
     """Refuse a value whose JSON type its field's annotation does not
-    allow: a bool is no int, an int is a float, None only where named."""
+    allow: a bool is no int, an int is a float, None only where named.
+    A float must be finite, as NaN passes a range check like ``x <= 0``."""
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
         allowed = typing.get_args(hints[key]) or (hints[key],)
@@ -148,6 +151,8 @@ def _check_types(prefix: str, cls, data: dict) -> None:
             names = " or ".join("null" if t is type(None) else t.__name__
                                 for t in allowed)
             raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
 
 
 def _build_block(name: str, cls, data: dict):

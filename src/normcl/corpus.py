@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 __all__ = [
     "PAD", "UNK", "BOS", "EOS", "SPECIALS",
@@ -149,15 +149,8 @@ class Vocabulary:
     def encode_token(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
-    def encode(self, tokens: Sequence[str]) -> list[int]:
-        get = self._token_to_id.get
-        return [get(t, UNK_ID) for t in tokens]
-
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.tokens[i] for i in ids]
-
-    def count_of(self, token_id: int) -> int:
-        return self.counts[token_id]
 
     @property
     def total_count(self) -> int:
@@ -194,9 +187,8 @@ def build_vocab(tokenized_text: Iterable, min_count: int = 1) -> Vocabulary:
     ``tokenized_text`` is a ``TokenLines`` or a stream of lines (strings
     split on whitespace, or pre-split token sequences).  Entries after
     the specials are ordered by descending count, then lexicographically.
+    ``CorpusConfig`` checks ``min_count``.
     """
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     text = _as_token_lines(tokenized_text)
     if not len(text):
         raise DataError("cannot build a vocabulary from an empty stream")
@@ -279,9 +271,8 @@ def learn_merges(tokenized_text: Iterable, n_merges: int) -> MergeTable:
     Ties break on the lexicographically smallest pair.  Counting runs
     over unique word types weighted by frequency, which keeps learning
     cheap at desk scale (cost grows with type count, not corpus size).
+    ``CorpusConfig`` checks ``n_merges`` as its ``merges``.
     """
-    if n_merges < 0:
-        raise ConfigError(f"n_merges must be >= 0, got {n_merges}")
     words = _as_token_lines(tokenized_text)
     if not len(words):
         raise DataError("cannot learn merges from an empty stream")

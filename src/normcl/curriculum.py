@@ -76,18 +76,9 @@ def cdf_normalize(raws: Sequence[float]) -> np.ndarray:
 # Competence
 # ---------------------------------------------------------------------------
 
-def _check_c0(c0: float) -> None:
-    if not 0 < c0 <= 1:
-        raise ConfigError(f"c0 must be in (0, 1], got {c0}")
-
-
 def competence_time(t: int, c0: float, lambda_t: int) -> float:
-    """min(1, sqrt(t*(1-c0^2)/lambda_t + c0^2)) with exact endpoints."""
-    _check_c0(c0)
-    if lambda_t <= 0:
-        raise ConfigError(f"lambda_t must be positive, got {lambda_t}")
-    if t < 0:
-        raise ConfigError(f"step must be >= 0, got {t}")
+    """min(1, sqrt(t*(1-c0^2)/lambda_t + c0^2)) with exact endpoints;
+    ``CompetenceSchedule`` checks ``c0`` and ``lambda_t``."""
     if t == 0:
         return c0
     if t >= lambda_t:
@@ -96,12 +87,8 @@ def competence_time(t: int, c0: float, lambda_t: int) -> float:
 
 
 def competence_norm(m_t: float, m0: float, c0: float, lambda_m: float) -> float:
-    """min(1, sqrt(max(0, m_t-m0)*(1-c0^2)/(lambda_m*m0) + c0^2))."""
-    _check_c0(c0)
-    if m0 <= 0:
-        raise ConfigError(f"m0 must be positive, got {m0}")
-    if lambda_m <= 0:
-        raise ConfigError(f"lambda_m must be positive, got {lambda_m}")
+    """min(1, sqrt(max(0, m_t-m0)*(1-c0^2)/(lambda_m*m0) + c0^2));
+    ``CompetenceSchedule`` checks ``c0``, ``lambda_m`` and ``m0``."""
     diff = m_t - m0
     if diff <= 0:
         return c0
@@ -128,14 +115,10 @@ def sentence_weight(d_hat, c_hat: float, lambda_w: float):
     """(d_hat / c_hat) ** lambda_w; lambda_w = 0 gives exactly 1.
 
     ``d_hat`` is one difficulty or an array of them, so a batch is
-    weighted in one call; the result has its shape.
+    weighted in one call; the result has its shape.  ``DifficultyProfile``
+    keeps ``d_hat`` in (0, 1], ``c_hat`` is at least ``CompetenceSchedule``'s
+    positive ``c0``, and ``CurriculumConfig`` checks ``lambda_w``.
     """
-    if c_hat <= 0:
-        raise ConfigError(f"competence must be positive, got {c_hat}")
-    if np.any(np.less_equal(d_hat, 0)):
-        raise ConfigError(f"difficulty must be positive, got {np.min(d_hat)}")
-    if lambda_w < 0:
-        raise ConfigError(f"lambda_w must be >= 0, got {lambda_w}")
     if lambda_w == 0:
         return np.ones_like(d_hat, dtype=np.float64)
     return (d_hat / c_hat) ** lambda_w
@@ -260,7 +243,8 @@ class CompetenceSchedule:
             raise ConfigError(
                 f"kind must be one of {COMPETENCE_KINDS}, got {self.kind!r}"
             )
-        _check_c0(self.c0)
+        if not 0 < self.c0 <= 1:
+            raise ConfigError(f"c0 must be in (0, 1], got {self.c0}")
         if self.lambda_t is None and self.kind == "time_sqrt":
             raise ConfigError("lambda_t must be set when kind is time_sqrt")
         if self.lambda_t is not None and self.lambda_t < 1:
@@ -306,16 +290,13 @@ class SamplerState:
     Without a ``profile`` the order is the corpus order and every
     sentence is eligible; the vanilla baseline uses it so that a
     curriculum-free reference loop consuming the same RNG reproduces
-    its draws exactly.
+    its draws exactly.  ``CurriculumConfig`` checks ``token_budget`` and
+    ``min_pool``.
     """
 
     def __init__(self, corpus: ParallelCorpus,
                  profile: DifficultyProfile | None,
                  token_budget: int, min_pool: int = 64, seed: int = 0):
-        if token_budget < 1:
-            raise ConfigError(f"token_budget must be positive, got {token_budget}")
-        if min_pool < 1:
-            raise ConfigError(f"min_pool must be positive, got {min_pool}")
         n = len(corpus)
         if profile is None:
             self.order = np.arange(n)

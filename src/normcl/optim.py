@@ -93,9 +93,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 
 
 def lr_schedule(t: int, warmup: int, peak: float) -> float:
-    """Linear warmup to ``peak`` at step ``warmup``, then inverse-sqrt decay."""
-    if t < 1:
-        raise ConfigError(f"schedule step must be >= 1, got {t}")
-    if warmup < 1:
-        raise ConfigError(f"warmup must be >= 1, got {warmup}")
+    """Linear warmup to ``peak`` at step ``warmup`` (steps count from 1),
+    then inverse-sqrt decay; ``OptimizerConfig`` checks both settings."""
     return peak * min(t / warmup, math.sqrt(warmup / t))

@@ -658,11 +658,10 @@ def residual_dropout(x, y, p: float, rng: np.random.Generator) -> Tensor:
 
 def _keep_mask(shape, dtype, p: float, rng: np.random.Generator):
     """The scaled keep mask of inverted dropout at rate ``p``, or None
-    when ``p`` is 0 (and then no uniforms are drawn)."""
+    when ``p`` is 0 (and then no uniforms are drawn).  ``ModelConfig``
+    keeps ``p`` in [0, 1)."""
     if p <= 0.0:
         return None
-    if p >= 1.0:
-        raise ShapeError(f"dropout rate must be < 1, got {p}")
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 

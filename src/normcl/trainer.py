@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _build_block
 from .corpus import ParallelCorpus
 from .curriculum import CompetenceSchedule, embedding_matrix_norm
 from .errors import CheckpointError, ConfigError, TrainingDiverged
@@ -239,7 +240,8 @@ def _bad_header(key: str, why) -> CheckpointError:
 
 
 def _parse_header(text: str) -> tuple[dict, ModelConfig, CompetenceSchedule]:
-    """The checked header: its values, model config and schedule."""
+    """The checked header: its values, model config and schedule.  The
+    last two pass the check a run configuration's blocks pass."""
     try:
         meta = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -263,7 +265,7 @@ def _parse_header(text: str) -> tuple[dict, ModelConfig, CompetenceSchedule]:
     for key, cls in (("model_config", ModelConfig),
                      ("schedule", CompetenceSchedule)):
         try:
-            built.append(cls(**meta[key]))
+            built.append(_build_block(key, cls, meta[key]))
         except (TypeError, ConfigError) as exc:
             raise _bad_header(key, exc) from None
     return meta, *built

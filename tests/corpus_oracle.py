@@ -51,8 +51,9 @@ def load_parallel(src_lines, tgt_lines, vocab_src, vocab_tgt, max_len=200) -> li
     for src_tokens, tgt_tokens in zip(src_lines, tgt_lines):
         if not (0 < len(src_tokens) <= max_len and 0 < len(tgt_tokens) <= max_len):
             continue
-        tgt = None if vocab_tgt is None else tuple(vocab_tgt.encode(tgt_tokens))
-        pairs.append(SentencePair(len(pairs), tuple(vocab_src.encode(src_tokens)), tgt))
+        src = tuple(map(vocab_src.encode_token, src_tokens))
+        tgt = None if vocab_tgt is None else tuple(map(vocab_tgt.encode_token, tgt_tokens))
+        pairs.append(SentencePair(len(pairs), src, tgt))
     if not pairs:
         raise DataError("no sentence pairs survived length filtering")
     return pairs

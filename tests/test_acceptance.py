@@ -301,14 +301,14 @@ def test_05_norms_track_rarity():
     for seed in (0, 1, 2):
         lines = zipfian_corpus(seed=seed, vocab_size=220, n_tokens=200_000)
         vocab = build_vocab(lines, min_count=5)
-        ids = [vocab.encode(line.split()) for line in lines]
+        ids = [list(map(vocab.encode_token, line.split())) for line in lines]
         flat = np.array([i for line in ids for i in line], dtype=np.int64)
         offsets = np.cumsum([0] + [len(line) for line in ids])
         cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=seed)
         table = train_sgns(flat, offsets, cfg, vocab.tokens)
         logf, norms = [], []
         for tid in range(4, len(vocab)):
-            count = vocab.count_of(tid)
+            count = vocab.counts[tid]
             if count >= 5:
                 logf.append(np.log(count))
                 norms.append(table.norms[tid])

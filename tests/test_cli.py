@@ -6,6 +6,7 @@ import hashlib
 import json
 import shutil
 import struct
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from normcl.cli import (
     NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
     VECTORS_FILE, VOCAB_SRC_FILE, VOCAB_TGT_FILE, main,
 )
-from normcl.config import run_config_from_dict
+from normcl.config import _BLOCKS, run_config_from_dict
 from normcl.corpus import (
     EOW, UNK_ID, MergeTable, Vocabulary, build_vocab, learn_merges,
     load_parallel, read_lines, tokenize,
@@ -34,6 +35,17 @@ from normcl.trainer import load_checkpoint, save_checkpoint
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _float_fields() -> list[str]:
+    """``block.field`` for every field of every config block that may
+    hold a float, so a new float field is covered when it is added."""
+    names = []
+    for block, cls in _BLOCKS.items():
+        for name, hint in typing.get_type_hints(cls).items():
+            if float in (typing.get_args(hint) or (hint,)):
+                names.append(f"{block}.{name}")
+    return names
 
 
 def read_trace(path):
@@ -146,7 +158,7 @@ class TestScore:
         lines = (workdir / "train.src").read_text().splitlines()
         assert len(raws) == len(lines)
         for line, raw in zip(lines, raws):
-            ids = vocab.encode(tokenize(line))
+            ids = map(vocab.encode_token, tokenize(line))
             assert abs(raw - float(sum(norms[i] for i in ids))) < 1e-9
 
     def test_all_criteria_score_the_same_corpus(self, trained, workdir):
@@ -686,13 +698,31 @@ class TestValidation:
 
     @pytest.mark.parametrize("setting", [
         "corpus.min_count=0", "sgns.dim=0", "curriculum.min_pool=0",
-        "model.d_model=0", "optimizer.warmup=0", "eval.beam_size=0"])
+        "model.d_model=0", "optimizer.warmup=0", "eval.beam_size=0",
+        "curriculum.c0=0", "curriculum.c0=1.5", "curriculum.lambda_w=-1",
+        "curriculum.token_budget=0", "curriculum.lambda_m=0",
+        "corpus.merges=-1", "model.dropout=1",
+        "curriculum.lambda_t=0 curriculum.kind=time_sqrt",
+        "optimizer.peak_lr=NaN", "curriculum.lambda_w=NaN",
+        "curriculum.lambda_m=NaN", "curriculum.lambda_m=Infinity",
+        "sgns.initial_lr=NaN", "eval.alpha=NaN"])
     def test_range_errors_name_their_block(self, workdir, capsys, setting):
+        """The error names the first of the space-separated settings."""
+        sets = [arg for s in setting.split() for arg in ("--set", s)]
         code = run_cli("embed", "--config", workdir / "run.json",
-                       "--out", workdir / "never9", "--set", setting)
+                       "--out", workdir / "never9", *sets)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + setting.split("=")[0] + " must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", _float_fields())
+    def test_every_float_field_refuses_nan(self, workdir, capsys, name):
+        code = run_cli("embed", "--config", workdir / "run.json",
+                       "--out", workdir / "never10", "--set", f"{name}=NaN")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite, got nan")
         assert "Traceback" not in err
 
     def test_removed_deterministic_flag_rejected(self, workdir, capsys):
@@ -865,7 +895,7 @@ class TestSubwords:
         merges = MergeTable.load(out / "merges.src.txt")
         vocab = Vocabulary.load(out / VOCAB_SRC_FILE)
         assert decoded == [
-            vocab.encode(merges.apply(tokenize(line)))
+            list(map(vocab.encode_token, merges.apply(tokenize(line))))
             for line in (workdir / "dev.src").read_text().splitlines()]
         assert json.loads((out / EVAL_REPORT).read_text())["n_sentences"] == 30
         lines = (out / TRANSLATIONS_FILE).read_text().splitlines()
@@ -937,13 +967,21 @@ _HEADER_EDITS = {
                       "bad model_config in checkpoint header"),
     # a model setting this version no longer has
     "removed_field": (lambda meta: meta["model_config"].update(label_smoothing=0.1),
-                      "unexpected keyword argument 'label_smoothing'"),
+                      "unknown config fields: model_config.label_smoothing"),
+    "float_d_model": (lambda meta: meta["model_config"].update(d_model=16.0),
+                      "model_config.d_model must be int, got 16.0"),
+    "float_n_heads": (lambda meta: meta["model_config"].update(n_heads=4.0),
+                      "model_config.n_heads must be int, got 4.0"),
+    "bool_dropout": (lambda meta: meta["model_config"].update(dropout=False),
+                     "model_config.dropout must be float, got False"),
+    "bool_c0": (lambda meta: meta["schedule"].update(c0=True),
+                "schedule.c0 must be float, got True"),
     "schedule_unknown_key": (lambda meta: meta["schedule"].update(lambda_x=1),
                              "bad schedule in checkpoint header"),
     "schedule_string_driver": (lambda meta: meta["schedule"].update(driver="9"),
                                "bad schedule in checkpoint header"),
     "schedule_nan_anchor": (lambda meta: meta["schedule"].update(m0=float("nan")),
-                            "m0 must be positive, got nan"),
+                            "schedule.m0 must be finite, got nan"),
     "model_rng_other_generator": (
         lambda meta: meta["model_rng"].update(bit_generator="MT19937"),
         "bad model_rng in checkpoint header"),
@@ -1018,6 +1056,18 @@ class TestMalformedArtifact:
         assert err.startswith("error:")
         assert f"line 3 in {path}" in err
         assert "Traceback" not in err
+
+    def test_train_difficulty_one_line_short(self, workdir, trained, tmp_path,
+                                             capsys):
+        lines = (trained / DIFFICULTY_FILE).read_text().splitlines()
+        path = tmp_path / DIFFICULTY_FILE
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--difficulty", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"covers {len(lines) - 1} sentences, corpus has {len(lines)}" in err
 
     def test_score_vectors(self, workdir, trained, tmp_path, capsys):
         lines = (trained / VECTORS_FILE).read_text().splitlines()

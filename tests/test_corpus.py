@@ -72,13 +72,14 @@ class TestVocabulary:
 
     def test_encode_decode(self):
         v = build_vocab(["x y"])
-        ids = v.encode(["x", "zap", "y"])
+        ids = [v.encode_token(t) for t in ["x", "zap", "y"]]
         assert ids[1] == UNK_ID
         assert v.decode([ids[0], ids[2]]) == ["x", "y"]
 
     def test_rejects_bad_min_count(self):
-        with pytest.raises(ConfigError):
-            build_vocab(["a"], min_count=0)
+        # build_vocab trusts min_count; CorpusConfig refuses it at load
+        with pytest.raises(ConfigError, match=r"corpus\.min_count"):
+            run_config_from_dict({"corpus": {"min_count": 0}})
 
     def test_rejects_empty_stream(self):
         with pytest.raises(DataError):
@@ -129,10 +130,6 @@ class TestLearnMerges:
         t2 = learn_merges(["the cat sat on the mat"], n_merges=8)
         assert t1.merges == t2.merges
 
-    def test_rejects_negative_merge_count(self):
-        with pytest.raises(ConfigError):
-            learn_merges(self.CORPUS, n_merges=-1)
-
     def test_save_load_round_trip(self, tmp_path):
         table = learn_merges(self.CORPUS, n_merges=3)
         p = tmp_path / "merges.txt"
@@ -175,7 +172,7 @@ class TestLoadParallel:
         corpus = load_parallel(src, tgt, self._vocab(), self._vocab(), max_len=3)
         # line 2 is empty on the source side, line 3 exceeds max_len
         assert len(corpus) == 2
-        assert corpus[1].src == tuple(self._vocab().encode(["g"]))
+        assert corpus[1].src == (self._vocab().encode_token("g"),)
 
     def test_lengths_measured_after_subword_split(self):
         table = learn_merges(["a b c abc"], n_merges=0)
@@ -196,7 +193,7 @@ def _oracle_encode_side(line, vocab, merges):
     tokens = tokenize(line)
     if merges is not None:
         tokens = merges.apply(tokens)
-    return vocab.encode(tokens)
+    return list(map(vocab.encode_token, tokens))
 
 
 def _oracle_load_parallel(source_file, target_file, vocab_src, vocab_tgt,
@@ -302,7 +299,7 @@ def test_vocabulary_and_ids_match_the_list_path(lines, min_count, merges):
     assert (got.tokens, got.counts) == (want.tokens, want.counts)
     ids = text.encode(got)
     assert [ids[a:b].tolist() for a, b in zip(text.offsets, text.offsets[1:])] \
-        == [want.encode(toks) for toks in units]
+        == [list(map(want.encode_token, toks)) for toks in units]
 
 
 @settings(max_examples=200, deadline=None)

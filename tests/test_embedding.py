@@ -236,7 +236,7 @@ class TestNormTrends:
             lines.append(f"{fillers[2 * i]} F {fillers[2 * i + 1]}")
             lines.append("p S q")
         vocab = build_vocab(lines, min_count=1)
-        ids = [vocab.encode(line.split()) for line in lines]
+        ids = [list(map(vocab.encode_token, line.split())) for line in lines]
         wins = 0
         for seed in range(10):
             cfg = SgnsConfig(dim=16, window=2, negatives=5, epochs=20,
@@ -250,13 +250,13 @@ class TestNormTrends:
     def test_zipfian_frequency_norm_correlation(self):
         lines = zipfian_corpus(seed=0, vocab_size=220, n_tokens=200_000)
         vocab = build_vocab(lines, min_count=5)
-        ids = [vocab.encode(line.split()) for line in lines]
+        ids = [list(map(vocab.encode_token, line.split())) for line in lines]
         cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=0)
         table = train_sgns(*_flat(ids), cfg, vocab.tokens)
         logf, norms = [], []
         for tid in range(4, len(vocab)):
-            if vocab.count_of(tid) >= 5:
-                logf.append(np.log(vocab.count_of(tid)))
+            if vocab.counts[tid] >= 5:
+                logf.append(np.log(vocab.counts[tid]))
                 norms.append(table.norms[tid])
         rho = spearmanr(logf, norms).statistic
         assert rho <= -0.3

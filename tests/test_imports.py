@@ -1,4 +1,4 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package, its tests and the benchmark is used."""
 
 import ast
 from pathlib import Path
@@ -34,7 +34,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     files = sorted((ROOT / "src" / "normcl").rglob("*.py")) + \
-        sorted((ROOT / "tests").rglob("*.py"))
+        sorted((ROOT / "tests").rglob("*.py")) + \
+        sorted((ROOT / "perfbench").glob("*.py"))
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []

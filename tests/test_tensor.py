@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from normcl.config import run_config_from_dict
 from normcl.errors import ConfigError, ShapeError, TrainingDiverged
 from normcl.optim import AdamState, adam_step, lr_schedule
 from normcl.tensor import (
@@ -713,7 +714,6 @@ class TestLrSchedule:
         assert lr_schedule(16000, 4000, 3e-4) == pytest.approx(1.5e-4, rel=1e-12)
 
     def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            lr_schedule(0, 100, 1e-3)
-        with pytest.raises(ConfigError):
-            lr_schedule(5, 0, 1e-3)
+        # lr_schedule trusts warmup; OptimizerConfig refuses it at load
+        with pytest.raises(ConfigError, match=r"optimizer\.warmup"):
+            run_config_from_dict({"optimizer": {"warmup": 0}})
