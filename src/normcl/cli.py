@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import sys
 from dataclasses import replace
@@ -444,6 +445,12 @@ def cmd_compare(config_a: dict, config_b: dict, seeds, out_root: Path,
         raise ConfigError("compare arms must share the corpus block")
     if replace(a_probe.model, seed=0) != replace(b_probe.model, seed=0):
         raise ConfigError("compare arms must share model dimensions")
+    if target_accuracy is not None and not 0 < target_accuracy <= 1:
+        raise ConfigError(
+            f"--target-accuracy must be in (0, 1], got {target_accuracy}")
+    if not (math.isfinite(target_fraction) and target_fraction > 0):
+        raise ConfigError(
+            f"--target-fraction must be finite and positive, got {target_fraction}")
 
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []

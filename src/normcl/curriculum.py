@@ -141,8 +141,6 @@ class DifficultyProfile:
         self.cdf = np.asarray(self.cdf, dtype=np.float64)
         if self.raw.shape != self.cdf.shape or self.raw.ndim != 1:
             raise DataError("raw and cdf must be equal-length vectors")
-        if self.criterion not in CRITERIA:
-            raise ConfigError(f"unknown difficulty criterion {self.criterion!r}")
         bad = np.flatnonzero(~np.isfinite(self.raw))
         if bad.size:
             raise DataError(f"non-finite raw difficulty for sentence {bad[0]}")
@@ -202,6 +200,12 @@ class DifficultyProfile:
                 ) from None
             if sid != len(raws):
                 raise DataError(f"non-contiguous sentence id {sid} in {path}")
+            if crit not in CRITERIA:
+                raise DataError(f"unknown difficulty criterion {crit!r} "
+                                f"at line {lineno} in {path}")
+            if criterion not in (None, crit):
+                raise DataError(f"difficulty criterion {crit!r} at line {lineno} "
+                                f"in {path} differs from line 1's {criterion!r}")
             raws.append(raw)
             cdfs.append(cdf)
             criterion = crit

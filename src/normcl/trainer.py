@@ -1,16 +1,17 @@
 """Training steps, the norm probe, and checkpoint persistence.
 
 A checkpoint is one binary file: magic bytes, a format version, a
-length-prefixed UTF-8 JSON header of the eleven fields of the state
+length-prefixed UTF-8 JSON header of the twelve fields of the state
 (``config_hash``, ``vocab_digest``, ``model_config``,
-``src_vocab_size``, ``tgt_vocab_size``, ``step``, ``schedule`` with its
-anchor ``m0``, ``adam_step``, ``model_rng``, ``sampler_rng``,
-``evals``), each checked on load, then named tensors covering
-parameters and Adam moments, stored little-endian in the dtype
-``model_config.dtype`` names.  Each
-tensor record carries its byte count, so a header that names the wrong
-dtype is refused.  Round-trips are bit-exact, so resumed runs reproduce
-unbroken ones.
+``src_vocab_size``, ``tgt_vocab_size``, ``params``, ``step``,
+``schedule`` with its anchor ``m0``, ``adam_step``, ``model_rng``,
+``sampler_rng``, ``evals``), each checked on load, then one raw body:
+every parameter in ``params`` order, then Adam's flat first and second
+moments, little-endian in the dtype ``model_config.dtype`` names.  The
+shapes follow from the model config and vocabulary sizes, so the body
+must hold exactly three times the parameter count; a header that names
+the wrong dtype or model is refused.  Round-trips are bit-exact, so
+resumed runs reproduce unbroken ones.
 
 A checkpoint is written to a temporary file beside its target, synced,
 and renamed over the target, so a crash mid-write leaves the previous
@@ -41,7 +42,7 @@ __all__ = ["TrainerState", "train_step", "token_accuracy",
            "save_checkpoint", "load_checkpoint", "atomic_write"]
 
 MAGIC = b"NCLK"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -133,66 +134,6 @@ def _storage_dtype(dtype: str) -> np.dtype:
     return np.dtype(dtype).newbyteorder("<")
 
 
-def _write_tensor(fh, name: str, array: np.ndarray, dtype: np.dtype) -> None:
-    raw = name.encode("utf-8")
-    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
-    fh.write(struct.pack("<Q", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<Q", array.ndim))
-    for dim in array.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(struct.pack("<Q", len(data)))
-    fh.write(data)
-
-
-class _Reader:
-    """A checkpoint's bytes, read in one call and parsed front to back."""
-
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            self.view, self.pos = memoryview(fh.read()), 0
-
-    def take(self, n: int) -> memoryview:
-        if n > len(self.view) - self.pos:
-            raise CheckpointError("truncated checkpoint file")
-        self.pos += n
-        return self.view[self.pos - n:self.pos]
-
-    def counts(self, n: int) -> tuple:
-        return struct.unpack(f"<{n}Q", self.take(8 * n))
-
-    def tensor(self, dtype: np.dtype) -> tuple[str, np.ndarray]:
-        """One tensor record, copied into a fresh aligned array of ``dtype``."""
-        name = _decode(bytes(self.take(*self.counts(1))), "tensor name")
-        shape = self.counts(*self.counts(1))
-        (nbytes,) = self.counts(1)
-        want = math.prod(shape) * dtype.itemsize
-        if nbytes != want:
-            raise CheckpointError(
-                f"tensor {name} holds {nbytes} bytes, but shape {shape} in the "
-                f"header's model_config.dtype {dtype.name} needs {want}"
-            )
-        return name, np.frombuffer(self.take(nbytes), dtype=dtype).reshape(shape).copy()
-
-
-def _decode(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"garbled checkpoint {what}: {exc}") from exc
-
-
-def _take_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
-    """The named tensor, which must be present with exactly ``shape``."""
-    if key not in tensors:
-        raise CheckpointError(f"checkpoint missing tensor {key}")
-    if tensors[key].shape != shape:
-        raise CheckpointError(
-            f"tensor {key} has shape {tensors[key].shape}, expected {shape}"
-        )
-    return tensors[key]
-
-
 def save_checkpoint(state: TrainerState, path) -> None:
     model = state.model
     meta = {
@@ -201,6 +142,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "model_config": asdict(model.config),
         "src_vocab_size": model.src_vocab_size,
         "tgt_vocab_size": model.tgt_vocab_size,
+        "params": list(model.params),
         "step": state.step,
         "schedule": asdict(state.schedule),
         "adam_step": state.adam.step,
@@ -208,28 +150,21 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "sampler_rng": state.sampler_rng,
         "evals": state.evals,
     }
-    tensors = [("param/" + name, p.data) for name, p in model.params.items()]
-    tensors += [("adam_m/" + name, m) for name, m in state.adam.m.items()]
-    tensors += [("adam_v/" + name, v) for name, v in state.adam.v.items()]
-
     dtype = _storage_dtype(model.config.dtype)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = [p.data for p in model.params.values()]
     with atomic_write(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<Q", len(tensors)))
-        for name, array in tensors:
-            _write_tensor(fh, name, array, dtype)
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+        for array in (*body, state.adam.flat_m, state.adam.flat_v):
+            fh.write(np.ascontiguousarray(array, dtype=dtype))
 
 
 # the JSON types each header value may have (a bool is no int here);
 # every int is a count, so a negative one is refused too
 _META_TYPES = {
     "config_hash": (str,), "vocab_digest": (str,), "model_config": (dict,),
-    "src_vocab_size": (int,), "tgt_vocab_size": (int,), "step": (int,),
-    "schedule": (dict,), "adam_step": (int,), "model_rng": (dict,),
+    "src_vocab_size": (int,), "tgt_vocab_size": (int,), "params": (list,),
+    "step": (int,), "schedule": (dict,), "adam_step": (int,), "model_rng": (dict,),
     "sampler_rng": (dict, type(None)), "evals": (list,),
 }
 _EVAL_TYPES = {"step": int, "token_accuracy": float, "loss": float}
@@ -239,12 +174,12 @@ def _bad_header(key: str, why) -> CheckpointError:
     return CheckpointError(f"bad {key} in checkpoint header: {why}")
 
 
-def _parse_header(text: str) -> tuple[dict, ModelConfig, CompetenceSchedule]:
+def _parse_header(raw: bytes) -> tuple[dict, ModelConfig, CompetenceSchedule]:
     """The checked header: its values, model config and schedule.  The
     last two pass the check a run configuration's blocks pass."""
     try:
-        meta = json.loads(text)
-    except json.JSONDecodeError as exc:
+        meta = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"garbled checkpoint header: {exc}") from exc
     if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
         raise CheckpointError("checkpoint header lacks required fields")
@@ -271,31 +206,65 @@ def _parse_header(text: str) -> tuple[dict, ModelConfig, CompetenceSchedule]:
     return meta, *built
 
 
+def _params_differ(names: list, i: int, want: str) -> CheckpointError:
+    """The header's parameter names first differ from the model's at ``i``."""
+    got = repr(names[i]) if i < len(names) else "missing"
+    return _bad_header("params", f"entry {i} is {got}, the model's is {want}")
+
+
+def _short_body(nbytes: int, dtype: np.dtype, need) -> CheckpointError:
+    return CheckpointError(f"checkpoint body holds {nbytes} bytes, but "
+                           f"model_config.dtype {dtype.name} needs {need}")
+
+
 def load_checkpoint(path) -> TrainerState:
-    buf = _Reader(path)
-    if buf.take(4) != MAGIC:
+    raw = Path(path).read_bytes()
+    if raw[:4] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", buf.take(4))
+    if len(raw) < 16:
+        raise CheckpointError("truncated checkpoint file")
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format {version} unsupported (expected {FORMAT_VERSION})"
         )
-    meta, model_config, schedule = _parse_header(
-        _decode(bytes(buf.take(*buf.counts(1))), "header"))
-    dtype = _storage_dtype(model_config.dtype)
-    tensors = dict(buf.tensor(dtype) for _ in range(*buf.counts(1)))
+    start = 16 + header_len
+    if start > len(raw):
+        raise CheckpointError("truncated checkpoint file")
+    meta, model_config, schedule = _parse_header(raw[16:start])
 
-    # the tensors are fresh arrays, so they are adopted uncopied
-    model = Transformer(
-        model_config, meta["src_vocab_size"], meta["tgt_vocab_size"],
-        load=lambda name, shape: _take_tensor(tensors, "param/" + name, shape))
+    # the body, viewed in place: each parameter is copied out of it once
+    # its name matches the header's and the body holds it, so a header
+    # naming a model larger than the body allocates no oversized array
+    dtype = _storage_dtype(model_config.dtype)
+    nbytes = len(raw) - start
+    body = np.frombuffer(raw, dtype, nbytes // dtype.itemsize, start)
+    names, count, size = meta["params"], 0, 0
+
+    def take(name, shape):
+        nonlocal count, size
+        if count == len(names) or names[count] != name:
+            raise _params_differ(names, count, repr(name))
+        lo, count, size = size, count + 1, size + math.prod(shape)
+        if size > body.size:
+            raise _short_body(nbytes, dtype, f"at least {3 * size * dtype.itemsize}")
+        return body[lo:size].reshape(shape).copy()
+
+    try:
+        model = Transformer(model_config, meta["src_vocab_size"],
+                            meta["tgt_vocab_size"], load=take)
+    except ConfigError as exc:  # a vocabulary without room for the specials
+        raise _bad_header("vocabulary sizes", exc) from None
+    if count != len(names):
+        raise _params_differ(names, count, "missing")
+    if nbytes != 3 * size * dtype.itemsize:
+        raise _short_body(nbytes, dtype, 3 * size * dtype.itemsize)
     model.rng.bit_generator.state = meta["model_rng"]
 
     adam = AdamState(model.params)
     adam.step = meta["adam_step"]
-    for name, p in model.params.items():
-        adam.m[name][...] = _take_tensor(tensors, "adam_m/" + name, p.data.shape)
-        adam.v[name][...] = _take_tensor(tensors, "adam_v/" + name, p.data.shape)
+    adam.flat_m[...] = body[size:2 * size]
+    adam.flat_v[...] = body[2 * size:]
 
     return TrainerState(model=model, adam=adam, schedule=schedule,
                         step=meta["step"], config_hash=meta["config_hash"],

@@ -1,6 +1,7 @@
 """End-to-end command tests: every artifact a run directory promises,
 the trace conventions, resume, and the comparison harness."""
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -439,9 +440,10 @@ class TestResume:
 
     def test_failed_save_keeps_the_previous_checkpoint(
             self, workdir, trained, monkeypatch):
-        """A save that dies partway (the disk fills at the fifth tensor)
-        leaves the previous checkpoint-last byte-identical and loadable,
-        leaves no temporary file, and the run still resumes."""
+        """A save that dies partway (the disk fills at the fifth write,
+        after the header and three parameters) leaves the previous
+        checkpoint-last byte-identical and loadable, leaves no temporary
+        file, and the run still resumes."""
         out = workdir / "interrupted"
         cfg = workdir / "run.json"
         difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
@@ -449,21 +451,29 @@ class TestResume:
                        "--set", "total_steps=8") == 0
         before = (out / CKPT_LAST).read_bytes()
 
-        write_tensor = normcl.trainer._write_tensor
+        atomic_write = normcl.trainer.atomic_write
         written = []
 
-        def fill_disk(fh, name, array, dtype):
-            if len(written) == 4:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            write_tensor(fh, name, array, dtype)
-            written.append(name)
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(normcl.trainer, "_write_tensor", fill_disk)
+            def write(self, data):
+                if len(written) == 4:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(self.fh.write(data))
+
+        @contextlib.contextmanager
+        def fill_disk(path, *args, **kwargs):
+            with atomic_write(path, *args, **kwargs) as fh:
+                yield FullDisk(fh)
+
+        monkeypatch.setattr(normcl.trainer, "atomic_write", fill_disk)
         with pytest.raises(OSError):
             run_cli("train", "--config", cfg, "--out", out, *difficulty,
                     "--resume", "--set", "total_steps=16")
         monkeypatch.undo()
-        assert len(written) == 4
+        assert len(written) == 4 and all(written)
         assert (out / CKPT_LAST).read_bytes() == before
         assert load_checkpoint(out / CKPT_LAST).step == 8
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
@@ -998,6 +1008,21 @@ _HEADER_EDITS = {
                                "bad config_hash in checkpoint header"),
     "vocab_digest_not_string": (lambda meta: meta.update(vocab_digest=None),
                                 "bad vocab_digest in checkpoint header"),
+    "params_dropped_name": (
+        lambda meta: meta["params"].pop(3),
+        "bad params in checkpoint header: entry 3 is 'enc0.self.wk.w', "
+        "the model's is 'enc0.self.wq.b'"),
+    "params_swapped_names": (
+        lambda meta: meta["params"].insert(2, meta["params"].pop(3)),
+        "bad params in checkpoint header: entry 2 is 'enc0.self.wq.b', "
+        "the model's is 'enc0.self.wq.w'"),
+    # a source embedding far larger than the body: refused before any
+    # parameter is allocated
+    "huge_vocab_size": (lambda meta: meta.update(src_vocab_size=10 ** 12),
+                        "but model_config.dtype float32 needs at least"),
+    "tiny_vocab_size": (lambda meta: meta.update(src_vocab_size=2),
+                        "bad vocabulary sizes in checkpoint header: "
+                        "vocabularies must include the four specials"),
 }
 
 
@@ -1010,7 +1035,7 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         raw[16:16 + blob_len] = b"\xff" * blob_len
         dst.write_bytes(bytes(raw))
         return "garbled checkpoint header"
-    if how in ("format_1", "format_2", "format_3"):
+    if how in ("format_1", "format_2", "format_3", "format_4"):
         raw = bytearray(src.read_bytes())
         raw[4:8] = struct.pack("<I", int(how[-1]))
         dst.write_bytes(bytes(raw))
@@ -1027,15 +1052,26 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                         + raw[16 + blob_len:])
         return fragment
+    # a float32 checkpoint whose body is damaged
+    raw = src.read_bytes()
+    (blob_len,) = struct.unpack_from("<Q", raw, 8)
+    need = len(raw) - 16 - blob_len
     state = load_checkpoint(src)
-    name = next(iter(state.model.params))
-    if how == "missing_adam_v":
-        del state.adam.v[name]
+    if how == "body_one_byte_short":
+        dst.write_bytes(raw[:-1])
+        held = need - 1
+    elif how == "body_trailing_byte":
+        dst.write_bytes(raw + b"\0")
+        held = need + 1
+    elif how == "missing_adam_v":
+        dst.write_bytes(raw[:-state.adam.flat_v.nbytes])
+        held = need - state.adam.flat_v.nbytes
+    else:  # short_adam_m: two moment values lost on save
+        state.adam.flat_m = state.adam.flat_m[:-2]
         save_checkpoint(state, dst)
-        return f"missing tensor adam_v/{name}"
-    state.adam.m[name] = state.adam.m[name][:2]
-    save_checkpoint(state, dst)
-    return f"adam_m/{name} has shape"
+        held = need - 8
+    return (f"checkpoint body holds {held} bytes, but model_config.dtype "
+            f"float32 needs {need}\n")
 
 
 class TestMalformedArtifact:
@@ -1056,6 +1092,27 @@ class TestMalformedArtifact:
         assert err.startswith("error:")
         assert f"line 3 in {path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("how", ["unknown", "mixed"])
+    def test_train_difficulty_criterion(self, workdir, trained, tmp_path,
+                                        capsys, how):
+        """Every line names one known criterion: a file that switches
+        criteria, or names an unknown one, is refused at that line."""
+        lines = (trained / DIFFICULTY_FILE).read_text().splitlines()
+        first = lines[0].rsplit("\t", 1)[1]
+        crit = "foo" if how == "unknown" else next(
+            c for c in ("norm", "length") if c != first)
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\t" + crit
+        path = tmp_path / DIFFICULTY_FILE
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", workdir / "run.json",
+                       "--out", tmp_path / "run", "--difficulty", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"criterion '{crit}' at line 3 in {path}" in err
+        if how == "mixed":
+            assert f"differs from line 1's '{first}'" in err
 
     def test_train_difficulty_one_line_short(self, workdir, trained, tmp_path,
                                              capsys):
@@ -1133,8 +1190,9 @@ class TestMalformedArtifact:
 
 
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
-                                 "short_adam_m", "format_1", "format_2",
-                                 "format_3", *_HEADER_EDITS])
+                                 "short_adam_m", "body_one_byte_short",
+                                 "body_trailing_byte", "format_1", "format_2",
+                                 "format_3", "format_4", *_HEADER_EDITS])
 class TestDamagedCheckpoint:
     """A damaged checkpoint ends in exit 2 and a message, never a
     traceback, whether ``evaluate`` or ``train --resume`` reads it."""
@@ -1205,6 +1263,23 @@ class TestCompare:
                     "--out", tmp_path)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--target-fraction", "nan"), ("--target-fraction", "inf"),
+        ("--target-fraction", "-1"), ("--target-fraction", "0"),
+        ("--target-accuracy", "nan"), ("--target-accuracy", "0"),
+        ("--target-accuracy", "1.5"),
+    ])
+    def test_bad_target_refused_before_training(self, workdir, tmp_path, capsys,
+                                                flag, value):
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--config-a", workdir / "run.json",
+                       "--config-b", workdir / "run.json",
+                       "--seeds", "0", "--out", out, flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+        assert not out.exists()
 
     def test_mismatched_corpora_rejected(self, workdir, tmp_path, capsys):
         other = json.loads((workdir / "self.json").read_text())

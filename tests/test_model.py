@@ -1,6 +1,8 @@
 """Transformer forward/loss/gradient and checkpoint contracts."""
 
 import inspect
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -469,11 +471,13 @@ class TestCheckpoint:
 
     def test_wrong_shape_moment_rejected(self, tmp_path):
         state = self._trained_state(steps=1)
-        name = "dec0.ff1.w"
-        state.adam.m[name] = state.adam.m[name][:, :3]
+        size = state.adam.flat_m.size
+        state.adam.flat_m = state.adam.flat_m[:-3]
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
-        with pytest.raises(CheckpointError, match="adam_m/dec0.ff1.w"):
+        need = 3 * size * 4
+        with pytest.raises(CheckpointError, match=f"checkpoint body holds {need - 12} "
+                           f"bytes, but model_config.dtype float32 needs {need}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("how", ["missing", "wrong_shape"])
@@ -482,12 +486,35 @@ class TestCheckpoint:
         name = "dec0.cross.wk.w"
         if how == "missing":
             del state.model.params[name]
+            message = f"bad params in checkpoint header: entry .* the model's is '{name}'"
         else:
             state.model.params[name].data = state.model.params[name].data[:3]
+            message = "checkpoint body holds .* needs"
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
-        with pytest.raises(CheckpointError, match=f"param/{name}"):
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    def test_oversized_header_refused_before_allocating(self, tmp_path):
+        """A header naming a 64 MB source embedding over a body of a few
+        hundred kB is refused before the embedding is allocated."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._trained_state(steps=1), path)
+        raw = path.read_bytes()
+        blob_len = int.from_bytes(raw[8:16], "little")
+        meta = json.loads(raw[16:16 + blob_len])
+        meta["src_vocab_size"] = 500_000
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + blob_len:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="needs at least 192000000$"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(raw)
 
     def test_loaded_parameters_replace_the_random_draws(self):
         fresh = Transformer(SMALL, 16, 17)

@@ -1,6 +1,6 @@
 """README stays true to the code: its configuration table lists exactly
-the fields of each block, its commands parse, and its quickstart config
-loads."""
+the fields of each block, its commands parse, its quickstart config
+loads, and it names the checkpoint format the code writes."""
 
 import json
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 
 from normcl.cli import _PARSER
 from normcl.config import RunConfig, run_config_from_dict
+from normcl.trainer import FORMAT_VERSION
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -88,3 +89,8 @@ def test_quickstart_config_loads():
     (block,) = _fenced_blocks("json")
     config = run_config_from_dict(json.loads(block))
     assert config.curriculum.kind == "norm_based"
+
+
+def test_checkpoint_format_matches_the_code():
+    formats = re.findall(r"\(format (\d+)\)", README.read_text(encoding="utf-8"))
+    assert formats == [str(FORMAT_VERSION)]
