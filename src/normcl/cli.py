@@ -320,7 +320,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
             metrics = train_step(state, build_batch(corpus, ids), weights, lr)
             schedule.observe_norm(metrics["m_t"])
 
-            if t == start_step or t % config.log_interval == 0 \
+            if t == 1 or t % config.log_interval == 0 \
                     or t == config.total_steps:
                 frac = sampler.eligible_count(c_used) / n
                 mean_w = 1.0 if weights is None else float(np.mean(weights))

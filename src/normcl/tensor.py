@@ -34,7 +34,11 @@ so a train step records a few dozen nodes rather than hundreds:
   masks, takes the softmax, drops out and merges the heads of
   ``probs @ v`` in one node.  Its backward keeps only the probabilities
   and the dropout mask (the fused-kernel idea of FlashAttention, Dao et
-  al. 2022, at NumPy scale).
+  al. 2022, at NumPy scale).  The softmax's row max is folded column by
+  column with ``np.maximum``, several times faster than numpy's
+  last-axis reduction over the short rows of the model's training and
+  decoding shapes and exact, since a max does not depend on the order
+  it is taken in.
 - ``residual_dropout(x, y, p, rng)`` is ``x + dropout(y)``.
 
 Each runs the same elementwise operations and products, in the same
@@ -255,6 +259,25 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, folded column by column.  A max
+    is the same in any order, NaN included; only the sign of a zero
+    maximum may differ from numpy's reduction, which ``exp(a - max)``
+    cannot see.
+
+    numpy's last-axis max is slow over short rows.  Measured (float32,
+    one thread, 2-core x86 VM, reduction -> fold): 202 -> 25 us at
+    (64, 4, 13, 13), 35 -> 4 us at (64, 4, 4, 4) and 55 -> 9 us at
+    (300, 4, 1, 8).  The fold costs one pass per key, so long rows are
+    slower: 1.3 -> 4.6 ms at (64, 4, 64, 64) and 79 -> 265 us at
+    (300, 4, 1, 200).
+    """
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j:j + 1], out=m)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
@@ -345,7 +368,7 @@ def attention(q, k, v, mask, n_heads: int, p: float,
     probs *= c
     if mask is not None:
         probs += mask
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     keep = _keep_mask(probs.shape, probs.dtype, p, rng)

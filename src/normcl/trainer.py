@@ -43,6 +43,10 @@ __all__ = ["TrainerState", "train_step", "token_accuracy",
 
 MAGIC = b"NCLK"
 FORMAT_VERSION = 5
+# pairs per dev-accuracy batch: 300 length-sorted dev pairs (d_model 64,
+# 2+2 layers, float32, one thread) took 20.5, 18.7, 19.5 and 31.6 ms at
+# 32, 64, 100 and 300 pairs per batch
+DEV_BATCH = 64
 
 
 @dataclass
@@ -88,14 +92,22 @@ def train_step(state: TrainerState, batch: EncodedBatch,
     return {"loss": value, "lr": lr, "m_t": m_t, "nll": per_sentence}
 
 
-def token_accuracy(model: Transformer, corpus: ParallelCorpus,
-                   batch_size: int = 64) -> float:
+def token_accuracy(model: Transformer, corpus: ParallelCorpus) -> float:
     """Teacher-forced next-token argmax accuracy over every pair of
-    ``corpus``, padding excluded."""
+    ``corpus``, padding excluded.
+
+    Batches of ``DEV_BATCH`` pairs are taken in order of target, then
+    source length, so they hold little padding (length-bucketed batching
+    as in fairseq, Ott et al. 2019).  Hits over real tokens do not depend
+    on the order; a pair's logits may move in the last float32 bits,
+    because the softmax's row sum groups its terms by the padded key
+    length.
+    """
+    order = np.lexsort((corpus.src_lengths, corpus.tgt_lengths))
     correct = 0
     total = 0
-    for lo in range(0, len(corpus), batch_size):
-        batch = build_batch(corpus, np.arange(lo, min(lo + batch_size, len(corpus))))
+    for lo in range(0, len(order), DEV_BATCH):
+        batch = build_batch(corpus, order[lo:lo + DEV_BATCH])
         with no_grad():
             logits = model.forward(batch, train=False)
         pred = logits.data.argmax(axis=-1)

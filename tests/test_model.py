@@ -10,6 +10,7 @@ import pytest
 
 from normcl import model as model_module
 from normcl import tensor
+from normcl import trainer as trainer_module
 from corpus_oracle import corpus_of
 from normcl.corpus import BOS_ID, EOS_ID, PAD_ID
 from normcl.errors import CheckpointError, ConfigError, DataError, TrainingDiverged
@@ -416,6 +417,29 @@ class TestTrainStep:
             correct += int(hits.sum())
             total += int(batch.loss_mask.sum())
         assert token_accuracy(state.model, pairs) == correct / total
+
+    def test_token_accuracy_batches_pairs_by_length(self, monkeypatch):
+        """150 pairs with targets of 1 to 16 tokens: length-sorted batches
+        of 64 compute 1,718 target positions for 1,308 real ones, where
+        batches in index order would compute 2,550."""
+        pairs = _pairs(150, np.random.default_rng(11), hi=16, max_len=17)
+        assert set(pairs.tgt_lengths.tolist()) == set(range(1, 17))
+        built = []
+
+        def recording(corpus, ids):
+            built.append(build_batch(corpus, ids))
+            return built[-1]
+
+        monkeypatch.setattr(trainer_module, "build_batch", recording)
+        token_accuracy(self._state().model, pairs)
+        assert [len(b.ids) for b in built] == [64, 64, 22]
+        assert sorted(np.concatenate([b.ids for b in built]).tolist()) \
+            == list(range(150))
+        assert sum(int(b.loss_mask.sum()) for b in built) == 1308
+        assert sum(b.tgt_out.size for b in built) == 1718
+        in_order = [build_batch(pairs, np.arange(lo, min(lo + 64, 150)))
+                    for lo in range(0, 150, 64)]
+        assert sum(b.tgt_out.size for b in in_order) == 2550
 
 
 class TestCheckpoint:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normcl import tensor
 from normcl.config import run_config_from_dict
 from normcl.errors import ConfigError, ShapeError, TrainingDiverged
 from normcl.optim import AdamState, adam_step, lr_schedule
@@ -499,6 +502,62 @@ class TestFusedKernels:
         _grad_check_operands(
             lambda x, y: residual_dropout(x, y, p, np.random.default_rng(8)),
             [(3, 4), (3, 4)], 58)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+# masked scores, signed zeros and a few magnitudes; NaNs are placed apart
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, -1e9, 1e9]),
+                    st.floats(-1e4, 1e4, width=32))
+
+
+@st.composite
+def _score_rows(draw):
+    """Rows of 1 to 34 attention scores, some fully masked and some
+    holding a NaN."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_rows = draw(st.integers(1, 6))
+    n_keys = draw(st.integers(1, 34))
+    values = draw(st.lists(_SCORES, min_size=n_rows * n_keys,
+                           max_size=n_rows * n_keys))
+    a = np.array(values, dtype=dtype).reshape(n_rows, n_keys)
+    masked = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    a[masked] = -1e9
+    for row, col in draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                            st.integers(0, n_keys - 1)),
+                                  max_size=2)):
+        a[row, col] = np.nan
+    return a
+
+
+class TestRowMax:
+    """``attention``'s row max is folded column by column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_score_rows())
+    def test_fold_equals_the_reduction(self, a):
+        got = tensor._row_max(a)
+        want = a.max(axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(a).any(axis=-1, keepdims=True))
+        # bit for bit, except that numpy's vector reduction may return
+        # either sign for a zero maximum
+        zero = want == 0
+        assert np.array_equal(got == 0, zero)
+        assert np.array_equal(_bits(got)[~zero], _bits(want)[~zero])
+        # the softmax subtracts the max and exponentiates, which hides
+        # the sign of a zero
+        assert np.array_equal(_bits(np.exp(a - got)), _bits(np.exp(a - want)))
+
+    @pytest.mark.parametrize("tk", [13, 33])
+    def test_attention_matches_the_kernel_chain_over_longer_rows(self, tk):
+        _assert_matches_oracle(
+            lambda q, k, v, rng: attention(q, k, v, _padding(2, tk), 2, 0.3, rng),
+            lambda q, k, v, rng: _oracle_attention(q, k, v, _padding(2, tk), 2,
+                                                   0.3, rng),
+            [(2, 3, 8), (2, tk, 8), (2, tk, 8)], 60)
 
 
 def _every_kernel(rng):
