@@ -560,6 +560,86 @@ class TestRowMax:
             [(2, 3, 8), (2, tk, 8), (2, tk, 8)], 60)
 
 
+# signed zeros, masked-score magnitudes, infinities and NaN among
+# ordinary values of several magnitudes
+_TERMS = st.one_of(st.sampled_from([0.0, -0.0, 1e9, -1e9, math.inf, -math.inf,
+                                    math.nan]),
+                   st.floats(-1e6, 1e6, width=32))
+
+
+@st.composite
+def _sum_rows(draw):
+    """Rows of 1 to 140 terms: numpy's three summation regimes (below 8,
+    up to 128 and the halving above) and their edges."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_rows = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, 140), st.sampled_from([7, 8, 9, 128, 129])))
+    if draw(st.booleans()):
+        values = draw(st.lists(_TERMS, min_size=n_rows * n, max_size=n_rows * n))
+        a = np.array(values, dtype=dtype)
+    else:
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        a = np.random.default_rng(seed).standard_normal(n_rows * n).astype(dtype)
+        a[: n_rows * n // 3] = -0.0
+        np.random.default_rng(seed).shuffle(a)
+    return a.reshape(n_rows, n)
+
+
+class TestRowSum:
+    """``attention``'s softmax sums are folded in numpy's order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_sum_rows())
+    def test_fold_equals_the_reduction(self, a):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = tensor._row_sum(a)
+            want = a.sum(axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # a NaN's sign bit depends on the order the compiler gave each
+        # addition's operands, so NaNs are compared by position
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_length_over_random_rows(self, dtype):
+        rng = np.random.default_rng(61)
+        for n in range(1, 141):
+            a = (rng.standard_normal((2, 3, 4, n))
+                 * 10.0 ** rng.integers(-3, 6, size=n)).astype(dtype)
+            assert np.array_equal(_bits(tensor._row_sum(a)),
+                                  _bits(a.sum(axis=-1, keepdims=True))), n
+
+
+def _oracle_layer_norm(x, g, eps=1e-12):
+    """The ``np.mean`` formula ``layer_norm`` used before, forward and
+    gradient, kept as an oracle."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = centered * inv_std
+    g_mean = g.mean(axis=-1, keepdims=True)
+    gx_mean = (g * x_hat).mean(axis=-1, keepdims=True)
+    return x_hat, inv_std * (g - g_mean - x_hat * gx_mean)
+
+
+class TestLayerNormBits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64, 5, 64), (3, 7, 13), (2, 1), (4, 200)])
+    def test_matches_the_mean_formula(self, dtype, shape):
+        rng = np.random.default_rng(62)
+        x = Tensor((rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype),
+                   requires_grad=True)
+        g = rng.standard_normal(shape).astype(dtype)
+        out = layer_norm(x)
+        out.backward(g)
+        want_out, want_grad = _oracle_layer_norm(x.data, g)
+        assert out.data.dtype == x.grad.dtype == dtype
+        assert np.array_equal(_bits(out.data), _bits(want_out))
+        assert np.array_equal(_bits(x.grad), _bits(want_grad))
+
+
 def _every_kernel(rng):
     """One output of each kernel on fresh leaves that require grad."""
     a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
