@@ -333,10 +333,11 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 evals.append({"step": t, "token_accuracy": float(acc),
                               "loss": float(metrics["loss"])})
                 state.sampler_rng = sampler.rng_state()
-                save_checkpoint(state, out / CKPT_LAST)
+                paths = [out / CKPT_LAST]
                 if acc > best_acc:
                     best_acc = acc
-                    save_checkpoint(state, out / CKPT_BEST)
+                    paths.append(out / CKPT_BEST)
+                save_checkpoint(state, *paths)
 
     best = max(evals, key=lambda e: e["token_accuracy"])
     report = {

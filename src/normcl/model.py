@@ -14,8 +14,8 @@ parameters, positional encodings, attention masks, activations, dropout
 masks and so gradients all hold that dtype.  Only the loss tail runs in
 float64: the per-position NLL is multiplied by the float64 loss mask,
 so the weighted sum, the loss and the per-sentence NLL are reduced in
-float64.  Dropout draws its uniforms in float64 whatever the dtype, so
-the random stream does not depend on it.
+float64.  Dropout's keep decisions come from 16-bit draws whatever the
+dtype, so the random stream and the kept entries do not depend on it.
 
 ``decode`` takes an optional ``DecoderCache`` for incremental decoding:
 it then runs only the target positions the cache has not seen yet.
@@ -44,6 +44,9 @@ DTYPES = ("float32", "float64")
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """``dropout`` drops sub-layer outputs and embedding sums only (Vaswani
+    et al. 2017, section 5.4), in steps of 1/65536 (``tensor._keep_mask``):
+    below 2**-17 it drops nothing, and it must round below 1."""
     d_model: int = 64
     n_heads: int = 4
     n_layers: int = 2
@@ -62,8 +65,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not (0.0 <= self.dropout < 1.0 and round(self.dropout * 65536) < 65536):
+            raise ConfigError(f"dropout must be in [0, 1 - 2**-17), got {self.dropout}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ class Transformer:
         return linear(x, self.params[name + ".w"], self.params[name + ".b"])
 
     def _attention(self, name: str, q_in: Tensor, kv_in: Tensor,
-                   mask: np.ndarray | None, train: bool,
+                   mask: np.ndarray | None,
                    cache: DecoderCache | None = None,
                    static_kv: bool = False) -> Tensor:
         """Multi-head attention; with a cache, keys and values are
@@ -261,16 +264,13 @@ class Transformer:
                 v = concat([Tensor(cached[1]), v], axis=1)
             if cache is not None:
                 cache.kv[name] = (k.data, v.data)
-        ctx = attention(q, k, v, mask, self.config.n_heads, self._rate(train),
-                        self.rng)
+        ctx = attention(q, k, v, mask, self.config.n_heads)
         if ctx.shape != shape:
             ctx = reshape(ctx, shape)
         return self._linear(name + ".wo", ctx)
 
-    def _ff(self, name: str, x: Tensor, train: bool) -> Tensor:
-        inner = dropout(relu(self._linear(name + ".ff1", x)), self._rate(train),
-                        self.rng)
-        return self._linear(name + ".ff2", inner)
+    def _ff(self, name: str, x: Tensor) -> Tensor:
+        return self._linear(name + ".ff2", relu(self._linear(name + ".ff1", x)))
 
     def _sublayer(self, x: Tensor, fn, train: bool) -> Tensor:
         return residual_dropout(x, fn(layer_norm(x)), self._rate(train),
@@ -296,9 +296,8 @@ class Transformer:
         for l in range(self.config.n_layers):
             x = self._sublayer(
                 x, lambda y, l=l: self._attention(f"enc{l}.self", y, y,
-                                                  src_mask, train), train)
-            x = self._sublayer(x, lambda y, l=l: self._ff(f"enc{l}", y, train),
-                               train)
+                                                  src_mask), train)
+            x = self._sublayer(x, lambda y, l=l: self._ff(f"enc{l}", y), train)
         return layer_norm(x)
 
     def decode(self, memory: Tensor, src_mask: np.ndarray,
@@ -323,13 +322,12 @@ class Transformer:
         for l in range(self.config.n_layers):
             x = self._sublayer(
                 x, lambda y, l=l: self._attention(f"dec{l}.self", y, y,
-                                                  causal, train, cache), train)
+                                                  causal, cache), train)
             x = self._sublayer(
                 x, lambda y, l=l: self._attention(f"dec{l}.cross", y, memory,
-                                                  src_mask, train, cache,
+                                                  src_mask, cache,
                                                   static_kv=True), train)
-            x = self._sublayer(x, lambda y, l=l: self._ff(f"dec{l}", y, train),
-                               train)
+            x = self._sublayer(x, lambda y, l=l: self._ff(f"dec{l}", y), train)
         x = layer_norm(x)
         b, n, d = x.shape
         flat = matmul(reshape(x, (b * n, d)),

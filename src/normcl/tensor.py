@@ -30,16 +30,15 @@ so a train step records a few dozen nodes rather than hundreds:
   position of a cached decoder step): numpy runs those as one
   matrix-vector product per row, and one flat GEMM measured 1.6-4x
   faster.
-- ``attention(q, k, v, mask, n_heads, p, rng)`` splits heads, scales,
-  masks, takes the softmax, drops out and merges the heads of
-  ``probs @ v`` in one node.  Its backward keeps only the probabilities
-  and the dropout mask (the fused-kernel idea of FlashAttention, Dao et
-  al. 2022, at NumPy scale).  The softmax's row max is folded column by
-  column with ``np.maximum``, several times faster than numpy's
-  last-axis reduction over the short rows of the model's training and
-  decoding shapes and exact, since a max does not depend on the order
-  it is taken in.
-- ``residual_dropout(x, y, p, rng)`` is ``x + dropout(y)``.
+- ``attention(q, k, v, mask, n_heads)`` splits heads, scales, masks,
+  takes the softmax and merges the heads of ``probs @ v`` in one node.
+  Its backward keeps only the probabilities (the fused-kernel idea of
+  FlashAttention, Dao et al. 2022, at NumPy scale).  The softmax's row
+  max and row sums are folded column by column, faster than numpy's
+  last-axis reductions over the model's short rows, for the same softmax.
+- ``residual_dropout(x, y, p, rng)`` is ``x + dropout(y)``.  Sub-layer
+  outputs and embedding sums are all the model drops out, as Vaswani et
+  al. 2017 (section 5.4) do; attention has no dropout.
 
 Each runs the same elementwise operations and products, in the same
 order and on the same array layouts, as the chain of small kernels the
@@ -374,15 +373,13 @@ def linear(x, w, b) -> Tensor:
     return out
 
 
-def attention(q, k, v, mask, n_heads: int, p: float,
-              rng: np.random.Generator) -> Tensor:
+def attention(q, k, v, mask, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention, heads merged back.
 
     ``q`` is (B, Tq, d) and ``k``, ``v`` are (B, Tk, d); each is split
     into ``n_heads`` heads of ``d / n_heads`` features.  ``mask`` is an
-    additive array broadcastable to (B, n_heads, Tq, Tk), or None.  The
-    attention probabilities get inverted dropout at rate ``p``.  Returns
-    (B, Tq, d).
+    additive array broadcastable to (B, n_heads, Tq, Tk), or None.
+    Returns (B, Tq, d).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape \
@@ -407,9 +404,7 @@ def attention(q, k, v, mask, n_heads: int, p: float,
     probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= _row_sum(probs)
-    keep = _keep_mask(probs.shape, probs.dtype, p, rng)
-    weights = probs if keep is None else probs * keep
-    data = (weights @ v4).transpose(0, 2, 1, 3).reshape(b, tq, d)
+    data = (probs @ v4).transpose(0, 2, 1, 3).reshape(b, tq, d)
     out = Tensor(data, requires_grad=_needs_grad(q, k, v))
     if out.requires_grad:
         out._parents = (q, k, v)
@@ -417,15 +412,12 @@ def attention(q, k, v, mask, n_heads: int, p: float,
         def _bw(g):
             g_ctx = np.ascontiguousarray(heads(g, tq))
             if v.requires_grad:
-                dropped = probs if keep is None else probs * keep
-                g_v = _swap_last(dropped) @ g_ctx
+                g_v = _swap_last(probs) @ g_ctx
                 v._accumulate(g_v.transpose(0, 2, 1, 3).reshape(b, tk, d),
                               fresh=True)
             if not (q.requires_grad or k.requires_grad):
                 return
             g_s = g_ctx @ _swap_last(v4)
-            if keep is not None:
-                g_s *= keep
             g_s *= probs
             g_s -= probs * _row_sum(g_s)
             g_s *= c
@@ -731,11 +723,18 @@ def residual_dropout(x, y, p: float, rng: np.random.Generator) -> Tensor:
 
 def _keep_mask(shape, dtype, p: float, rng: np.random.Generator):
     """The scaled keep mask of inverted dropout at rate ``p``, or None
-    when ``p`` is 0 (and then no uniforms are drawn).  ``ModelConfig``
-    keeps ``p`` in [0, 1)."""
-    if p <= 0.0:
+    (nothing drawn) when ``thr = round(p * 65536)`` is 0.  Each raw word
+    gives four little-endian 16-bit lanes; a lane of at least ``thr``
+    keeps its entry at ``1 / (1 - thr / 65536)``, so the mask's mean is
+    exactly 1 whatever the dtype.  ``ModelConfig`` keeps ``thr`` < 65536."""
+    thr = round(p * 65536)
+    if thr == 0:
         return None
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+    n = math.prod(shape)
+    lanes = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    keep = (lanes.view("<u2")[:n].reshape(shape) >= thr).astype(dtype)
+    keep *= 1.0 / (1.0 - thr / 65536)
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ def _storage_dtype(dtype: str) -> np.dtype:
     return np.dtype(dtype).newbyteorder("<")
 
 
-def save_checkpoint(state: TrainerState, path) -> None:
+def save_checkpoint(state: TrainerState, *paths) -> None:
+    """Serialize ``state`` once and write the same bytes to each path."""
     model = state.model
     meta = {
         "config_hash": state.config_hash,
@@ -165,10 +166,13 @@ def save_checkpoint(state: TrainerState, path) -> None:
     dtype = _storage_dtype(model.config.dtype)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = [p.data for p in model.params.values()]
-    with atomic_write(path) as fh:
-        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
-        for array in (*body, state.adam.flat_m, state.adam.flat_v):
-            fh.write(np.ascontiguousarray(array, dtype=dtype))
+    pieces = [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob,
+              *(np.ascontiguousarray(array, dtype=dtype)
+                for array in (*body, state.adam.flat_m, state.adam.flat_v))]
+    for path in paths:
+        with atomic_write(path) as fh:
+            for piece in pieces:
+                fh.write(piece)
 
 
 # the JSON types each header value may have (a bool is no int here);

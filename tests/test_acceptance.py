@@ -256,7 +256,7 @@ def test_04_gradient_fidelity():
         ("tensor_slice", lambda t: tensor_sum(mul(tensor_slice(t, (slice(1, 3), slice(0, 2))), w22)), Tensor(rng.standard_normal((4, 4)))),
         ("relu", lambda t: tensor_sum(mul(relu(t), w34)), away_from_zero(3, 4)),
         ("linear", lambda t: tensor_sum(mul(linear(t, w43.data.T, b4), w234)), Tensor(rng.standard_normal((2, 3, 3)))),
-        ("attention", lambda t: tensor_sum(mul(attention(t, kv, kv, pad, 2, 0.0, None), w234)), Tensor(rng.standard_normal((2, 3, 4)))),
+        ("attention", lambda t: tensor_sum(mul(attention(t, kv, kv, pad, 2), w234)), Tensor(rng.standard_normal((2, 3, 4)))),
         ("residual_dropout_p0", lambda t: tensor_sum(mul(residual_dropout(w234, t, 0.0, drop_rng), w234)), Tensor(rng.standard_normal((2, 3, 4)))),
         ("layer_norm", lambda t: tensor_sum(mul(layer_norm(t), w36)), Tensor(rng.standard_normal((3, 6)))),
         ("embedding_lookup", lambda t: tensor_sum(mul(embedding_lookup(t, ids), w223)), Tensor(rng.standard_normal((5, 3)))),

@@ -106,6 +106,31 @@ class TestArtifacts:
                      VOCAB_SRC_FILE, "vocab.tgt.tsv"):
             assert (trained / name).is_file(), name
 
+    def test_new_best_writes_the_last_checkpoints_bytes(self, workdir, trained,
+                                                        monkeypatch):
+        """A run's one evaluation is a new best: both checkpoints hold
+        the bytes of one serialization, and every artifact equals that of
+        a run that serializes each checkpoint file on its own."""
+        cfg = workdir / "run.json"
+        args = ("--difficulty", trained / DIFFICULTY_FILE, "--set", "total_steps=8")
+        once = workdir / "best_once"
+        assert run_cli("train", "--config", cfg, "--out", once, *args) == 0
+        assert (once / CKPT_BEST).read_bytes() == (once / CKPT_LAST).read_bytes()
+
+        written = []
+
+        def one_file_per_call(state, *paths):
+            for path in paths:
+                written.append(path.name)
+                save_checkpoint(state, path)
+
+        monkeypatch.setattr(normcl.cli, "save_checkpoint", one_file_per_call)
+        apart = workdir / "best_apart"
+        assert run_cli("train", "--config", cfg, "--out", apart, *args) == 0
+        assert written == [CKPT_LAST, CKPT_BEST]
+        for name in (TRACE_FILE, TRAIN_REPORT, CKPT_LAST, CKPT_BEST):
+            assert (once / name).read_bytes() == (apart / name).read_bytes(), name
+
     def test_norms_file_covers_vocab(self, trained):
         n_vocab = len((trained / VOCAB_SRC_FILE).read_text().splitlines())
         n_norms = len((trained / NORMS_FILE).read_text().splitlines())
@@ -697,7 +722,7 @@ class TestValidation:
         "model.d_model=0", "optimizer.warmup=0", "eval.beam_size=0",
         "curriculum.c0=0", "curriculum.c0=1.5", "curriculum.lambda_w=-1",
         "curriculum.token_budget=0", "curriculum.lambda_m=0",
-        "corpus.merges=-1", "model.dropout=1",
+        "corpus.merges=-1", "model.dropout=1", "model.dropout=0.999999",
         "curriculum.lambda_t=0 curriculum.kind=time_sqrt",
         "optimizer.peak_lr=NaN", "curriculum.lambda_w=NaN",
         "curriculum.lambda_m=NaN", "curriculum.lambda_m=Infinity",

@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**kwargs)
 
+    def test_dropout_must_round_below_one(self):
+        # masks keep a 16-bit draw of at least round(dropout * 65536)
+        assert ModelConfig(dropout=1.0 - 2.0 ** -16).dropout == 1.0 - 2.0 ** -16
+        assert ModelConfig(dropout=2.0 ** -18).dropout == 2.0 ** -18
+        with pytest.raises(ConfigError, match=r"dropout must be in \[0, 1 - 2\*\*-17\)"):
+            ModelConfig(dropout=1.0 - 2.0 ** -17)
+
 
 class TestBatchBuilding:
     def test_layout(self):
@@ -306,6 +313,24 @@ class TestKernelCount:
         train_step(state, batch, None, lr=1e-3)
         assert "attention" in calls and "linear" in calls
         assert len(calls) <= 126
+
+    def test_train_step_drops_out_sublayer_outputs_and_embeddings(self, monkeypatch):
+        """A 2+2-layer step draws twelve keep masks: the ten sub-layer
+        outputs and the two embedding sums, all (B, T, d_model); no
+        attention probabilities and no feed-forward inner layer."""
+        state, batch = _acceptance_step()
+        shapes = []
+        keep_mask = tensor._keep_mask
+
+        def recording(shape, *args):
+            shapes.append(shape)
+            return keep_mask(shape, *args)
+
+        monkeypatch.setattr(tensor, "_keep_mask", recording)
+        train_step(state, batch, None, lr=1e-3)
+        assert len(shapes) == 12
+        assert all(len(s) == 3 and s[-1] == state.model.config.d_model
+                   for s in shapes)
 
 
 class TestComputeDtype:

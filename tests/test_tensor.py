@@ -139,7 +139,7 @@ def _attention_probs(scores: Tensor) -> Tensor:
     tq, tk = scores.shape
     q = reshape(scale(scores, math.sqrt(tk)), (1, tq, tk))
     eye = Tensor(np.eye(tk)[None])
-    return reshape(attention(q, eye, eye, None, 1, 0.0, None), (tq, tk))
+    return reshape(attention(q, eye, eye, None, 1), (tq, tk))
 
 
 def _check_kernel(builder, shape_fn, seed):
@@ -399,7 +399,7 @@ def _softmax(a: Tensor) -> Tensor:
     return out
 
 
-def _oracle_attention(q, k, v, mask, n_heads, p, rng):
+def _oracle_attention(q, k, v, mask, n_heads):
     """The chain of small kernels that ``attention`` fuses."""
     b, tq, d = q.shape
     dh = d // n_heads
@@ -411,7 +411,7 @@ def _oracle_attention(q, k, v, mask, n_heads, p, rng):
                    1.0 / math.sqrt(dh))
     if mask is not None:
         scores = add(scores, Tensor(mask))
-    ctx = matmul(dropout(_softmax(scores), p, rng), heads(v))
+    ctx = matmul(_softmax(scores), heads(v))
     return reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
 
 
@@ -455,40 +455,30 @@ class TestFusedKernels:
         with pytest.raises(ShapeError):
             linear(_rand(rng, 2, 4), _rand(rng, 4, 5), _rand(rng, 4))
 
-    @pytest.mark.parametrize("p", [0.0, 0.3])
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
-    def test_attention_matches_the_kernel_chain(self, case, p):
+    def test_attention_matches_the_kernel_chain(self, case):
         shapes, mask, n_heads = ATTENTION_CASES[case]
         _assert_matches_oracle(
-            lambda q, k, v, rng: attention(q, k, v, mask, n_heads, p, rng),
-            lambda q, k, v, rng: _oracle_attention(q, k, v, mask, n_heads, p, rng),
+            lambda q, k, v, _rng: attention(q, k, v, mask, n_heads),
+            lambda q, k, v, _rng: _oracle_attention(q, k, v, mask, n_heads),
             shapes, 53)
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_attention_gradients(self, case):
         shapes, mask, n_heads = ATTENTION_CASES[case]
         _grad_check_operands(
-            lambda q, k, v: attention(q, k, v, mask, n_heads, 0.0, None),
+            lambda q, k, v: attention(q, k, v, mask, n_heads),
             shapes, 54)
-
-    def test_attention_gradients_with_dropout(self):
-        # a freshly seeded generator per call draws the same mask each
-        # time grad_check evaluates the function
-        shapes, mask, n_heads = ATTENTION_CASES["causal_self"]
-        _grad_check_operands(
-            lambda q, k, v: attention(q, k, v, mask, n_heads, 0.4,
-                                      np.random.default_rng(7)),
-            shapes, 55)
 
     def test_attention_refuses_bad_shapes(self):
         rng = np.random.default_rng(56)
         q, k = _rand(rng, 2, 3, 8), _rand(rng, 2, 4, 8)
         with pytest.raises(ShapeError):
-            attention(q, k, _rand(rng, 2, 5, 8), None, 2, 0.0, None)
+            attention(q, k, _rand(rng, 2, 5, 8), None, 2)
         with pytest.raises(ShapeError):
-            attention(q, k, k, None, 3, 0.0, None)
+            attention(q, k, k, None, 3)
         with pytest.raises(ShapeError):
-            attention(q, _rand(rng, 1, 4, 8), _rand(rng, 1, 4, 8), None, 2, 0.0, None)
+            attention(q, _rand(rng, 1, 4, 8), _rand(rng, 1, 4, 8), None, 2)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_residual_dropout_matches_add_dropout(self, p):
@@ -554,9 +544,8 @@ class TestRowMax:
     @pytest.mark.parametrize("tk", [13, 33])
     def test_attention_matches_the_kernel_chain_over_longer_rows(self, tk):
         _assert_matches_oracle(
-            lambda q, k, v, rng: attention(q, k, v, _padding(2, tk), 2, 0.3, rng),
-            lambda q, k, v, rng: _oracle_attention(q, k, v, _padding(2, tk), 2,
-                                                   0.3, rng),
+            lambda q, k, v, _rng: attention(q, k, v, _padding(2, tk), 2),
+            lambda q, k, v, _rng: _oracle_attention(q, k, v, _padding(2, tk), 2),
             [(2, 3, 8), (2, tk, 8), (2, tk, 8)], 60)
 
 
@@ -640,6 +629,55 @@ class TestLayerNormBits:
         assert np.array_equal(_bits(x.grad), _bits(want_grad))
 
 
+class TestKeepMask:
+    """Dropout keeps an entry when a 16-bit lane of the generator's raw
+    words is at least ``thr = round(p * 65536)``."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_keep_rate_and_scale(self, p):
+        thr = round(p * 65536)
+        keep = tensor._keep_mask((1000, 1000), np.float64, p,
+                                 np.random.default_rng(70))
+        q = 1.0 - thr / 65536
+        kept = keep != 0.0
+        n = keep.size
+        assert abs(kept.mean() - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
+        assert np.all(keep[kept] == 1.0 / q)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_entries_equal_the_scale(self, dtype):
+        keep = tensor._keep_mask((64, 5, 64), dtype, 0.1,
+                                 np.random.default_rng(71))
+        assert keep.dtype == dtype
+        scale = dtype(1.0 / (1.0 - round(0.1 * 65536) / 65536))
+        assert set(np.unique(keep)) == {dtype(0.0), scale}
+
+    def test_a_pure_function_of_the_generator_state(self):
+        a, b = np.random.default_rng(72), np.random.default_rng(72)
+        b.bit_generator.state = a.bit_generator.state
+        assert np.array_equal(tensor._keep_mask((7, 9), np.float32, 0.3, a),
+                              tensor._keep_mask((7, 9), np.float32, 0.3, b))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 63, 64, 1001])
+    def test_draws_one_word_per_four_entries(self, n):
+        rng, oracle = np.random.default_rng(73), np.random.default_rng(73)
+        tensor._keep_mask((n,), np.float32, 0.1, rng)
+        oracle.bit_generator.random_raw(-(-n // 4))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_same_mask_in_both_dtypes(self):
+        masks = [tensor._keep_mask((13, 17), dtype, 0.25,
+                                   np.random.default_rng(74))
+                 for dtype in (np.float32, np.float64)]
+        assert np.array_equal(masks[0] != 0, masks[1] != 0)
+
+    def test_zero_rate_draws_nothing(self):
+        rng = np.random.default_rng(75)
+        before = rng.bit_generator.state
+        assert tensor._keep_mask((5, 5), np.float32, 0.0, rng) is None
+        assert rng.bit_generator.state == before
+
+
 def _every_kernel(rng):
     """One output of each kernel on fresh leaves that require grad."""
     a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
@@ -649,7 +687,7 @@ def _every_kernel(rng):
         matmul(a, b), linear(seq, b, b[0]), add(a, a), mul(a, a),
         scale(a, 2.0), transpose(a), reshape(a, (4, 3)),
         concat([a, a], axis=0), tensor_slice(a, (0,)), relu(a),
-        attention(seq, seq, seq, _causal(3), 2, 0.5, np.random.default_rng(0)),
+        attention(seq, seq, seq, _causal(3), 2),
         layer_norm(a), embedding_lookup(table, [1, 5]),
         cross_entropy_with_log_softmax(a, np.array([0, 1, 3])),
         tensor_sum(a), dropout(a, 0.5, np.random.default_rng(0)),
@@ -697,7 +735,7 @@ class TestNoGrad:
 
         def loss():
             h = linear(layer_norm(x), w, bias)
-            return tensor_sum(attention(h, h, h, None, 2, 0.0, None))
+            return tensor_sum(attention(h, h, h, None, 2))
 
         head = loss()
         head.backward()
