@@ -52,18 +52,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"d_model": 0}, {"d_model": 30, "n_heads": 4}, {"dropout": 1.0},
+        {"dropout": 1.0 - 2.0 ** -17},
         {"n_layers": 0}, {"d_ff": 0}, {"dtype": "float16"},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
             ModelConfig(**kwargs)
 
-    def test_dropout_must_round_below_one(self):
+    @pytest.mark.parametrize("rate", [2.0 ** -18, 1.0 - 2.0 ** -16])
+    def test_rates_that_round_inside_the_16_bit_range_accepted(self, rate):
         # masks keep a 16-bit draw of at least round(dropout * 65536)
-        assert ModelConfig(dropout=1.0 - 2.0 ** -16).dropout == 1.0 - 2.0 ** -16
-        assert ModelConfig(dropout=2.0 ** -18).dropout == 2.0 ** -18
-        with pytest.raises(ConfigError, match=r"dropout must be in \[0, 1 - 2\*\*-17\)"):
-            ModelConfig(dropout=1.0 - 2.0 ** -17)
+        assert ModelConfig(dropout=rate).dropout == rate
 
 
 class TestBatchBuilding:
