@@ -19,7 +19,7 @@ import normcl.corpus
 import normcl.trainer
 from normcl.cli import (
     CKPT_BEST, CKPT_LAST, COMPARE_REPORT, DIFFICULTY_FILE, EVAL_REPORT,
-    NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
+    MERGES_SRC_FILE, NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
     VECTORS_FILE, VOCAB_SRC_FILE, VOCAB_TGT_FILE, main,
 )
 from normcl.config import _BLOCKS, run_config_from_dict
@@ -300,6 +300,36 @@ class TestGoldenBytes:
         got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
                .hexdigest() for name in self.DIGESTS}
         assert got == self.DIGESTS
+
+    # the same corpus and seed with 30 learned merges on each side
+    MERGE_DIGESTS = {
+        VECTORS_FILE:
+            "eddb46bb26a4b8cf4ae512bc9aa537b46a7bbba78569059f705902098101f767",
+        DIFFICULTY_FILE:
+            "95a5b99fb71b703754394ee8366bae7c6cd6351cc05fd2bc8ec3386f44b43e97",
+        MERGES_SRC_FILE:
+            "b6f0a71070fb3ac387391b369c2d7583fd7e4a8d8f5af4605743304c0409b6dd",
+        VOCAB_SRC_FILE:
+            "e994e3dc114839d965151536cc411e431c215ed79b061ea65edfc0d81b119262",
+    }
+
+    def test_embed_score_digests_with_merges(self, tmp_path):
+        src, tgt = synthetic_pairs(seed=13, n_pairs=400, vocab_size=60,
+                                   task="mapped", min_len=2, max_len=14)
+        (tmp_path / "g.src").write_text("\n".join(src) + "\n")
+        (tmp_path / "g.tgt").write_text("\n".join(tgt) + "\n")
+        cfg = {"corpus": {"source": str(tmp_path / "g.src"),
+                          "target": str(tmp_path / "g.tgt"),
+                          "min_count": 2, "max_len": 12, "merges": 30},
+               "sgns": {"dim": 8, "epochs": 3, "window": 3, "negatives": 4,
+                        "subsample_threshold": 1e-3, "seed": 5}}
+        (tmp_path / "g.json").write_text(json.dumps(cfg))
+        for command in ("embed", "score"):
+            assert run_cli(command, "--config", tmp_path / "g.json",
+                           "--out", tmp_path / "out") == 0
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in self.MERGE_DIGESTS}
+        assert got == self.MERGE_DIGESTS
 
 
 class TestTrace:
