@@ -94,11 +94,11 @@ def _prepare_out(config: RunConfig) -> Path:
 # Shared corpus preparation
 # ---------------------------------------------------------------------------
 
-def _token_lines(path, merges=None) -> TokenLines:
+def _token_lines(path, merges=None, lengths_only: bool = False) -> TokenLines:
     """The tokenized lines of ``path``, segmented by ``merges`` (a
     ``MergeTable``, or a number of merges to learn).  The file is read
     at the first use, inside ``build_vocab`` or ``load_parallel``."""
-    return TokenLines(map(tokenize, read_lines(path)), merges)
+    return TokenLines(map(tokenize, read_lines(path)), merges, lengths_only)
 
 
 def _load_pairs(src_path, tgt_path, src_lines, tgt_lines, vocab_src,
@@ -118,7 +118,8 @@ def _prepare_corpus(config: RunConfig, encode_target: bool = True):
     require_file(ccfg.source, "corpus.source")
     require_file(ccfg.target, "corpus.target")
     src = _token_lines(ccfg.source, ccfg.merges or None)
-    tgt = _token_lines(ccfg.target, ccfg.merges or None)
+    tgt = _token_lines(ccfg.target, ccfg.merges or None,
+                       lengths_only=not encode_target)
     vocab_src = build_vocab(src, ccfg.min_count)
     vocab_tgt = build_vocab(tgt, ccfg.min_count) if encode_target else None
     corpus = _load_pairs(ccfg.source, ccfg.target, src, tgt,

@@ -8,18 +8,23 @@ standalone end-of-word marker, so zero merges gives character-level
 segmentation.
 
 Text is held as flat arrays plus line offsets.  ``TokenLines`` reads a
-file once and interns its tokens, so a vocabulary is counted with one
-``np.bincount`` and encoded with one gather; ``ParallelCorpus`` holds
-one id array and one offsets array per side.  All functions here are
-pure over their inputs: identical lines and settings produce
-byte-identical vocab, merge, and corpus artifacts.
+file once and interns each line's tokens as it reads the line, so no
+side is ever held as token strings: it costs about 8 bytes per token
+and 8 per line, one copy of each distinct token aside.  A vocabulary is
+counted with one ``np.bincount`` and encoded with one gather;
+``ParallelCorpus`` holds one id array and one offsets array per side.
+Files are read as UTF-8 with any leading byte-order mark dropped.  All
+functions here are pure over their inputs: identical lines and settings
+produce byte-identical vocab, merge, and corpus artifacts.
 """
 
 from __future__ import annotations
 
 import string
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +56,7 @@ def tokenize(line: str) -> list[str]:
 
 
 def read_lines(path) -> Iterator[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             yield line.rstrip("\n")
 
@@ -67,6 +72,33 @@ def _offsets(lengths) -> np.ndarray:
     return offsets
 
 
+def _line_ends(lengths: Iterable[int]) -> np.ndarray:
+    """``_offsets`` of a stream of line lengths, grown as it is read."""
+    ends = array("q", [0])
+    ends.extend(accumulate(lengths))
+    return np.frombuffer(ends, dtype=np.int64)
+
+
+class _Interner(dict):
+    """Token -> id, numbering each token at its first lookup."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = i = len(self)
+        return i
+
+
+def _intern(lines: Iterable) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``types``, ``ids`` and ``offsets`` of ``lines``, interned line by
+    line, so only one line's token strings are alive at a time."""
+    index, ids, ends = _Interner(), array("q"), array("q", [0])
+    lookup, extend, end = index.__getitem__, ids.extend, ends.append
+    for line in lines:
+        extend(map(lookup, _line_tokens(line)))
+        end(len(ids))
+    return (list(index), np.frombuffer(ids, dtype=np.int64),
+            np.frombuffer(ends, dtype=np.int64))
+
+
 class TokenLines:
     """One side of a corpus after segmentation, interned: line ``i`` is
     ``[types[t] for t in ids[offsets[i]:offsets[i + 1]]]``, and
@@ -76,40 +108,56 @@ class TokenLines:
     whitespace).  ``merges`` is a ``MergeTable`` to apply, a number of
     merges to learn from these lines and apply, or None; ``.merges`` is
     then the table applied.  The lines are read once, at the first use of
-    ``types``, ``ids``, ``offsets`` or ``merges``.
+    ``types``, ``ids``, ``offsets`` or ``merges``.  Each line's tokens are
+    interned as the line is read, so a side costs about 8 bytes of ids
+    per token plus 8 bytes of offsets per line, and only one line's token
+    strings are alive at a time.  With merges, words are interned, the
+    merges are learned from the word types' counts, each word type is
+    segmented once, and word ids expand to subword ids by array gathers.
+    With ``lengths_only`` only ``offsets`` and ``merges`` are kept: no
+    ``types`` or ``ids``, and without merges nothing is interned.
     """
 
-    def __init__(self, lines: Iterable, merges=None):
-        self._lines, self._merges = lines, merges
+    def __init__(self, lines: Iterable, merges=None, lengths_only: bool = False):
+        self._lines, self._merges, self._lengths_only = lines, merges, lengths_only
 
     def __getattr__(self, name: str):
-        if name in ("types", "ids"):
-            # interned at first use: a side read only for its lengths,
-            # such as the target side of ``score``, skips this pass
-            flat = self._flat
-            index = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
-            self.types = list(index)
-            self.ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
-                                   count=len(flat))
-            del self._flat
-            return getattr(self, name)
-        if name not in ("_flat", "offsets", "merges"):
+        if name not in ("types", "ids", "offsets", "merges") \
+                or "offsets" in self.__dict__:
             raise AttributeError(name)
-        lines, merges = self._lines, self._merges
-        if isinstance(merges, int):
-            lines = list(map(_line_tokens, lines))
-            merges = learn_merges(lines, merges)
-        if merges is not None:
-            lines = (merges.apply(_line_tokens(line)) for line in lines)
-        # each line's list is dropped once copied, which keeps the garbage
-        # collector's count of live containers, and so its work, flat
-        flat, lengths = [], []
-        for line in lines:
-            tokens = line.split() if isinstance(line, str) else line
-            flat += tokens
-            lengths.append(len(tokens))
-        self._flat, self.offsets, self.merges = flat, _offsets(lengths), merges
+        lines, self._lines = self._lines, None
+        self.merges = self._merges
+        if self.merges is not None:
+            self._read_words(lines)
+        elif self._lengths_only:
+            self.offsets = _line_ends(map(len, map(_line_tokens, lines)))
+        else:
+            self.types, self.ids, self.offsets = _intern(lines)
         return getattr(self, name)
+
+    def _read_words(self, lines: Iterable) -> None:
+        words = TokenLines(lines)
+        if isinstance(self.merges, int):
+            self.merges = learn_merges(words, self.merges)
+        segments = list(map(self.merges.segment_word, words.types))
+        seg_len = np.fromiter(map(len, segments), dtype=np.int64,
+                              count=len(segments))
+        lengths = seg_len[words.ids]  # subwords per word occurrence
+        ends = _offsets(lengths)
+        self.offsets = ends[words.offsets]
+        if not self._lengths_only:
+            # interning the segments in word-type order numbers each
+            # subword at its first occurrence in the segmented text
+            self.types, seg_ids, seg_starts = _intern(segments)
+            # each array is dropped once used: the peak is then the word
+            # ids and two subword-sized arrays
+            shift = seg_starts[words.ids]
+            shift -= ends[:-1]
+            del ends
+            at = np.repeat(shift, lengths)
+            del shift, lengths
+            at += np.arange(len(at))
+            self.ids = seg_ids[at]
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

@@ -68,12 +68,22 @@ class DecodedHypothesis:
     truncated: bool          # True when no end marker appeared in time
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax in float64, whatever the model dtype, so that
-    beam scores accumulate and tie-break in float64."""
-    logits = logits.astype(np.float64, copy=False)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _candidate_scores(logits: np.ndarray, cum: np.ndarray,
+                      work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cum[:, None]`` plus the row-wise log-softmax of ``logits``, and
+    its negation, in float64 whatever the model dtype, so that beam
+    scores accumulate and tie-break in float64.  Both are computed in
+    place in ``work[0]`` and ``work[1]``, which hold at least as many
+    rows as ``logits``: a ``beam_decode`` call reuses one workspace at
+    every step rather than taking fresh candidate-sized arrays from the
+    heap, whose state then decided how many pages each step faulted in."""
+    scores, neg = work[0, :len(logits)], work[1, :len(logits)]
+    np.copyto(scores, logits)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=neg)
+    scores -= np.log(neg.sum(axis=-1, keepdims=True))
+    scores += cum[:, None]
+    return scores, np.negative(scores, out=neg)
 
 
 def beam_decode(model: Transformer, sources: Sequence[Sequence[int]],
@@ -126,17 +136,20 @@ def beam_decode(model: Transformer, sources: Sequence[Sequence[int]],
         width = 1
         prefixes = np.full((len(sources), 1), BOS_ID, dtype=np.int64)
         cum = np.zeros(len(sources))
+        work = None
         for step in range(cfg.max_decode_len):
             logits = model.decode(memory, src_mask, prefixes,
                                   cache=cache).data[:, -1, :]
             vocab = logits.shape[1]
+            if work is None:  # every step's rows fit: width <= k
+                work = np.empty((2, len(sources) * k, vocab))
             # row j: every (beam, token) candidate of live[j], in C order
-            flat = (cum[:, None] + _log_softmax_rows(logits)).reshape(
-                len(live), width * vocab)
+            flat, neg = (a.reshape(len(live), width * vocab)
+                         for a in _candidate_scores(logits, cum, work))
             # 2k candidates guarantee k survivors: each beam contributes
             # at most one end-marker candidate
             take = min(2 * k, flat.shape[1])
-            top = np.argpartition(-flat, take - 1, axis=1)[:, :take]
+            top = np.argpartition(neg, take - 1, axis=1)[:, :take]
             score = np.take_along_axis(flat, top, axis=1)
             order = np.argsort(-score, axis=1, kind="stable")
             top = np.take_along_axis(top, order, axis=1)

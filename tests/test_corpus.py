@@ -3,6 +3,7 @@
 import random
 import re
 import string
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import corpus_oracle as oracle
 from corpus_oracle import SentencePair, corpus_of, pairs_of
-from normcl.cli import _dev_corpus, _prepare_corpus
+from normcl.cli import _dev_corpus, _prepare_corpus, _token_lines
 from normcl.config import run_config_from_dict
 from normcl.corpus import (
     _PUNCT_SPACED, BOS_ID, EOS_ID, EOW, PAD_ID, SPECIALS, UNK_ID,
@@ -263,6 +264,46 @@ class TestReadOncePath:
                 (want_vocab.tokens, want_vocab.counts)
 
 
+def test_byte_order_mark_is_not_part_of_the_first_token(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes("\ufeffhello world\nhello there\n".encode("utf-8"))
+    vocab = build_vocab(_token_lines(path))
+    assert vocab.tokens[len(SPECIALS):] == ["hello", "there", "world"]
+    assert vocab.counts[len(SPECIALS)] == 2
+
+
+class TestReadMemory:
+    """A side is interned line by line: reading it never holds every
+    token's string, and a side read for its lengths holds only offsets."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        # 20,000 lines, 270,051 tokens
+        return synthetic_pairs(seed=1, n_pairs=20000, vocab_size=220,
+                               max_len=24)[0]
+
+    @staticmethod
+    def _peak(text: TokenLines, name: str) -> int:
+        tracemalloc.start()
+        try:
+            getattr(text, name)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_interned_side_peaks_under_32_bytes_per_token(self, lines):
+        text = TokenLines(map(tokenize, lines))
+        peak = self._peak(text, "ids")
+        # 8 bytes of ids per token; a token string each would cost ~70
+        assert peak / len(text.ids) < 32
+
+    def test_lengths_only_side_peaks_near_its_offsets(self, lines):
+        text = TokenLines(map(tokenize, lines), lengths_only=True)
+        peak = self._peak(text, "offsets")
+        assert len(text) == len(lines)
+        assert peak < 1.25 * text.offsets.nbytes
+
+
 def test_dev_set_defaults_to_the_first_200_training_pairs(tmp_path):
     src, tgt = synthetic_pairs(seed=3, n_pairs=260, vocab_size=30)
     (tmp_path / "s").write_text("\n".join(src) + "\n")
@@ -300,6 +341,19 @@ def test_vocabulary_and_ids_match_the_list_path(lines, min_count, merges):
     ids = text.encode(got)
     assert [ids[a:b].tolist() for a, b in zip(text.offsets, text.offsets[1:])] \
         == [list(map(want.encode_token, toks)) for toks in units]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_LINES, merges=st.sampled_from([0, 20]))
+def test_lengths_only_keeps_the_offsets_and_no_ids(lines, merges):
+    full = TokenLines(lines, merges or None)
+    text = TokenLines(lines, merges or None, lengths_only=True)
+    assert text.offsets.tolist() == full.offsets.tolist()
+    assert getattr(text.merges, "merges", None) == \
+        getattr(full.merges, "merges", None)
+    for name in ("types", "ids"):
+        with pytest.raises(AttributeError):
+            getattr(text, name)
 
 
 @settings(max_examples=200, deadline=None)
