@@ -275,21 +275,17 @@ class MergeTable:
 
     def __init__(self, merges: list[tuple[str, str]]):
         self.merges = list(merges)
-        self._cache: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.merges)
 
     def segment_word(self, word: str) -> tuple[str, ...]:
-        cached = self._cache.get(word)
-        if cached is None:
-            symbols = _word_symbols(word)
-            for pair in self.merges:
-                if len(symbols) == 1:
-                    break
-                symbols = _merge_symbols(symbols, pair)
-            cached = self._cache[word] = symbols
-        return cached
+        symbols = _word_symbols(word)
+        for pair in self.merges:
+            if len(symbols) == 1:
+                break
+            symbols = _merge_symbols(symbols, pair)
+        return symbols
 
     def apply(self, tokens: Sequence[str]) -> list[str]:
         out: list[str] = []
