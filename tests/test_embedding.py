@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
@@ -64,6 +64,34 @@ def _unique_sgns_step(w_in, w_out, centers, targets, labels, lr):
     w_in[rows] += grad @ u
 
 
+def _mask_sample_chunk(flat, starts, seen, keep_prob, noise, config,
+                       total_budget, rng):
+    """``_sample_chunk`` with each kept token's context read off a
+    (kept x 2 window) mask of its neighbours: the same draws in the same
+    order, the same fields."""
+    lo, hi = starts[0], starts[-1]
+    kept = lo + np.flatnonzero(rng.random(hi - lo) < keep_prob[flat[lo:hi]])
+    line = np.searchsorted(starts, kept, side="right") - 1
+    n_kept = np.bincount(line, minlength=len(starts) - 1)
+    first = (np.cumsum(n_kept) - n_kept)[line]
+    last = first + n_kept[line]
+    span = rng.integers(1, config.window + 1, size=len(kept))
+    offsets = np.concatenate((np.arange(-config.window, 0),
+                              np.arange(1, config.window + 1)))
+    near = np.arange(len(kept))[:, None] + offsets
+    ok = ((np.abs(offsets) <= span[:, None])
+          & (near >= first[:, None]) & (near < last[:, None]))
+    n_context = ok.sum(axis=1)
+    has = n_context > 0
+    lr = np.maximum(
+        config.initial_lr * (1.0 - (seen + starts[line[has]]) / total_budget),
+        config.initial_lr * 1e-4)
+    n_context = n_context[has]
+    draws = rng.random(int(n_context.sum()) * config.negatives)
+    return embedding._Chunk(kept, kept[has], span[has], lr, n_context,
+                            kept[near[ok]], noise.lookup(draws))
+
+
 @st.composite
 def _blocks(draw):
     """A vocabulary size and a block of (center, target, label) pairs;
@@ -75,6 +103,26 @@ def _blocks(draw):
     pairs = draw(st.lists(st.tuples(pick, pick, st.booleans()),
                           min_size=1, max_size=70))
     return vocab, pairs, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _sampler_inputs(draw):
+    """A corpus of lines 0 to 30 tokens long and the ``starts`` of one
+    chunk of it: a run of its line starts, cut between lines, with
+    further cuts inside lines when ``inner`` points are drawn."""
+    lengths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(4, 12, size=sum(lengths))
+    line_starts = np.unique(np.cumsum([0] + lengths))
+    assume(len(line_starts) >= 2)
+    a = draw(st.integers(0, len(line_starts) - 2))
+    b = draw(st.integers(a + 1, len(line_starts) - 1))
+    inner = draw(st.lists(st.integers(line_starts[a] + 1,
+                                      line_starts[b] - 1), max_size=4)
+                 if line_starts[b] - line_starts[a] > 1 else st.just([]))
+    starts = np.unique(np.concatenate((line_starts[a:b + 1], inner)))
+    return flat, starts.astype(np.int64), seed
 
 
 def _record(monkeypatch, name):
@@ -464,6 +512,30 @@ class TestSgnsSampler:
         for args, _ in steps:
             labels = args[4]
             assert (~labels).sum() == cfg.negatives * labels.sum()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sampler_inputs(), st.integers(1, 5), st.booleans(),
+           st.integers(1, 3))
+    def test_matches_the_window_mask_oracle(self, inputs, window, subsample,
+                                            negatives):
+        flat, starts, seed = inputs
+        rng = np.random.default_rng(seed)
+        keep_prob = rng.random(12) if subsample else np.ones(12)
+        noise = embedding._NoiseTable(
+            np.bincount(flat, minlength=12).astype(np.float64) + 1.0)
+        cfg = SgnsConfig(window=window, negatives=negatives, initial_lr=0.3)
+        seen = int(rng.integers(0, 100))
+        budget = 2 * (seen + len(flat))
+        rng_a = np.random.default_rng(seed + 1)
+        rng_b = np.random.default_rng(seed + 1)
+        got = embedding._sample_chunk(flat, starts, seen, keep_prob, noise,
+                                      cfg, budget, rng_a)
+        want = _mask_sample_chunk(flat, starts, seen, keep_prob, noise, cfg,
+                                  budget, rng_b)
+        for name, g, w in zip(embedding._Chunk._fields, got, want):
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_empty_lines_are_skipped(self, monkeypatch):
         """Empty lines (an encoded line whose ids were all unknown) leave
