@@ -4,17 +4,19 @@ Pure numpy trainer.  The corpus is one flat id array plus line offsets.
 Each chunk of lines is sampled with a few vectorized draws: word2vec
 occurrence subsampling, a window span per kept center, and negatives
 from the unigram distribution raised to the 3/4 power; the learning
-rate decays linearly with the raw tokens seen before each line.
+rate decays linearly with the raw tokens seen before each line.  A
+center's context is one range of kept positions in its line.
 Negatives come from a table of power-of-two bins over the noise CDF,
 which gives the ids a binary search would.  Updates run in blocks of
-centers: vocabulary-sized tables map the block's ids to its distinct
-center and target rows without sorting, one product of those rows gives
-every score, and every pair of a block reads the vectors as they were
-before the block.  Input-side vectors are the product; their row norms
-drive sentence difficulty scoring.
+centers: a vocabulary-sized table, kept zeroed between blocks, maps the
+block's ids to its distinct center and target rows without sorting,
+one product of those rows gives every score, and every pair of a block
+reads the vectors as they were before the block.  Input-side vectors
+are the product; their row norms drive sentence difficulty scoring.
 
-Training is single-threaded and bit-reproducible: a fixed seed gives
-the same vectors on every run.
+A fixed seed gives the same vectors on every run at a fixed BLAS thread
+count; the block products go through BLAS, so another thread count can
+change their last bits.
 """
 
 from __future__ import annotations
@@ -154,14 +156,33 @@ class _Chunk(NamedTuple):
     noise: np.ndarray      # noise ids, negatives * n_context per center
 
 
-def _block_index(ids: np.ndarray, size: int):
+class _BlockIndex:
     """``np.unique(ids, return_inverse=True)`` for ids below ``size``,
-    through a table of ``size`` slots instead of a sort."""
-    table = np.zeros(size, dtype=np.intp)
-    table[ids] = 1
-    uniq = np.flatnonzero(table)
-    table[uniq] = np.arange(len(uniq))
-    return uniq, table[ids]
+    through a table of ``size`` slots instead of a sort.
+
+    The table lives between calls and is zero outside them: a call sets
+    only the slots of its ids and clears them before it returns, and a
+    call with another ``size`` replaces it.  So one vocabulary's table
+    is all that is kept, and the two sides of a block share it.  Calls
+    from two threads at once would share it too; training runs in one.
+    """
+
+    def __init__(self):
+        self.table = np.zeros(0, dtype=np.intp)
+
+    def __call__(self, ids: np.ndarray, size: int):
+        if len(self.table) != size:
+            self.table = np.zeros(size, dtype=np.intp)
+        table = self.table
+        table[ids] = 1
+        uniq = table.nonzero()[0]
+        table[uniq] = np.arange(len(uniq))
+        inverse = table[ids]
+        table[uniq] = 0
+        return uniq, inverse
+
+
+_block_index = _BlockIndex()
 
 
 class _NoiseTable:
@@ -198,16 +219,26 @@ def sgns_step(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
     """
     rows, row_of = _block_index(centers, len(w_in))
     cols, col_of = _block_index(targets, len(w_out))
-    v = w_in[rows]
-    u = w_out[cols]
-    scores = np.clip((v @ u.T)[row_of, col_of], -50.0, 50.0)
-    sigma = 1.0 / (1.0 + np.exp(-scores))
-    g = labels * lr - sigma * lr
-    grad = np.bincount(row_of * len(cols) + col_of, weights=g,
-                       minlength=len(rows) * len(cols))
+    v = w_in.take(rows, axis=0)
+    u = w_out.take(cols, axis=0)
+    cell = row_of * len(cols) + col_of
+    # g = labels * lr - sigma * lr, sigma = 1 / (1 + exp(-clip(score))):
+    # the same operations in the same order, in one array
+    g = (v @ u.T).reshape(-1)[cell]
+    np.clip(g, -50.0, 50.0, out=g)
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    g += 1.0
+    np.divide(1.0, g, out=g)
+    g *= lr
+    np.subtract(labels * lr, g, out=g)
+    grad = np.bincount(cell, weights=g, minlength=len(rows) * len(cols))
     grad = grad.reshape(len(rows), len(cols))
-    w_out[cols] += grad.T @ v
-    w_in[rows] += grad @ u
+    du = grad.T @ v
+    v += grad @ u
+    u += du
+    w_out[cols] = u
+    w_in[rows] = v
 
 
 def _sample_chunk(flat: np.ndarray, starts: np.ndarray, seen: int,
@@ -224,23 +255,25 @@ def _sample_chunk(flat: np.ndarray, starts: np.ndarray, seen: int,
     kept = lo + np.flatnonzero(rng.random(hi - lo) < keep_prob[flat[lo:hi]])
     line = np.searchsorted(starts, kept, side="right") - 1
     n_kept = np.bincount(line, minlength=len(starts) - 1)
+    # the first and last index into kept of each kept token's line
     first = (np.cumsum(n_kept) - n_kept)[line]
-    last = first + n_kept[line]
+    last = first + n_kept[line] - 1
     span = rng.integers(1, config.window + 1, size=len(kept))
-    # the kept neighbours within each span, left to right, same line only
-    offsets = np.concatenate((np.arange(-config.window, 0),
-                              np.arange(1, config.window + 1)))
-    near = np.arange(len(kept))[:, None] + offsets
-    ok = ((np.abs(offsets) <= span[:, None])
-          & (near >= first[:, None]) & (near < last[:, None]))
-    n_context = ok.sum(axis=1)
+    # the context of kept[j]: kept[max(j - span, first) : min(j + span,
+    # last) + 1] without kept[j] itself
+    j = np.arange(len(kept))
+    left = np.maximum(j - span, first)
+    n_context = np.minimum(j + span, last) - left
     has = n_context > 0
     lr = np.maximum(
         config.initial_lr * (1.0 - (seen + starts[line[has]]) / total_budget),
         config.initial_lr * 1e-4)
     n_context = n_context[has]
-    draws = rng.random(int(n_context.sum()) * config.negatives)
-    return _Chunk(kept, kept[has], span[has], lr, n_context, kept[near[ok]],
+    run = np.repeat(left[has] - (np.cumsum(n_context) - n_context), n_context)
+    at = np.arange(len(run)) + run
+    at += at >= np.repeat(j[has], n_context)
+    draws = rng.random(len(at) * config.negatives)
+    return _Chunk(kept, kept[has], span[has], lr, n_context, kept[at],
                   noise.lookup(draws))
 
 

@@ -617,13 +617,19 @@ def embedding_lookup(table, ids) -> Tensor:
     out = Tensor(table.data[ids], requires_grad=_needs_grad(table))
     if out.requires_grad:
         out._parents = (table,)
-        flat_ids = ids.reshape(-1)
         dim = table.shape[1]
 
         def _bw(g):
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, flat_ids, g.reshape(-1, dim))
+                table.grad = np.zeros(table.shape, dtype=table.data.dtype)
+            elif not table.grad.flags.c_contiguous:
+                table.grad = np.ascontiguousarray(table.grad)
+            # one flat index per element, row by row: numpy's 1-D
+            # ``add.at`` adds to each cell in the order the row-wise call
+            # does, and runs several times faster
+            cells = ids.reshape(-1, 1).astype(np.intp, copy=False) * dim
+            cells = (cells + np.arange(dim)).reshape(-1)
+            np.add.at(table.grad.reshape(-1), cells, g.reshape(-1))
 
         out._backward = _bw
     return out

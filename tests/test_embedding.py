@@ -388,6 +388,30 @@ class TestBlockIndex:
         assert w_in.tobytes() == a_in.tobytes()
         assert w_out.tobytes() == a_out.tobytes()
 
+    def test_kept_table_across_sizes_and_shrinking_ids(self):
+        """Blocks over two vocabulary sizes and two dims, interleaved, with
+        fewer and smaller ids from call to call, match the ``np.unique``
+        oracle bit for bit; between calls the block index keeps only one
+        zeroed table of the last call's vocabulary size."""
+        rng = np.random.default_rng(31)
+        shapes = [(40, 5), (13, 8), (40, 8), (13, 5)]
+        got = {s: (rng.normal(size=s), rng.normal(size=s)) for s in shapes}
+        want = {s: (a.copy(), b.copy()) for s, (a, b) in got.items()}
+        for call in range(16):
+            shape = shapes[call % 4]
+            top = max(1, shape[0] - 3 * call)
+            n = 70 - 4 * call
+            block = (rng.integers(0, top, n), rng.integers(0, top, n),
+                     rng.random(n) < 0.3, rng.uniform(1e-3, 0.5, n))
+            sgns_step(*got[shape], *block)
+            _unique_sgns_step(*want[shape], *block)
+            assert got[shape][0].tobytes() == want[shape][0].tobytes()
+            assert got[shape][1].tobytes() == want[shape][1].tobytes()
+            kept = vars(embedding._block_index)
+            assert list(kept) == ["table"]
+            assert kept["table"].shape == (shape[0],)
+            assert not kept["table"].any()
+
 
 class TestNoiseTable:
     """Noise draws through the bin table equal ``np.searchsorted`` on the

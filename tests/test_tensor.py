@@ -629,6 +629,48 @@ class TestLayerNormBits:
         assert np.array_equal(_bits(x.grad), _bits(want_grad))
 
 
+def _rowwise_lookup(table, ids):
+    """``embedding_lookup`` with a row-wise ``np.add.at`` backward."""
+    out = Tensor(table.data[ids], requires_grad=True)
+    out._parents = (table,)
+
+    def _bw(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+
+    out._backward = _bw
+    return out
+
+
+class TestEmbeddingBackwardBits:
+    """``embedding_lookup``'s flat ``np.add.at`` against the row-wise call,
+    with ids that repeat within and across rows."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["fresh", "held", "held_fortran", "tied"])
+    def test_matches_rowwise_add_at(self, dtype, case):
+        rng = np.random.default_rng(63)
+        data = rng.standard_normal((11, 16)).astype(dtype)
+        ids = rng.integers(0, 4, size=(6, 9))
+        share = rng.standard_normal((11, 16)).astype(dtype)
+        w = rng.standard_normal((54, 11 if case == "tied" else 16)).astype(dtype)
+        grads = []
+        for lookup in (embedding_lookup, _rowwise_lookup):
+            table = Tensor(data, requires_grad=True)
+            if case == "held":  # a gradient already accumulated elsewhere
+                table.grad = share.copy()
+            elif case == "held_fortran":
+                table.grad = np.asfortranarray(share)
+            x = reshape(lookup(table, ids), (54, 16))
+            if case == "tied":  # an output projection sharing the table
+                x = matmul(x, transpose(table))
+            mul(x, Tensor(w)).sum().backward()
+            grads.append(table.grad)
+        assert grads[0].dtype == dtype
+        assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
+
+
 class TestKeepMask:
     """Dropout keeps an entry when a 16-bit lane of the generator's raw
     words is at least ``thr = round(p * 65536)``."""
