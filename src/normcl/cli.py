@@ -153,12 +153,14 @@ def cmd_embed(config: RunConfig) -> Path:
 
     # one vocabulary, cut at corpus.min_count, serves both the encoder and
     # the difficulty vectors; out-of-vocabulary tokens never enter the
-    # stream (their difficulty comes from the max-norm unknown rule instead)
-    ids = src.encode(vocab)
-    known = ids != UNK_ID
-    kept_before = np.concatenate(([0], np.cumsum(known)))
-    table = train_sgns(ids[known], kept_before[src.offsets], config.sgns,
-                       vocab.tokens)
+    # stream (their difficulty comes from the max-norm unknown rule instead):
+    # each line start moves back by the unknowns before it
+    ids, offsets = src.encode(vocab), src.offsets
+    unknown = np.flatnonzero(ids == UNK_ID)
+    if unknown.size:
+        offsets = offsets - np.searchsorted(unknown, offsets)
+        ids = np.delete(ids, unknown)
+    table = train_sgns(ids, offsets, config.sgns, vocab.tokens)
 
     vocab.save(out / VOCAB_SRC_FILE)
     if src.merges is not None:

@@ -11,8 +11,10 @@ Text is held as flat arrays plus line offsets.  ``TokenLines`` reads a
 file once and interns each line's tokens as it reads the line, so no
 side is ever held as token strings: it costs about 8 bytes per token
 and 8 per line, one copy of each distinct token aside.  A vocabulary is
-counted with one ``np.bincount`` and encoded with one gather;
-``ParallelCorpus`` holds one id array and one offsets array per side.
+counted with one ``np.bincount`` and encoded with one gather that maps
+the ids in place, so a side holds one id array from reading on;
+``ParallelCorpus`` holds that array, copied only when length filtering
+drops a pair, and one offsets array per side.
 Files are read as UTF-8 with any leading byte-order mark dropped.  All
 functions here are pure over their inputs: identical lines and settings
 produce byte-identical vocab, merge, and corpus artifacts.
@@ -118,6 +120,8 @@ class TokenLines:
     segmented once, and word ids expand to subword ids by array gathers.
     With ``lengths_only`` only ``offsets`` and ``merges`` are kept: no
     ``types`` or ``ids``, and without merges nothing is interned.
+    ``encode`` hands ``ids`` over, mapped to vocabulary ids in place, so
+    a side never holds a second id array.
     """
 
     def __init__(self, lines: Iterable, merges=None, lengths_only: bool = False):
@@ -169,10 +173,15 @@ class TokenLines:
         return np.bincount(self.ids, minlength=len(self.types))
 
     def encode(self, vocab: "Vocabulary") -> np.ndarray:
-        """Every token's id in ``vocab``, flat, aligned with ``offsets``."""
+        """Every token's id in ``vocab``, flat, aligned with ``offsets``:
+        ``ids`` mapped in place and handed over, so that afterwards
+        ``ids`` and ``counts`` raise AttributeError."""
         table = np.fromiter(map(vocab.encode_token, self.types), dtype=np.int64,
                             count=len(self.types))
-        return table[self.ids]
+        ids = self.ids
+        del self.ids
+        # every type id indexes ``table``, so the clip never moves one
+        return np.take(table, ids, out=ids, mode="clip")
 
 
 def _as_token_lines(lines) -> TokenLines:
@@ -423,8 +432,17 @@ def load_parallel(src_lines, tgt_lines, vocab_src: Vocabulary,
     keep = (src_len > 0) & (src_len <= max_len) & (tgt_len > 0) & (tgt_len <= max_len)
     if not keep.any():
         raise DataError("no sentence pairs survived length filtering")
-    tgt_ids = None if vocab_tgt is None else \
-        tgt.encode(vocab_tgt)[np.repeat(keep, tgt_len)]
-    return ParallelCorpus(src.encode(vocab_src)[np.repeat(keep, src_len)],
-                          _offsets(src_len[keep]), tgt_ids,
-                          _offsets(tgt_len[keep]))
+    tgt_ids = None if vocab_tgt is None else tgt.encode(vocab_tgt)
+    return ParallelCorpus(*_kept_lines(src.encode(vocab_src), src.offsets, keep),
+                          *_kept_lines(tgt_ids, tgt.offsets, keep))
+
+
+def _kept_lines(ids: np.ndarray | None, offsets: np.ndarray, keep: np.ndarray):
+    """``ids`` and ``offsets`` of the lines ``keep`` marks, renumbered; the
+    arrays themselves, uncopied, when it marks every line."""
+    if keep.all():
+        return ids, offsets
+    lengths = np.diff(offsets)
+    if ids is not None:
+        ids = ids[np.repeat(keep, lengths)]
+    return ids, _offsets(lengths[keep])

@@ -32,6 +32,8 @@ __all__ = [
 CRITERIA = ("norm", "length", "rarity")
 COMPETENCE_KINDS = ("time_sqrt", "norm_based", "none")
 
+_SAVE_ROWS = 4096  # difficulty rows formatted per write
+
 
 # ---------------------------------------------------------------------------
 # Difficulty criteria
@@ -182,10 +184,14 @@ class DifficultyProfile:
         return cls(raw, cdf, criterion)
 
     def save(self, path) -> None:
-        rows = zip(self.raw.tolist(), self.cdf.tolist())
+        # a block of rows at a time, so the text is never held whole
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(f"{i}\t{raw!r}\t{cdf!r}\t{self.criterion}\n"
-                             for i, (raw, cdf) in enumerate(rows)))
+            for start in range(0, len(self), _SAVE_ROWS):
+                end = start + _SAVE_ROWS
+                rows = zip(range(start, end), self.raw[start:end].tolist(),
+                           self.cdf[start:end].tolist())
+                fh.write("".join(f"{i}\t{raw!r}\t{cdf!r}\t{self.criterion}\n"
+                                 for i, raw, cdf in rows))
 
     @classmethod
     def load(cls, path) -> "DifficultyProfile":

@@ -1,7 +1,8 @@
 """The list-based corpus path that the flat arrays replaced, kept as the
 reference the array path must match, plus a constructor for small
-corpora of id tuples."""
+corpora of id tuples and the tracemalloc peak the memory bounds read."""
 
+import tracemalloc
 from collections import Counter
 from typing import NamedTuple
 
@@ -32,6 +33,17 @@ def corpus_of(pairs) -> ParallelCorpus:
 def pairs_of(corpus: ParallelCorpus) -> list:
     """Every pair of ``corpus`` as a SentencePair."""
     return [SentencePair(i, p.src, p.tgt) for i, p in enumerate(corpus)]
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes that tracemalloc saw allocated at
+    once while it ran (NumPy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def build_vocab(lines, min_count: int = 1) -> Vocabulary:

@@ -4,15 +4,19 @@ the trace conventions, resume, and the comparison harness."""
 import contextlib
 import errno
 import hashlib
+import io
 import json
 import shutil
 import struct
+import tempfile
 import typing
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import normcl.cli
 import normcl.corpus
@@ -24,12 +28,12 @@ from normcl.cli import (
 )
 from normcl.config import _BLOCKS, run_config_from_dict
 from normcl.corpus import (
-    EOW, UNK_ID, MergeTable, Vocabulary, build_vocab, learn_merges,
+    EOW, UNK_ID, MergeTable, TokenLines, Vocabulary, build_vocab, learn_merges,
     load_parallel, read_lines, tokenize,
 )
 from normcl.curriculum import DifficultyProfile, competence_norm, competence_time
 from normcl.decoding import decode_corpus
-from normcl.embedding import EmbeddingTable
+from normcl.embedding import EmbeddingTable, train_sgns
 from normcl.synth import synthetic_pairs
 from normcl.trainer import load_checkpoint, save_checkpoint
 
@@ -952,6 +956,60 @@ class TestSubwords:
         lines = (out / TRANSLATIONS_FILE).read_text().splitlines()
         assert len(lines) == 30
         assert not any(EOW in line for line in lines)
+
+
+def _mask_sgns_stream(path, min_count):
+    """The ``(flat, offsets)`` that ``embed`` built with a ``known`` mask
+    and its running count before it dropped unknowns by ``searchsorted``."""
+    text = TokenLines(map(tokenize, read_lines(path)))
+    ids = text.encode(build_vocab(text, min_count))
+    known = ids != UNK_ID
+    kept_before = np.concatenate(([0], np.cumsum(known)))
+    return ids[known], kept_before[text.offsets]
+
+
+class TestEmbedStream:
+    """``embed`` trains on the source ids without unknown tokens, each
+    line start moved back by the unknowns before it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from("aabbcde"), max_size=6),
+                          min_size=1, max_size=12),
+           min_count=st.integers(1, 5))
+    # unknowns end a line, and one line is only unknowns
+    @example(lines=[["a", "b", "c"], ["a", "b"], ["d", "e"], ["a", "e", "b"]],
+             min_count=2)
+    # every token is unknown
+    @example(lines=[["c"], ["d", "e"], []], min_count=2)
+    def test_stream_matches_the_mask_construction(self, lines, min_count):
+        seen = []
+
+        def recording(flat, offsets, config, tokens):
+            seen.append((flat, offsets))
+            return train_sgns(flat, offsets, config, tokens)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(normcl.cli, "train_sgns", recording)
+            root = Path(tmp)
+            (root / "src").write_text("".join(" ".join(l) + "\n" for l in lines))
+            (root / "run.json").write_text(json.dumps({
+                "corpus": {"source": str(root / "src"),
+                           "target": str(root / "src"), "min_count": min_count},
+                "sgns": {"dim": 4, "epochs": 1, "negatives": 1}}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("embed", "--config", root / "run.json",
+                               "--out", root / "out")
+            want_flat, want_offsets = _mask_sgns_stream(root / "src", min_count)
+        [(flat, offsets)] = seen
+        for got, want in ((flat, want_flat), (offsets, want_offsets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if want_flat.size:
+            assert code == 0
+        else:
+            assert code == 2
+            assert "cannot train embeddings on an empty corpus" in err.getvalue()
 
 
 class TestReadOnce:

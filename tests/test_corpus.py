@@ -2,8 +2,8 @@
 
 import random
 import re
+import json
 import string
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_oracle as oracle
-from corpus_oracle import SentencePair, corpus_of, pairs_of
-from normcl.cli import _dev_corpus, _prepare_corpus, _token_lines
+from corpus_oracle import SentencePair, corpus_of, pairs_of, traced_peak
+from normcl.cli import (
+    DIFFICULTY_FILE, VOCAB_SRC_FILE, _dev_corpus, _prepare_corpus, _token_lines,
+    main,
+)
 from normcl.config import run_config_from_dict
 from normcl.corpus import (
     _PUNCT_SPACED, BOS_ID, EOS_ID, EOW, PAD_ID, SPECIALS, UNK_ID,
@@ -272,36 +275,96 @@ def test_byte_order_mark_is_not_part_of_the_first_token(tmp_path):
     assert vocab.counts[len(SPECIALS)] == 2
 
 
+@pytest.fixture(scope="module")
+def long_side():
+    """20,000 pairs whose source side holds 270,051 tokens."""
+    return synthetic_pairs(seed=1, n_pairs=20000, vocab_size=220, max_len=24)
+
+
+LONG_SIDE_TOKENS = 270051
+
+
 class TestReadMemory:
     """A side is interned line by line: reading it never holds every
     token's string, and a side read for its lengths holds only offsets."""
 
-    @pytest.fixture(scope="class")
-    def lines(self):
-        # 20,000 lines, 270,051 tokens
-        return synthetic_pairs(seed=1, n_pairs=20000, vocab_size=220,
-                               max_len=24)[0]
-
-    @staticmethod
-    def _peak(text: TokenLines, name: str) -> int:
-        tracemalloc.start()
-        try:
-            getattr(text, name)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_interned_side_peaks_under_32_bytes_per_token(self, lines):
-        text = TokenLines(map(tokenize, lines))
-        peak = self._peak(text, "ids")
+    def test_interned_side_peaks_under_32_bytes_per_token(self, long_side):
+        text = TokenLines(map(tokenize, long_side[0]))
+        _, peak = traced_peak(getattr, text, "ids")
         # 8 bytes of ids per token; a token string each would cost ~70
         assert peak / len(text.ids) < 32
 
-    def test_lengths_only_side_peaks_near_its_offsets(self, lines):
-        text = TokenLines(map(tokenize, lines), lengths_only=True)
-        peak = self._peak(text, "offsets")
-        assert len(text) == len(lines)
+    def test_lengths_only_side_peaks_near_its_offsets(self, long_side):
+        text = TokenLines(map(tokenize, long_side[0]), lengths_only=True)
+        _, peak = traced_peak(getattr, text, "offsets")
+        assert len(text) == len(long_side[0])
         assert peak < 1.25 * text.offsets.nbytes
+
+
+class TestOneIdArrayPerSide:
+    """Encoding maps a side's ids in place, and the corpus keeps that
+    array unless length filtering drops a pair."""
+
+    LINES = [["a", "b", "a"], ["c"], ["b", "a", "d", "a"], ["a", "b"]]
+
+    def test_encode_leaves_no_type_ids(self):
+        text = TokenLines(self.LINES)
+        vocab = build_vocab(text, min_count=2)
+        type_ids = text.ids
+        ids = text.encode(vocab)
+        assert np.shares_memory(ids, type_ids)
+        assert "ids" not in vars(text)
+        assert ids.tolist() == [4, 5, 4, UNK_ID, 5, 4, UNK_ID, 4, 4, 5]
+        with pytest.raises(AttributeError, match="ids"):
+            text.ids
+        with pytest.raises(AttributeError, match="ids"):
+            text.counts()
+
+    @pytest.mark.parametrize("max_len, copied", [(4, False), (3, True)])
+    def test_corpus_holds_the_encoded_arrays_unless_a_pair_drops(self, max_len,
+                                                                 copied):
+        src, tgt = TokenLines(self.LINES), TokenLines(self.LINES[::-1])
+        vocab_src, vocab_tgt = build_vocab(src), build_vocab(tgt)
+        src_ids, tgt_ids = src.ids, tgt.ids
+        corpus = load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
+        assert len(corpus) == (2 if copied else 4)
+        assert np.shares_memory(corpus.src, src_ids) is not copied
+        assert np.shares_memory(corpus.tgt, tgt_ids) is not copied
+
+
+class TestCommandMemory:
+    """``embed`` and ``score`` hold one id array per side, so each peaks
+    at the reader's own interning (about 18 bytes per source token),
+    with unknown tokens and with dropped pairs."""
+
+    @pytest.fixture(scope="class")
+    def files(self, long_side, tmp_path_factory):
+        root = tmp_path_factory.mktemp("command_memory")
+        for name, lines in zip(("src", "tgt"), long_side):
+            (root / name).write_text("\n".join(lines) + "\n")
+        return root
+
+    # every word occurs at least 128 times: min_count 200 makes 53 of
+    # the 220 word types unknown; max_len 20 drops 3,663 pairs
+    @pytest.mark.parametrize("min_count", [1, 200])
+    @pytest.mark.parametrize("max_len", [200, 20])
+    def test_embed_and_score_peak_under_22_bytes_per_token(self, files, tmp_path,
+                                                          min_count, max_len):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus": {"source": str(files / "src"), "target": str(files / "tgt"),
+                       "min_count": min_count, "max_len": max_len},
+            "sgns": {"dim": 8, "epochs": 1}}))
+        out = tmp_path / "run"
+        for command in ("embed", "score"):
+            code, peak = traced_peak(main, [command, "--config", str(config),
+                                            "--out", str(out)])
+            assert code == 0
+            assert peak / LONG_SIDE_TOKENS < 22, command
+        n_vocab = len((out / VOCAB_SRC_FILE).read_text().splitlines())
+        n_scored = len((out / DIFFICULTY_FILE).read_text().splitlines())
+        assert (n_vocab < 4 + 220) == (min_count > 1)
+        assert (n_scored < 20000) == (max_len < 24)
 
 
 def test_dev_set_defaults_to_the_first_200_training_pairs(tmp_path):

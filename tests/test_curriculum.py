@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import normcl.curriculum
 from corpus_oracle import corpus_of
 from normcl.corpus import UNK_ID, Vocabulary
 from normcl.curriculum import (
@@ -307,6 +308,19 @@ class TestDifficultyProfile:
         assert np.array_equal(back.raw, prof.raw)
         assert np.array_equal(back.cdf, prof.cdf)
         assert back.criterion == "length"
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 9])
+    def test_save_in_blocks_writes_the_whole_text(self, tmp_path, monkeypatch, n):
+        """Rows are written three at a time here: the file holds the same
+        bytes as the whole text formatted at once."""
+        monkeypatch.setattr(normcl.curriculum, "_SAVE_ROWS", 3)
+        raw = np.random.default_rng(n).normal(size=n) * 1e3
+        prof = DifficultyProfile(raw, cdf_normalize(raw), "norm")
+        p = tmp_path / "diff.tsv"
+        prof.save(p)
+        assert p.read_text(encoding="utf-8") == "".join(
+            f"{i}\t{r!r}\t{c!r}\tnorm\n"
+            for i, (r, c) in enumerate(zip(raw.tolist(), prof.cdf.tolist())))
 
     @pytest.mark.parametrize("raw, cdf", [
         ([1.0, math.nan], [0.5, 1.0]), ([math.inf, 1.0], [1.0, 0.5]),

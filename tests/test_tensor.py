@@ -541,7 +541,7 @@ class TestRowMax:
         # the sign of a zero
         assert np.array_equal(_bits(np.exp(a - got)), _bits(np.exp(a - want)))
 
-    @pytest.mark.parametrize("tk", [13, 33])
+    @pytest.mark.parametrize("tk", [13, 33, 64, 200])
     def test_attention_matches_the_kernel_chain_over_longer_rows(self, tk):
         _assert_matches_oracle(
             lambda q, k, v, _rng: attention(q, k, v, _padding(2, tk), 2),
