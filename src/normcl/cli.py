@@ -221,7 +221,7 @@ def _trace_rows_upto(path: Path, step: int) -> list[str]:
     A run killed after its last checkpoint logged later updates; a
     resume from that checkpoint replays them, so their rows go.
     """
-    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    rows = list(read_lines(path))[1:]
     try:
         return [row for row in rows if int(row.split(",", 1)[0]) <= step]
     except ValueError:
@@ -517,9 +517,15 @@ def cmd_schedule_dump(config: RunConfig, args) -> Path:
         if not args.m0 <= stop < np.inf:
             raise ConfigError(
                 f"--m-max must be finite and at least --m0 {args.m0}, got {stop}")
+        # a step of at least the float spacing at the last m advances
+        # every m up to it, since the spacing grows with m
+        last = stop + 1e-12
+        if args.m_step < np.spacing(last):
+            raise ConfigError(f"--m-step {args.m_step} is too small to advance "
+                              f"m up to {stop}")
         lines = ["m_t,competence"]
         m = args.m0
-        while m <= stop + 1e-12:
+        while m <= last:
             # m grows, so the schedule's running peak is m itself
             schedule.observe_norm(m)
             lines.append(f"{_fmt(m)},{_fmt(schedule.competence(0))}")
@@ -643,7 +649,11 @@ def main(argv=None) -> int:
                                        args.overrides)
             config_b = apply_overrides(load_config_file(args.config_b),
                                        args.overrides)
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            try:
+                seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+            except ValueError:
+                raise ConfigError(f"--seeds must list integers, got "
+                                  f"{args.seeds!r}") from None
             if not seeds:
                 raise ConfigError("--seeds must list at least one seed")
             out_root = Path(args.out) if args.out else \

@@ -7,17 +7,19 @@ from word frequencies; a word is represented as its characters plus a
 standalone end-of-word marker, so zero merges gives character-level
 segmentation.
 
-Text is held as flat arrays plus line offsets.  ``TokenLines`` reads a
-file once and interns each line's tokens as it reads the line, so no
+Text enters as ``TokenLines``, one token sequence per line (``tokenize``
+output, say); nothing here splits a string.  ``TokenLines`` reads its
+lines once and interns each line's tokens as it reads the line, so no
 side is ever held as token strings: it costs about 8 bytes per token
 and 8 per line, one copy of each distinct token aside.  A vocabulary is
 counted with one ``np.bincount`` and encoded with one gather that maps
 the ids in place, so a side holds one id array from reading on;
 ``ParallelCorpus`` holds that array, copied only when length filtering
 drops a pair, and one offsets array per side.
-Files are read as UTF-8 with any leading byte-order mark dropped.  All
-functions here are pure over their inputs: identical lines and settings
-produce byte-identical vocab, merge, and corpus artifacts.
+Files are read as UTF-8 with any leading byte-order mark dropped; other
+bytes raise ``DataError``.  All functions here are pure over their
+inputs: identical lines and settings produce byte-identical vocab,
+merge, and corpus artifacts.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,13 +60,14 @@ def tokenize(line: str) -> list[str]:
 
 
 def read_lines(path) -> Iterator[str]:
+    """The lines of the UTF-8 file ``path``, without their newlines."""
     with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
-
-
-def _line_tokens(line) -> Sequence[str]:
-    return line.split() if isinstance(line, str) else line
+        try:
+            for line in fh:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
+                            f"(byte {exc.object[exc.start]:#04x})") from None
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -97,7 +100,7 @@ def _intern(lines: Iterable) -> tuple[list[str], np.ndarray, np.ndarray]:
     index, ids, ends = _Interner(), [], array("q", [0])
     lookup, extend, end = index.__getitem__, ids.extend, ends.append
     for line in lines:
-        extend(map(lookup, _line_tokens(line)))
+        extend(map(lookup, line))
         end(len(ids))
     return (list(index), np.array(ids, dtype=np.int64),
             np.frombuffer(ends, dtype=np.int64))
@@ -108,14 +111,14 @@ class TokenLines:
     ``[types[t] for t in ids[offsets[i]:offsets[i + 1]]]``, and
     ``types`` holds each distinct token once.
 
-    ``lines`` yields one token sequence per line (a string is split on
-    whitespace).  ``merges`` is a ``MergeTable`` to apply, a number of
-    merges to learn from these lines and apply, or None; ``.merges`` is
-    then the table applied.  The lines are read once, at the first use of
-    ``types``, ``ids``, ``offsets`` or ``merges``.  Each line's tokens are
-    interned as the line is read, so a side costs about 8 bytes of ids
-    per token plus 8 bytes of offsets per line, and only one line's token
-    strings are alive at a time.  With merges, words are interned, the
+    ``lines`` yields one token sequence per line, such as ``tokenize``
+    output; no string is split.  ``merges`` is a ``MergeTable`` to apply,
+    a number of merges to learn from these lines and apply, or None;
+    ``.merges`` is then the table applied.  The lines are read once, at
+    the first use of ``types``, ``ids``, ``offsets`` or ``merges``.  Each
+    line's tokens are interned as the line is read, so a side costs about
+    8 bytes of ids per token plus 8 bytes of offsets per line, and only
+    one line's token strings are alive at a time.  With merges, words are interned, the
     merges are learned from the word types' counts, each word type is
     segmented once, and word ids expand to subword ids by array gathers.
     With ``lengths_only`` only ``offsets`` and ``merges`` are kept: no
@@ -136,7 +139,7 @@ class TokenLines:
         if self.merges is not None:
             self._read_words(lines)
         elif self._lengths_only:
-            self.offsets = _line_ends(map(len, map(_line_tokens, lines)))
+            self.offsets = _line_ends(map(len, lines))
         else:
             self.types, self.ids, self.offsets = _intern(lines)
         return getattr(self, name)
@@ -182,10 +185,6 @@ class TokenLines:
         del self.ids
         # every type id indexes ``table``, so the clip never moves one
         return np.take(table, ids, out=ids, mode="clip")
-
-
-def _as_token_lines(lines) -> TokenLines:
-    return lines if isinstance(lines, TokenLines) else TokenLines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +239,12 @@ class Vocabulary:
         return cls(tokens, counts)
 
 
-def build_vocab(tokenized_text: Iterable, min_count: int = 1) -> Vocabulary:
-    """Count tokens and keep those with count >= min_count.
+def build_vocab(text: TokenLines, min_count: int) -> Vocabulary:
+    """Count the tokens of ``text`` and keep those with count >= min_count.
 
-    ``tokenized_text`` is a ``TokenLines`` or a stream of lines (strings
-    split on whitespace, or pre-split token sequences).  Entries after
-    the specials are ordered by descending count, then lexicographically.
-    ``CorpusConfig`` checks ``min_count``.
+    Entries after the specials are ordered by descending count, then
+    lexicographically.  ``CorpusConfig`` checks ``min_count``.
     """
-    text = _as_token_lines(tokenized_text)
     if not len(text):
         raise DataError("cannot build a vocabulary from an empty stream")
     types, counts = text.types, text.counts().tolist()
@@ -320,7 +316,7 @@ class MergeTable:
         return cls(merges)
 
 
-def learn_merges(tokenized_text: Iterable, n_merges: int) -> MergeTable:
+def learn_merges(words: TokenLines, n_merges: int) -> MergeTable:
     """Greedy highest-frequency pair merging over word types.
 
     Ties break on the lexicographically smallest pair.  Counting runs
@@ -328,7 +324,6 @@ def learn_merges(tokenized_text: Iterable, n_merges: int) -> MergeTable:
     cheap at desk scale (cost grows with type count, not corpus size).
     ``CorpusConfig`` checks ``n_merges`` as its ``merges``.
     """
-    words = _as_token_lines(tokenized_text)
     if not len(words):
         raise DataError("cannot learn merges from an empty stream")
     word_freq = dict(zip(words.types, words.counts().tolist()))
@@ -372,11 +367,6 @@ def detokenize_subwords(symbols: Sequence[str]) -> list[str]:
 # Parallel corpus
 # ---------------------------------------------------------------------------
 
-class Pair(NamedTuple):
-    src: tuple[int, ...]
-    tgt: tuple[int, ...] | None
-
-
 @dataclass
 class ParallelCorpus:
     """Sentence pairs as flat id arrays: pair ``i``'s source is
@@ -404,26 +394,17 @@ class ParallelCorpus:
         return ParallelCorpus(self.src[:self.src_offsets[n]], self.src_offsets[:n + 1],
                               self.tgt[:self.tgt_offsets[n]], self.tgt_offsets[:n + 1])
 
-    def __getitem__(self, i: int) -> Pair:
-        """Pair ``i`` as tuples of ids, for inspection."""
-        src = self.src[self.src_offsets[i]:self.src_offsets[i + 1]]
-        tgt = None if self.tgt is None else \
-            self.tgt[self.tgt_offsets[i]:self.tgt_offsets[i + 1]]
-        return Pair(tuple(src.tolist()), None if tgt is None else tuple(tgt.tolist()))
 
-
-def load_parallel(src_lines, tgt_lines, vocab_src: Vocabulary,
-                  vocab_tgt: Vocabulary | None, max_len: int = 200) -> ParallelCorpus:
+def load_parallel(src: TokenLines, tgt: TokenLines, vocab_src: Vocabulary,
+                  vocab_tgt: Vocabulary | None, max_len: int) -> ParallelCorpus:
     """Encode line-aligned segmented sentences, dropping bad pairs.
 
-    ``src_lines`` and ``tgt_lines`` are ``TokenLines``, or one token
-    sequence per line, after tokenization and any subword merges.  A
-    pair is dropped when either side is empty or longer than
-    ``max_len`` tokens.  Survivors keep their original order and are
-    renumbered 0..M-1.  Without ``vocab_tgt`` the target side only
-    filters: ``tgt`` is None.
+    ``src`` and ``tgt`` are the two sides' ``TokenLines``, after any
+    subword merges; ``encode`` hands their ids over.  A pair is dropped
+    when either side is empty or longer than ``max_len`` tokens.
+    Survivors keep their original order and are renumbered 0..M-1.
+    Without ``vocab_tgt`` the target side only filters: ``tgt`` is None.
     """
-    src, tgt = _as_token_lines(src_lines), _as_token_lines(tgt_lines)
     if len(src) != len(tgt):
         raise DataError(
             f"line counts differ: source has {len(src)}, target has {len(tgt)}"

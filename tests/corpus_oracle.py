@@ -1,6 +1,7 @@
 """The list-based corpus path that the flat arrays replaced, kept as the
-reference the array path must match, plus a constructor for small
-corpora of id tuples and the tracemalloc peak the memory bounds read."""
+reference the array path must match, plus constructors for small
+corpora of id tuples and for ``TokenLines`` of strings, and the
+tracemalloc peak the memory bounds read."""
 
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from normcl.corpus import (
-    BOS_ID, EOS_ID, PAD_ID, SPECIALS, ParallelCorpus, Vocabulary,
+    BOS_ID, EOS_ID, PAD_ID, SPECIALS, ParallelCorpus, TokenLines, Vocabulary,
 )
 from normcl.errors import ConfigError, DataError
 from normcl.model import NEG_INF, EncodedBatch
@@ -30,9 +31,20 @@ def corpus_of(pairs) -> ParallelCorpus:
     return ParallelCorpus(*side([s for s, _ in pairs]), *side([t for _, t in pairs]))
 
 
+def token_lines(texts) -> TokenLines:
+    """The ``TokenLines`` of strings split on whitespace."""
+    return TokenLines(map(str.split, texts))
+
+
 def pairs_of(corpus: ParallelCorpus) -> list:
-    """Every pair of ``corpus`` as a SentencePair."""
-    return [SentencePair(i, p.src, p.tgt) for i, p in enumerate(corpus)]
+    """Every pair of ``corpus`` as a SentencePair of id tuples."""
+    def side(ids, offsets):
+        ends = offsets.tolist()
+        return [tuple(ids[a:b].tolist()) for a, b in zip(ends, ends[1:])]
+    src = side(corpus.src, corpus.src_offsets)
+    tgt = [None] * len(src) if corpus.tgt is None else \
+        side(corpus.tgt, corpus.tgt_offsets)
+    return [SentencePair(i, s, t) for i, (s, t) in enumerate(zip(src, tgt))]
 
 
 def traced_peak(fn, *args):

@@ -17,9 +17,9 @@ from collections import Counter
 import numpy as np
 from scipy.stats import spearmanr
 
-from corpus_oracle import corpus_of
+from corpus_oracle import corpus_of, pairs_of, token_lines
 from normcl.cli import main
-from normcl.corpus import build_vocab, load_parallel, tokenize
+from normcl.corpus import TokenLines, build_vocab, load_parallel, tokenize
 from normcl.curriculum import (
     DifficultyProfile,
     SamplerState,
@@ -300,7 +300,7 @@ def test_05_norms_track_rarity():
     rhos = []
     for seed in (0, 1, 2):
         lines = zipfian_corpus(seed=seed, vocab_size=220, n_tokens=200_000)
-        vocab = build_vocab(lines, min_count=5)
+        vocab = build_vocab(token_lines(lines), min_count=5)
         ids = [list(map(vocab.encode_token, line.split())) for line in lines]
         flat = np.array([i for line in ids for i in line], dtype=np.int64)
         offsets = np.cumsum([0] + [len(line) for line in ids])
@@ -329,6 +329,7 @@ def test_06_embedding_norm_grows_in_training(tmp_path):
     tgt_lines = tgt.read_text(encoding="utf-8").splitlines()
     src_tokens = [tokenize(l) for l in src_lines]
     tgt_tokens = [tokenize(l) for l in tgt_lines]
+    src_tokens, tgt_tokens = TokenLines(src_tokens), TokenLines(tgt_tokens)
     vocab_src = build_vocab(src_tokens, 1)
     vocab_tgt = build_vocab(tgt_tokens, 1)
     corpus = load_parallel(src_tokens, tgt_tokens, vocab_src, vocab_tgt, 64)
@@ -467,6 +468,7 @@ def test_08_vanilla_reduction(tmp_path):
     tgt_lines = tgt.read_text(encoding="utf-8").splitlines()
     src_tokens = [tokenize(l) for l in src_lines]
     tgt_tokens = [tokenize(l) for l in tgt_lines]
+    src_tokens, tgt_tokens = TokenLines(src_tokens), TokenLines(tgt_tokens)
     vocab_src = build_vocab(src_tokens, 1)
     vocab_tgt = build_vocab(tgt_tokens, 1)
     corpus = load_parallel(src_tokens, tgt_tokens, vocab_src, vocab_tgt, 64)
@@ -477,11 +479,12 @@ def test_08_vanilla_reduction(tmp_path):
     state.capture_anchor()
     rng = np.random.default_rng((42, 2))
     budget, n = 256, len(corpus)
+    pairs = pairs_of(corpus)
     losses = []
     for t in range(1, 41):
         batch, src_total, tgt_total = [], 0, 0
         for idx in rng.permutation(n):
-            pair = corpus[int(idx)]
+            pair = pairs[int(idx)]
             s, g = len(pair.src), len(pair.tgt)
             if batch and (src_total + s > budget or tgt_total + g > budget):
                 break

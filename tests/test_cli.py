@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import normcl.cli
 import normcl.corpus
 import normcl.trainer
+from corpus_oracle import pairs_of
 from normcl.cli import (
     CKPT_BEST, CKPT_LAST, COMPARE_REPORT, DIFFICULTY_FILE, EVAL_REPORT,
     MERGES_SRC_FILE, NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
@@ -235,7 +236,7 @@ class TestScoreTargetSide:
     def _units(path, merges):
         units = [tokenize(line) for line in Path(path).read_text().splitlines()]
         if merges:
-            table = learn_merges(units, merges)
+            table = learn_merges(TokenLines(units), merges)
             units = [table.apply(toks) for toks in units]
         return units
 
@@ -247,6 +248,7 @@ class TestScoreTargetSide:
         assert run_cli("score", "--config", config, "--out", out) == 0
         src = self._units(tmp_path / "s.txt", merges)
         tgt = self._units(tmp_path / "t.txt", merges)
+        src, tgt = TokenLines(src), TokenLines(tgt)
         vocab_src, vocab_tgt = build_vocab(src, 2), build_vocab(tgt, 2)
         corpus = load_parallel(src, tgt, vocab_src, vocab_tgt, 6)
         # the empty and the overlong target were dropped
@@ -254,7 +256,7 @@ class TestScoreTargetSide:
         if not merges:  # the last target has exactly max_len tokens
             assert len(corpus) == len(self.SRC) - 2
             # rare1 and rare2 fall below min_count
-            assert sum(p.tgt.count(UNK_ID) for p in corpus) == 2
+            assert sum(p.tgt.count(UNK_ID) for p in pairs_of(corpus)) == 2
         table = EmbeddingTable.load_vectors(out / VECTORS_FILE)
         DifficultyProfile.build(corpus, "norm", table=table,
                                 vocab=vocab_src).save(tmp_path / "want.tsv")
@@ -606,12 +608,12 @@ class TestResume:
         assert run_cli("train", "--config", tmp_path / "run.json",
                        "--out", out, "--set", "total_steps=8") == 0
         lines = [tokenize(line) for line in src.read_text().splitlines()]
-        ranked = build_vocab(lines).tokens[4:]
+        ranked = build_vocab(TokenLines(lines), 1).tokens[4:]
         swap = {ranked[0]: ranked[-1], ranked[-1]: ranked[0]}
         lines = [[swap.get(tok, tok) for tok in toks] for toks in lines]
         src.write_text("".join(" ".join(toks) + "\n" for toks in lines))
         before = Vocabulary.load(out / VOCAB_SRC_FILE).tokens
-        after = build_vocab(lines).tokens
+        after = build_vocab(TokenLines(lines), 1).tokens
         assert sorted(after) == sorted(before) and after != before
         code = run_cli("train", "--config", tmp_path / "run.json",
                        "--out", out, "--resume")
@@ -1288,6 +1290,74 @@ class TestMalformedArtifact:
         assert "Traceback" not in err
 
 
+def _not_utf8(src: Path, dst: Path) -> Path:
+    """A copy of ``src`` whose second line starts with a 0xff byte."""
+    lines = src.read_bytes().splitlines(True)
+    lines[1] = b"\xff" + lines[1]
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_bytes(b"".join(lines))
+    return dst
+
+
+def _refused(capsys, code: int, *fragments) -> None:
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for fragment in fragments:
+        assert str(fragment) in err
+
+
+class TestNotUtf8:
+    """A corpus, vectors, difficulty, vocabulary, trace or config file
+    that is not UTF-8 ends in exit 2 and a message naming it."""
+
+    def test_embed_corpus(self, workdir, tmp_path, capsys):
+        bad = _not_utf8(workdir / "train.src", tmp_path / "train.src")
+        _refused(capsys, run_cli("embed", "--config", workdir / "run.json",
+                                 "--out", tmp_path / "run",
+                                 "--set", f"corpus.source={bad}"),
+                 f"{bad} is not UTF-8 text")
+
+    def test_score_vectors(self, workdir, trained, tmp_path, capsys):
+        bad = _not_utf8(trained / VECTORS_FILE, tmp_path / VECTORS_FILE)
+        _refused(capsys, run_cli("score", "--config", workdir / "run.json",
+                                 "--out", tmp_path / "run", "--vectors", bad),
+                 f"{bad} is not UTF-8 text")
+
+    def test_train_difficulty(self, workdir, trained, tmp_path, capsys):
+        bad = _not_utf8(trained / DIFFICULTY_FILE, tmp_path / DIFFICULTY_FILE)
+        _refused(capsys, run_cli("train", "--config", workdir / "run.json",
+                                 "--out", tmp_path / "run", "--difficulty", bad),
+                 f"{bad} is not UTF-8 text")
+
+    def test_evaluate_vocabulary(self, workdir, trained, tmp_path, capsys):
+        run = tmp_path / "run"
+        bad = _not_utf8(trained / VOCAB_SRC_FILE, run / VOCAB_SRC_FILE)
+        shutil.copyfile(trained / VOCAB_TGT_FILE, run / VOCAB_TGT_FILE)
+        _refused(capsys, run_cli("evaluate", "--config", workdir / "run.json",
+                                 "--out", run, "--checkpoint", trained / CKPT_LAST,
+                                 "--test-source", workdir / "dev.src",
+                                 "--test-target", workdir / "dev.tgt"),
+                 f"{bad} is not UTF-8 text")
+
+    def test_resume_trace(self, workdir, trained, tmp_path, capsys):
+        run = tmp_path / "run"
+        bad = _not_utf8(trained / TRACE_FILE, run / TRACE_FILE)
+        _refused(capsys, run_cli("train", "--config", workdir / "run.json",
+                                 "--out", run, "--resume",
+                                 "--checkpoint", trained / CKPT_LAST,
+                                 "--difficulty", trained / DIFFICULTY_FILE),
+                 f"{bad} is not UTF-8 text")
+
+    def test_config(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"seed": "\xff"}\n')
+        _refused(capsys, run_cli("schedule-dump", "--config", path,
+                                 "--m0", "10", "--out", tmp_path / "out"),
+                 f"config file {path} is not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
                                  "short_adam_m", "body_one_byte_short",
                                  "body_trailing_byte", "format_1", "format_2",
@@ -1380,6 +1450,13 @@ class TestCompare:
         assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
         assert not out.exists()
 
+    def test_seeds_not_integers_refused(self, workdir, tmp_path, capsys):
+        _refused(capsys, run_cli("compare", "--config-a", workdir / "run.json",
+                                 "--config-b", workdir / "run.json",
+                                 "--seeds", "0,a", "--out", tmp_path / "cmp"),
+                 "--seeds must list integers, got '0,a'")
+        assert not (tmp_path / "cmp").exists()
+
     def test_mismatched_corpora_rejected(self, workdir, tmp_path, capsys):
         other = json.loads((workdir / "self.json").read_text())
         other["corpus"] = dict(other["corpus"], source=str(tmp_path / "o.src"))
@@ -1458,14 +1535,22 @@ class TestScheduleDump:
     @pytest.mark.parametrize("flags, fragment", [
         (("--set", "curriculum.bogus=1"), "curriculum.bogus"),
         (("--config", "no/such/run.json"), "config file not found"),
+        (("--config", "."), "cannot read config file ."),
         (("--set", "curriculum.kind=none"), "time_sqrt or norm_based"),
         (TIME_SQRT + ("--t-step", "0"), "--t-step must be positive"),
         (("--m0", "10", "--m-step", "0"), "--m-step must be positive"),
         (("--m0", "10", "--m-step", "-1"), "--m-step must be positive"),
         (("--m0", "10", "--m-max", "5"), "at least --m0"),
         (("--m0", "10", "--m-max", "inf"), "must be finite"),
-    ], ids=["unknown_key", "missing_config", "kind_none", "t_step_0",
-            "m_step_0", "m_step_negative", "m_max_below_m0", "m_max_inf"])
+        # m + 1e-20 == m for every m from 10 up: m would stay at m0
+        (("--m0", "10", "--m-step", "1e-20"), "too small to advance"),
+        # half the spacing in [8, 16) moves the odd 9 + 2**-49 by rounding
+        # up, but leaves the even 8 where it is
+        (("--m0", "8", "--m-max", "9.000000000000002",
+          "--m-step", "8.881784197001252e-16"), "too small to advance"),
+    ], ids=["unknown_key", "missing_config", "config_directory", "kind_none",
+            "t_step_0", "m_step_0", "m_step_negative", "m_max_below_m0",
+            "m_max_inf", "m_step_no_advance", "m_step_half_spacing"])
     def test_refused_before_any_curve(self, tmp_path, capsys, flags, fragment):
         code = run_cli("schedule-dump", *flags, "--out", tmp_path / "out")
         assert code == 2

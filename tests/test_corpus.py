@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_oracle as oracle
-from corpus_oracle import SentencePair, corpus_of, pairs_of, traced_peak
+from corpus_oracle import (
+    SentencePair, corpus_of, pairs_of, token_lines, traced_peak,
+)
 from normcl.cli import (
     DIFFICULTY_FILE, VOCAB_SRC_FILE, _dev_corpus, _prepare_corpus, _token_lines,
     main,
@@ -59,23 +61,23 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_specials_come_first_with_fixed_ids(self):
-        v = build_vocab(["a b b c c c"])
+        v = build_vocab(token_lines(["a b b c c c"]), 1)
         assert tuple(v.tokens[:4]) == SPECIALS
         assert (PAD_ID, UNK_ID, BOS_ID, EOS_ID) == (0, 1, 2, 3)
 
     def test_descending_count_then_lexicographic(self):
-        v = build_vocab(["b b a a c"])
+        v = build_vocab(token_lines(["b b a a c"]), 1)
         # a and b tie at 2, a sorts first; c trails with 1
         assert v.tokens[4:] == ["a", "b", "c"]
         assert v.counts[4:] == [2, 2, 1]
 
     def test_min_count_filters(self):
-        v = build_vocab(["a a b"], min_count=2)
+        v = build_vocab(token_lines(["a a b"]), min_count=2)
         assert "b" not in v.tokens
         assert v.encode_token("b") == UNK_ID
 
     def test_encode_decode(self):
-        v = build_vocab(["x y"])
+        v = build_vocab(token_lines(["x y"]), 1)
         ids = [v.encode_token(t) for t in ["x", "zap", "y"]]
         assert ids[1] == UNK_ID
         assert v.decode([ids[0], ids[2]]) == ["x", "y"]
@@ -87,10 +89,10 @@ class TestVocabulary:
 
     def test_rejects_empty_stream(self):
         with pytest.raises(DataError):
-            build_vocab([])
+            build_vocab(token_lines([]), 1)
 
     def test_tsv_round_trip_is_byte_identical(self, tmp_path):
-        v = build_vocab(["the cat sat on the mat", "a cat"])
+        v = build_vocab(token_lines(["the cat sat on the mat", "a cat"]), 1)
         p1, p2 = tmp_path / "v1.tsv", tmp_path / "v2.tsv"
         v.save(p1)
         Vocabulary.load(p1).save(p2)
@@ -111,31 +113,31 @@ class TestLearnMerges:
     CORPUS = ["low low lower"]
 
     def test_first_merge_is_lo(self):
-        table = learn_merges(self.CORPUS, n_merges=1)
+        table = learn_merges(token_lines(self.CORPUS), n_merges=1)
         assert table.merges == [("l", "o")]
 
     def test_three_merge_sequence(self):
-        table = learn_merges(self.CORPUS, n_merges=3)
+        table = learn_merges(token_lines(self.CORPUS), n_merges=3)
         assert table.merges == [("l", "o"), ("lo", "w"), ("low", EOW)]
         assert table.segment_word("low") == ("low" + EOW,)
         assert table.segment_word("lower") == ("low", "e", "r", EOW)
 
     def test_zero_merges_is_character_level(self):
-        table = learn_merges(self.CORPUS, n_merges=0)
+        table = learn_merges(token_lines(self.CORPUS), n_merges=0)
         assert table.segment_word("low") == ("l", "o", "w", EOW)
 
     def test_stops_when_no_pairs_remain(self):
-        table = learn_merges(["a a a"], n_merges=10)
+        table = learn_merges(token_lines(["a a a"]), n_merges=10)
         # 'a </w>' merges once, then the single-symbol type has no pairs
         assert table.merges == [("a", EOW)]
 
     def test_learning_is_deterministic(self):
-        t1 = learn_merges(["the cat sat on the mat"], n_merges=8)
-        t2 = learn_merges(["the cat sat on the mat"], n_merges=8)
+        t1 = learn_merges(token_lines(["the cat sat on the mat"]), n_merges=8)
+        t2 = learn_merges(token_lines(["the cat sat on the mat"]), n_merges=8)
         assert t1.merges == t2.merges
 
     def test_save_load_round_trip(self, tmp_path):
-        table = learn_merges(self.CORPUS, n_merges=3)
+        table = learn_merges(token_lines(self.CORPUS), n_merges=3)
         p = tmp_path / "merges.txt"
         table.save(p)
         assert MergeTable.load(p).merges == table.merges
@@ -155,7 +157,7 @@ class TestRoundTrip:
             "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 12)))
             for _ in range(300)
         ]
-        table = learn_merges([" ".join(words)], n_merges=60)
+        table = learn_merges(token_lines([" ".join(words)]), n_merges=60)
         for trial in range(50):
             sent = [rng.choice(words) for _ in range(rng.randint(1, 9))]
             assert detokenize_subwords(table.apply(sent)) == sent
@@ -163,32 +165,36 @@ class TestRoundTrip:
 
 class TestLoadParallel:
     def _vocab(self):
-        return build_vocab(["a b c d e f g h"])
+        return build_vocab(token_lines(["a b c d e f g h"]), 1)
 
     def test_misaligned_files_raise(self):
         with pytest.raises(DataError):
-            load_parallel([["a", "b"], ["c", "d"]], [["a", "b"]],
-                          self._vocab(), self._vocab())
+            load_parallel(TokenLines([["a", "b"], ["c", "d"]]),
+                          TokenLines([["a", "b"]]), self._vocab(), self._vocab(),
+                          200)
 
     def test_filters_empty_and_overlong_then_renumbers(self):
         src = [["a", "b"], [], ["c", "d", "e", "f"], ["g"]]
         tgt = [["a"], ["b"], ["c"], ["d"]]
-        corpus = load_parallel(src, tgt, self._vocab(), self._vocab(), max_len=3)
+        corpus = load_parallel(TokenLines(src), TokenLines(tgt), self._vocab(),
+                               self._vocab(), max_len=3)
         # line 2 is empty on the source side, line 3 exceeds max_len
         assert len(corpus) == 2
-        assert corpus[1].src == (self._vocab().encode_token("g"),)
+        assert pairs_of(corpus)[1].src == (self._vocab().encode_token("g"),)
 
     def test_lengths_measured_after_subword_split(self):
-        table = learn_merges(["a b c abc"], n_merges=0)
-        vocab = build_vocab([table.apply(["a", "b", "c", "abc"])])
+        table = learn_merges(token_lines(["a b c abc"]), n_merges=0)
+        vocab = build_vocab(TokenLines([table.apply(["a", "b", "c", "abc"])]), 1)
         # "abc" splits into 4 symbols, over a max_len of 3
         with pytest.raises(DataError):
-            load_parallel([table.apply(["abc"])], [table.apply(["a"])],
-                          vocab, vocab, max_len=3)
+            load_parallel(TokenLines([table.apply(["abc"])]),
+                          TokenLines([table.apply(["a"])]), vocab, vocab,
+                          max_len=3)
 
     def test_all_filtered_raises(self):
         with pytest.raises(DataError):
-            load_parallel([[]], [["a"]], self._vocab(), self._vocab())
+            load_parallel(TokenLines([[]]), TokenLines([["a"]]), self._vocab(),
+                          self._vocab(), 200)
 
 
 # The file-reading load_parallel that re-tokenized both files itself,
@@ -270,7 +276,7 @@ class TestReadOncePath:
 def test_byte_order_mark_is_not_part_of_the_first_token(tmp_path):
     path = tmp_path / "bom.txt"
     path.write_bytes("\ufeffhello world\nhello there\n".encode("utf-8"))
-    vocab = build_vocab(_token_lines(path))
+    vocab = build_vocab(_token_lines(path), 1)
     assert vocab.tokens[len(SPECIALS):] == ["hello", "there", "world"]
     assert vocab.counts[len(SPECIALS)] == 2
 
@@ -324,7 +330,7 @@ class TestOneIdArrayPerSide:
     def test_corpus_holds_the_encoded_arrays_unless_a_pair_drops(self, max_len,
                                                                  copied):
         src, tgt = TokenLines(self.LINES), TokenLines(self.LINES[::-1])
-        vocab_src, vocab_tgt = build_vocab(src), build_vocab(tgt)
+        vocab_src, vocab_tgt = build_vocab(src, 1), build_vocab(tgt, 1)
         src_ids, tgt_ids = src.ids, tgt.ids
         corpus = load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
         assert len(corpus) == (2 if copied else 4)
@@ -395,7 +401,7 @@ def test_vocabulary_and_ids_match_the_list_path(lines, min_count, merges):
     text = TokenLines(lines, merges or None)
     units = lines
     if merges:
-        table = learn_merges(lines, merges)
+        table = learn_merges(TokenLines(lines), merges)
         units = [table.apply(toks) for toks in lines]
         assert text.merges.merges == table.merges
     want = oracle.build_vocab(units, min_count)
@@ -433,9 +439,11 @@ def test_length_filter_matches_the_list_path(pairs, max_len, encode_target):
         want = oracle.load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
     except DataError:
         with pytest.raises(DataError):
-            load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
+            load_parallel(TokenLines(src), TokenLines(tgt), vocab_src,
+                          vocab_tgt, max_len)
         return
-    got = load_parallel(src, tgt, vocab_src, vocab_tgt, max_len)
+    got = load_parallel(TokenLines(src), TokenLines(tgt), vocab_src, vocab_tgt,
+                        max_len)
     assert pairs_of(got) == want
     assert got.tgt_lengths.tolist() == [
         len(t) for s, t in pairs if 0 < len(s) <= max_len and 0 < len(t) <= max_len]

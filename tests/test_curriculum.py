@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import normcl.curriculum
-from corpus_oracle import corpus_of
+from corpus_oracle import corpus_of, pairs_of
 from normcl.corpus import UNK_ID, Vocabulary
 from normcl.curriculum import (
     CompetenceSchedule, DifficultyProfile, SamplerState, cdf_normalize,
@@ -483,12 +483,13 @@ class TestSampler:
         corpus = _corpus([(2, 2), (3, 1), (1, 4), (2, 2), (4, 4), (1, 1)])
         state = SamplerState(corpus, None, token_budget=8, seed=11)
         ref_rng = np.random.default_rng(11)
+        pairs = pairs_of(corpus)
         for step in range(50):
             batch = sample_batch(state, corpus, 1.0).tolist()
             perm = ref_rng.permutation(6)
             want, s_tot, t_tot = [], 0, 0
             for i in perm:
-                s, t = len(corpus[int(i)].src), len(corpus[int(i)].tgt)
+                s, t = len(pairs[int(i)].src), len(pairs[int(i)].tgt)
                 if want and (s_tot + s > 8 or t_tot + t > 8):
                     break
                 want.append(int(i))

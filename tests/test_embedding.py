@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from normcl import embedding
+from corpus_oracle import token_lines
 from normcl.corpus import UNK_ID, build_vocab
 from normcl.embedding import EmbeddingTable, SgnsConfig, sgns_step, train_sgns
 from normcl.errors import ConfigError, DataError
@@ -283,7 +284,7 @@ class TestNormTrends:
         for i in range(50):
             lines.append(f"{fillers[2 * i]} F {fillers[2 * i + 1]}")
             lines.append("p S q")
-        vocab = build_vocab(lines, min_count=1)
+        vocab = build_vocab(token_lines(lines), min_count=1)
         ids = [list(map(vocab.encode_token, line.split())) for line in lines]
         wins = 0
         for seed in range(10):
@@ -297,7 +298,7 @@ class TestNormTrends:
 
     def test_zipfian_frequency_norm_correlation(self):
         lines = zipfian_corpus(seed=0, vocab_size=220, n_tokens=200_000)
-        vocab = build_vocab(lines, min_count=5)
+        vocab = build_vocab(token_lines(lines), min_count=5)
         ids = [list(map(vocab.encode_token, line.split())) for line in lines]
         cfg = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, seed=0)
         table = train_sgns(*_flat(ids), cfg, vocab.tokens)
