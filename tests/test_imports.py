@@ -50,15 +50,13 @@ def _package_trees():
 
 
 def _referenced(node) -> set[str]:
-    """Every name ``node`` reads, as a bare name, an attribute or an import."""
+    """Every name ``node`` reads, as a bare name or as an attribute."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(alias.name for alias in sub.names)
     return names
 
 
