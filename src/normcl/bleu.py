@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DataError
 
-__all__ = ["MAX_ORDER", "bleu", "bleu_report"]
+__all__ = ["MAX_ORDER", "bleu_report"]
 
 MAX_ORDER = 4
 
@@ -74,8 +74,3 @@ def bleu_report(hypotheses: Sequence[Sentence],
         "precisions": precisions,
         "n_sentences": len(hypotheses),
     }
-
-
-def bleu(hypotheses: Sequence[Sentence],
-         references: Sequence[Sentence]) -> float:
-    return bleu_report(hypotheses, references)["bleu"]

@@ -496,6 +496,16 @@ def cmd_compare(config_a: dict, config_b: dict, seeds, out_root: Path,
 # schedule-dump
 # ---------------------------------------------------------------------------
 
+# the most rows schedule-dump writes; a longer curve is refused up front
+MAX_CURVE_ROWS = 1_000_000
+
+
+def _check_curve_rows(rows: float) -> None:
+    if rows > MAX_CURVE_ROWS:
+        raise ConfigError(f"the curve would have {rows:.0f} rows; schedule-dump "
+                          f"writes at most {MAX_CURVE_ROWS}")
+
+
 def cmd_schedule_dump(config: RunConfig, args) -> Path:
     """Write the competence curve of ``config.curriculum``: by step for
     ``time_sqrt``, by embedding norm from ``--m0`` for ``norm_based``."""
@@ -503,6 +513,7 @@ def cmd_schedule_dump(config: RunConfig, args) -> Path:
     if schedule.kind == "time_sqrt":
         if args.t_step < 1:
             raise ConfigError(f"--t-step must be positive, got {args.t_step}")
+        _check_curve_rows(args.t_max // args.t_step + 1)
         lines = ["step,competence"]
         for t in range(0, args.t_max + 1, args.t_step):
             lines.append(f"{t},{_fmt(schedule.competence(t))}")
@@ -523,6 +534,7 @@ def cmd_schedule_dump(config: RunConfig, args) -> Path:
         if args.m_step < np.spacing(last):
             raise ConfigError(f"--m-step {args.m_step} is too small to advance "
                               f"m up to {stop}")
+        _check_curve_rows((stop - args.m0) / args.m_step + 1)
         lines = ["m_t,competence"]
         m = args.m0
         while m <= last:

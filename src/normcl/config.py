@@ -205,6 +205,8 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
@@ -222,6 +224,8 @@ def apply_overrides(data: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError:
+            raise ConfigError(f"override {path!r} nests JSON too deeply") from None
         keys = path.split(".")
         node = out
         for key in keys[:-1]:

@@ -67,27 +67,16 @@ class EmbeddingTable:
         self.tokens = list(tokens)
         self.matrix = matrix
         self.norms = np.linalg.norm(matrix, axis=1)
-        # the per-id norms difficulty reads, with the rule of word_norm
+        # the per-id norms difficulty reads: the unknown token takes the
+        # vocabulary maximum, since out-of-vocabulary words are rare by
+        # construction and so get the highest difficulty available
         self.word_norms = self.norms.copy()
         if len(self.word_norms) > UNK_ID:
             self.word_norms[UNK_ID] = self.norms.max()
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    def word_norm(self, token_id: int) -> float:
-        """Row norm; the unknown token reports the vocabulary maximum.
-
-        Out-of-vocabulary words are rare by construction, so the
-        unknown token contributes the highest difficulty available.
-        """
-        if not 0 <= token_id < len(self.tokens):
-            raise IndexError(f"token id {token_id} outside vocabulary of {len(self.tokens)}")
-        return float(self.word_norms[token_id])
 
     def save_vectors(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -12,10 +12,11 @@ per-token cross-entropy at all-ones weights.
 The model computes in ``ModelConfig.dtype`` (float32 by default):
 parameters, positional encodings, attention masks, activations, dropout
 masks and so gradients all hold that dtype.  Only the loss tail runs in
-float64: the per-position NLL is multiplied by the float64 loss mask,
-so the weighted sum, the loss and the per-sentence NLL are reduced in
-float64.  Dropout's keep decisions come from 16-bit draws whatever the
-dtype, so the random stream and the kept entries do not depend on it.
+float64: the per-position NLL is multiplied by float64 position weights
+(sentence weight times loss mask), so the weighted sum, the loss and
+the per-sentence NLL are reduced in float64.  Dropout's keep decisions
+come from 16-bit draws whatever the dtype, so the random stream and the
+kept entries do not depend on it.
 
 ``decode`` takes an optional ``DecoderCache`` for incremental decoding:
 it then runs only the target positions the cache has not seen yet.
@@ -82,10 +83,6 @@ class EncodedBatch:
     src_mask: np.ndarray   # (B, 1, 1, Ts) additive, NEG_INF on padding
     loss_mask: np.ndarray  # (B, Tt) 1.0 on real target positions
     tgt_lens: np.ndarray   # (B,) real target lengths incl. eos
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
 
 
 def _pad(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
@@ -361,11 +358,10 @@ class Transformer:
         logits = self.forward(batch, train)
         flat = reshape(logits, (b * tt, self.tgt_vocab_size))
         nll = cross_entropy_with_log_softmax(flat, batch.tgt_out.reshape(-1))
-        masked = mul(nll, Tensor(batch.loss_mask.reshape(-1)))
-        per_sentence = (masked.data.reshape(b, tt)).sum(axis=1)
+        per_sentence = (nll.data.reshape(b, tt) * batch.loss_mask).sum(axis=1)
 
         pos_weight = (weights[:, None] * batch.loss_mask).reshape(-1)
-        weighted = tensor_sum(mul(masked, Tensor(pos_weight)))
+        weighted = tensor_sum(mul(nll, Tensor(pos_weight)))
         denom = float((weights * batch.tgt_lens).sum())
         loss = scale(weighted, 1.0 / denom)
         return loss, per_sentence

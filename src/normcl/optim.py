@@ -18,13 +18,13 @@ EPS = 1e-9
 
 
 class AdamState:
-    """First/second moments per named parameter plus a step counter.
+    """First/second moments of every parameter plus a step counter.
 
-    ``m[name]`` and ``v[name]`` are views into one flat buffer each, in
-    the order of ``params``, so ``adam_step`` updates every moment with a
-    fixed number of whole-buffer operations.  Replace a moment by
-    writing into its view (``m[name][...] = ...``).  Every parameter
-    must hold the same dtype.
+    ``flat_m`` and ``flat_v`` hold the moments of all parameters, one
+    after another in the order of ``params``, so ``adam_step`` updates
+    every moment with a fixed number of whole-buffer operations;
+    ``grad[name]`` views the gathered gradients the same way.  Every
+    parameter must hold the same dtype.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -41,13 +41,11 @@ class AdamState:
         # loaded for evaluation) leaves their pages untouched
         self.flat_grad = np.empty(size, dtype=dtype)
         self.scratch = np.empty(size, dtype=dtype)
-        self.m, self.v, self.grad = {}, {}, {}
+        self.grad = {}
         offset = 0
         for name, p in params.items():
             span = slice(offset, offset + p.data.size)
             offset = span.stop
-            self.m[name] = self.flat_m[span].reshape(p.data.shape)
-            self.v[name] = self.flat_v[span].reshape(p.data.shape)
             self.grad[name] = self.flat_grad[span].reshape(p.data.shape)
 
 

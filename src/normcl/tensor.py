@@ -5,9 +5,9 @@ closure; calling ``backward()`` on a scalar head walks the graph in
 reverse topological order.  Leaf tensors (those without a closure:
 parameters and inputs) accumulate (``+=``) into their gradient buffers
 across calls, so gradients sum correctly when several scalar heads share
-subgraphs, and ``zero_grad`` must be called between optimizer steps.
-An interior tensor's gradient lives for one pass only: it is dropped as
-soon as its closure has propagated it.
+subgraphs, and ``Transformer.zero_grad`` must be called between
+optimizer steps.  An interior tensor's gradient lives for one pass
+only: it is dropped as soon as its closure has propagated it.
 
 Gradient ownership: every ``.grad`` buffer belongs to exactly one
 tensor.  A tensor's first gradient is adopted without a copy only when
@@ -128,9 +128,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g, fresh: bool = False):
         """Add ``g`` into this tensor's gradient buffer.
 
@@ -171,22 +168,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
-
-    # Convenience operators; heavier kernels stay module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tensor_slice(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -195,7 +195,7 @@ def _parse_header(raw: bytes) -> tuple[dict, ModelConfig, CompetenceSchedule]:
     last two pass the check a run configuration's blocks pass."""
     try:
         meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"garbled checkpoint header: {exc}") from exc
     if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
         raise CheckpointError("checkpoint header lacks required fields")

@@ -29,7 +29,7 @@ from normcl.curriculum import (
     sample_batch,
     sentence_weight,
 )
-from normcl.bleu import bleu, bleu_report
+from normcl.bleu import bleu_report
 from normcl.embedding import SgnsConfig, train_sgns
 from normcl.model import ModelConfig, Transformer, build_batch
 from normcl.optim import AdamState, lr_schedule
@@ -518,9 +518,10 @@ def _brute_bleu_parts(hyps, refs, max_order=4):
 def test_09_bleu_oracle():
     t0 = time.monotonic()
     refs = [["the", "cat", "sat"], ["a", "small", "dog", "ran", "away"]]
-    assert bleu(refs, refs) == 100.0
-    assert bleu([["x", "y", "z"]], [["a", "b", "c"]]) == 0.0
-    assert bleu([["a", "b", "c"]], [["a", "b", "c"]]) == 0.0  # no 4-gram exists
+    assert bleu_report(refs, refs)["bleu"] == 100.0
+    assert bleu_report([["x", "y", "z"]], [["a", "b", "c"]])["bleu"] == 0.0
+    # no 4-gram exists
+    assert bleu_report([["a", "b", "c"]], [["a", "b", "c"]])["bleu"] == 0.0
 
     # clipping: 7x "the" against a reference holding only two
     hyp = [["the"] * 7]

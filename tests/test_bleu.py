@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from normcl.bleu import bleu, bleu_report
+from normcl.bleu import bleu_report
 from normcl.errors import DataError
 
 
@@ -29,12 +29,12 @@ def _brute_precision(hyps, refs, n):
 class TestOracles:
     def test_identity_is_exactly_100(self):
         hyps = _split("the cat sat on the mat", "a small step", "one two three four")
-        assert bleu(hyps, [list(h) for h in hyps]) == 100.0
+        assert bleu_report(hyps, [list(h) for h in hyps])["bleu"] == 100.0
 
     def test_short_hypotheses_without_fourgram_score_zero(self):
         hyps = _split("the cat", "on mat", "a b c")
         refs = _split("the cat is here", "it sat on the mat", "a b c d")
-        assert bleu(hyps, refs) == 0.0
+        assert bleu_report(hyps, refs)["bleu"] == 0.0
 
     def test_unigram_clipping_two_sevenths(self):
         hyps = _split("the the the the the the the")
@@ -98,11 +98,12 @@ class TestInvariances:
                 for _ in range(15)]
         refs = [[rng.choice(words) for _ in range(rng.randint(3, 10))]
                 for _ in range(15)]
-        base = bleu(hyps, refs)
+        base = bleu_report(hyps, refs)["bleu"]
         order = list(range(15))
         for trial in range(5):
             rng.shuffle(order)
-            assert bleu([hyps[i] for i in order], [refs[i] for i in order]) == base
+            assert bleu_report([hyps[i] for i in order],
+                               [refs[i] for i in order])["bleu"] == base
 
 
 class TestContract:

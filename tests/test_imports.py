@@ -1,6 +1,6 @@
 """Every imported name in the package, its tests and the benchmark is
-used, and the package holds no dead private definition or stale
-``__all__`` entry."""
+used, and the package holds no dead private definition, no public one
+that only tests use, and no stale ``__all__`` entry."""
 
 import ast
 from collections import Counter
@@ -73,6 +73,56 @@ def test_every_private_definition_is_referenced():
             and stmt.name.startswith("_") and not stmt.name.endswith("__")
             and total[stmt.name] == (stmt.name in refs[id(stmt)])]
     assert dead == []
+
+
+# public definitions that only tests use, each kept for its reason
+TEST_ONLY = {
+    "zipfian_corpus": "test data: a Zipfian corpus for the norm trend tests",
+    "MergeTable.apply": "the tests' reference segmentation of a sentence",
+    "grad_check": "the finite-difference oracle of test_04's release gate",
+    "tensor_slice": "a kernel test_04's release gate checks by gradient",
+}
+
+
+def _name_uses(node) -> Counter:
+    """How often ``node`` reads each name, bare or as an attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def _public_definitions(tree):
+    """``(qualified name, node)`` of each public module-level function or
+    class and each public method."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield f"{stmt.name}.{sub.name}", sub
+
+
+def test_every_public_definition_is_used_outside_tests():
+    """A public function, class or method is referenced, by name, in the
+    package or the benchmark outside its own definition, unless
+    ``TEST_ONLY`` names it with a reason."""
+    package = _package_trees()
+    bench = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((ROOT / "perfbench").glob("*.py"))
+             if not path.name.startswith("test_")]
+    total = sum((_name_uses(tree) for tree in [t for _, t in package] + bench),
+                Counter())
+    public = [(path, qualname, node) for path, tree in package
+              for qualname, node in _public_definitions(tree)]
+    unused = [f"{path.relative_to(ROOT)}:{node.lineno}: {qualname}"
+              for path, qualname, node in public
+              if qualname not in TEST_ONLY
+              and total[node.name] == _name_uses(node)[node.name]]
+    assert unused == []
+    assert set(TEST_ONLY) <= {qualname for _, qualname, _ in public}
 
 
 def _bindings(tree) -> set[str]:

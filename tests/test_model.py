@@ -16,7 +16,10 @@ from normcl.corpus import BOS_ID, EOS_ID, PAD_ID
 from normcl.errors import CheckpointError, ConfigError, DataError, TrainingDiverged
 from normcl.model import EncodedBatch, ModelConfig, Transformer, build_batch
 from normcl.optim import AdamState
-from normcl.tensor import Tensor, grad_check, no_grad
+from normcl.tensor import (
+    Tensor, cross_entropy_with_log_softmax, grad_check, mul, no_grad, reshape,
+    scale, tensor_sum,
+)
 from normcl.trainer import (
     FORMAT_VERSION, TrainerState, load_checkpoint, save_checkpoint,
     token_accuracy, train_step,
@@ -366,8 +369,8 @@ class TestComputeDtype:
         for name, p in model.params.items():
             assert p.data.dtype == np.float32, name
             assert p.grad.dtype == np.float32, name
-            assert state.adam.m[name].dtype == np.float32, name
-            assert state.adam.v[name].dtype == np.float32, name
+        assert state.adam.flat_m.dtype == np.float32
+        assert state.adam.flat_v.dtype == np.float32
 
 
 class TestTrainStep:
@@ -395,6 +398,44 @@ class TestTrainStep:
                 batch = _batch(_pairs(3, rng, hi=16))
                 out.append(train_step(state, batch, None, 1e-3)["loss"])
         assert r1 == r2
+
+    def test_float64_step_matches_the_masked_then_weighted_loss(self, monkeypatch):
+        """The NLL feeds the weighted ``mul`` directly, because the
+        position weights already hold the loss mask.  Against the form
+        that first masks the NLL, then weights it, a float64 step with
+        dropout and uneven weights gives the same loss, per-sentence NLL
+        and gradients, bit for bit."""
+        def masked_then_weighted(self, batch, weights, train):
+            b, tt = batch.tgt_out.shape
+            weights = np.asarray(weights, dtype=np.float64)
+            flat = reshape(self.forward(batch, train), (b * tt, self.tgt_vocab_size))
+            nll = cross_entropy_with_log_softmax(flat, batch.tgt_out.reshape(-1))
+            masked = mul(nll, Tensor(batch.loss_mask.reshape(-1)))
+            pos_weight = (weights[:, None] * batch.loss_mask).reshape(-1)
+            weighted = tensor_sum(mul(masked, Tensor(pos_weight)))
+            denom = float((weights * batch.tgt_lens).sum())
+            return (scale(weighted, 1.0 / denom),
+                    masked.data.reshape(b, tt).sum(axis=1))
+
+        runs = []
+        for forward_loss in (Transformer.forward_loss, masked_then_weighted):
+            monkeypatch.setattr(Transformer, "forward_loss", forward_loss)
+            state = self._state(cfg=replace(SMALL, dropout=0.1, dtype="float64"))
+            rng = np.random.default_rng(13)
+            steps = []
+            for _ in range(3):
+                batch = _batch(_pairs(4, rng, hi=16))
+                metrics = train_step(state, batch, [0.5, 1.25, 2.0, 0.75], 1e-3)
+                steps.append((metrics["loss"], metrics["nll"],
+                              {n: p.grad.copy() for n, p in state.model.params.items()}))
+            runs.append(steps)
+        for (loss, nll, grads), (want_loss, want_nll, want_grads) in zip(*runs):
+            assert loss == want_loss
+            assert nll.dtype == want_nll.dtype == np.float64
+            assert np.array_equal(nll, want_nll)
+            for name, g in grads.items():
+                assert g.dtype == np.float64, name
+                assert np.array_equal(g, want_grads[name]), name
 
     def test_copy_task_loss_decreases(self):
         # 50-pair copy task, 200 steps
@@ -501,9 +542,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
-        for name in state.model.params:
-            assert np.array_equal(back.adam.m[name], state.adam.m[name])
-            assert np.array_equal(back.adam.v[name], state.adam.v[name])
+        assert np.array_equal(back.adam.flat_m, state.adam.flat_m)
+        assert np.array_equal(back.adam.flat_v, state.adam.flat_v)
 
     def test_loaded_moments_drive_the_next_step(self, tmp_path):
         state = self._trained_state()
@@ -515,7 +555,7 @@ class TestCheckpoint:
             train_step(s, batch, None, 1e-3)
         for name, p in state.model.params.items():
             assert np.array_equal(back.model.params[name].data, p.data), name
-            assert np.array_equal(back.adam.v[name], state.adam.v[name]), name
+        assert np.array_equal(back.adam.flat_v, state.adam.flat_v)
 
     def test_wrong_shape_moment_rejected(self, tmp_path):
         state = self._trained_state(steps=1)
@@ -585,12 +625,12 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         back = load_checkpoint(path)
         assert back.model.config.dtype == "float32"
-        for name, p in state.model.params.items():
-            for got, want in ((back.model.params[name].data, p.data),
-                              (back.adam.m[name], state.adam.m[name]),
-                              (back.adam.v[name], state.adam.v[name])):
-                assert got.dtype == np.float32, name
-                assert np.array_equal(got, want), name
+        for got, want in [(back.model.params[name].data, p.data)
+                          for name, p in state.model.params.items()] + \
+                [(back.adam.flat_m, state.adam.flat_m),
+                 (back.adam.flat_v, state.adam.flat_v)]:
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
         assert (back.model.rng.bit_generator.state
                 == state.model.rng.bit_generator.state)
         batch = _batch(_pairs(3, np.random.default_rng(11), hi=16))
