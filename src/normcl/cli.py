@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import statistics
 import sys
 from dataclasses import replace
@@ -32,8 +33,8 @@ from .config import (
     run_config_from_dict, run_config_to_dict,
 )
 from .corpus import (
-    UNK_ID, MergeTable, ParallelCorpus, TokenLines, Vocabulary, build_vocab,
-    detokenize_subwords, load_parallel, read_lines, tokenize,
+    UNK_ID, MergeTable, ParallelCorpus, TokenLines, Vocabulary, atomic_write,
+    build_vocab, detokenize_subwords, load_parallel, read_lines, tokenize,
 )
 from .curriculum import (
     DifficultyProfile, SamplerState, sample_batch, sentence_weight,
@@ -44,8 +45,7 @@ from .errors import ConfigError, DataError, NormclError
 from .model import Transformer, build_batch
 from .optim import AdamState, lr_schedule
 from .trainer import (
-    TrainerState, atomic_write, load_checkpoint, save_checkpoint,
-    token_accuracy, train_step,
+    TrainerState, load_checkpoint, save_checkpoint, token_accuracy, train_step,
 )
 
 __all__ = ["main", "cmd_embed", "cmd_score", "cmd_train", "cmd_evaluate",
@@ -83,9 +83,17 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path} as the output directory: "
+                          f"{exc.strerror}") from None
+    return path
+
+
 def _prepare_out(config: RunConfig) -> Path:
-    out = config.resolved_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(config.resolved_out_dir())
     _write_json(out / CONFIG_ECHO, run_config_to_dict(config))
     return out
 
@@ -204,9 +212,9 @@ def cmd_score(config: RunConfig, vectors: str | None = None) -> Path:
 def _dev_corpus(config: RunConfig, vocab_src, vocab_tgt, merges_src, merges_tgt,
                 corpus: ParallelCorpus) -> ParallelCorpus:
     """The dev files segmented with the training merges, or else the
-    first 200 training pairs."""
+    first 200 training pairs.  ``CorpusConfig`` sets both files or neither."""
     ccfg = config.corpus
-    if ccfg.dev_source and ccfg.dev_target:
+    if ccfg.dev_source:
         src = require_file(ccfg.dev_source, "corpus.dev_source")
         tgt = require_file(ccfg.dev_target, "corpus.dev_target")
         return _load_pairs(src, tgt, _token_lines(src, merges_src),
@@ -246,6 +254,9 @@ def _check_vocab_digest(state: TrainerState, ckpt, digest: str) -> None:
 def cmd_train(config: RunConfig, resume: bool = False,
               checkpoint: str | None = None,
               difficulty: str | None = None) -> Path:
+    if checkpoint and not resume:
+        raise ConfigError("--checkpoint names a checkpoint to resume from; "
+                          "it needs --resume")
     out = config.resolved_out_dir()
     vocab_src, vocab_tgt, merges_src, merges_tgt, corpus = _prepare_corpus(config)
     dev = _dev_corpus(config, vocab_src, vocab_tgt, merges_src, merges_tgt,
@@ -340,6 +351,10 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 if acc > best_acc:
                     best_acc = acc
                     paths.append(out / CKPT_BEST)
+                # a resume from this checkpoint keeps the rows up to its
+                # step, so they must be on disk before it is
+                trace.flush()
+                os.fsync(trace.fileno())
                 save_checkpoint(state, *paths)
 
     best = max(evals, key=lambda e: e["token_accuracy"])
@@ -456,7 +471,7 @@ def cmd_compare(config_a: dict, config_b: dict, seeds, out_root: Path,
         raise ConfigError(
             f"--target-fraction must be finite and positive, got {target_fraction}")
 
-    out_root.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_root)
     rows = []
     for seed in seeds:
         arm_a = _run_arm(_reseeded(config_a, seed, out_root / f"seed{seed}" / "a"))
@@ -546,7 +561,8 @@ def cmd_schedule_dump(config: RunConfig, args) -> Path:
         raise ConfigError("schedule-dump needs curriculum.kind time_sqrt or norm_based")
     path = _prepare_out(config) / "schedule.csv"
     text = "\n".join(lines) + "\n"
-    path.write_text(text, encoding="utf-8")
+    with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
+        fh.write(text)
     sys.stdout.write(text)
     return path
 

@@ -53,6 +53,10 @@ class CorpusConfig:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         if self.merges < 0:
             raise ConfigError(f"merges must be >= 0, got {self.merges}")
+        if bool(self.dev_source) != bool(self.dev_target):
+            unset = "dev_source" if self.dev_target else "dev_target"
+            raise ConfigError(f"{unset} is empty, but the other dev file is "
+                              "set; set both or neither")
 
 
 @dataclass

@@ -17,18 +17,23 @@ the ids in place, so a side holds one id array from reading on;
 ``ParallelCorpus`` holds that array, copied only when length filtering
 drops a pair, and one offsets array per side.
 Files are read as UTF-8 with any leading byte-order mark dropped; other
-bytes raise ``DataError``.  All functions here are pure over their
-inputs: identical lines and settings produce byte-identical vocab,
-merge, and corpus artifacts.
+bytes raise ``DataError``.  Field-separated artifact files are parsed by
+``read_fields``; artifacts are written through ``atomic_write``, so a
+process that dies mid-write leaves the previous file or none.  All other
+functions here are pure over their inputs: identical lines and settings
+produce byte-identical vocab, merge, and corpus artifacts.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import string
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,7 +45,8 @@ __all__ = [
     "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID", "EOW",
     "tokenize", "TokenLines", "Vocabulary", "build_vocab",
     "MergeTable", "learn_merges", "detokenize_subwords",
-    "ParallelCorpus", "load_parallel", "read_lines",
+    "ParallelCorpus", "load_parallel", "read_lines", "read_fields",
+    "atomic_write",
 ]
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
@@ -68,6 +74,43 @@ def read_lines(path) -> Iterator[str]:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason} "
                             f"(byte {exc.object[exc.start]:#04x})") from None
+
+
+def read_fields(path, sep: str, types: Sequence, what: str,
+                start: int = 1) -> Iterator[tuple[int, list]]:
+    """``(n, fields)`` for each line ``n`` of ``path`` from line ``start``
+    on: the line split at ``sep`` into one field per entry of ``types``,
+    each converted by its entry.  A line with another number of fields,
+    or a field its conversion refuses, raises ``DataError`` naming
+    ``what``, the line and the file."""
+    for n, line in enumerate(islice(read_lines(path), start - 1, None), start):
+        try:
+            fields = [convert(field) for convert, field
+                      in zip(types, line.split(sep), strict=True)]
+        except ValueError:
+            raise DataError(f"malformed {what} line {n} in {path}: {line!r}") from None
+        yield n, fields
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", sync: bool = True, **open_kwargs):
+    """Open a temporary file beside ``path`` for writing.  On a clean
+    exit it is flushed, fsynced when ``sync``, and renamed over ``path``;
+    if the block raises, it is deleted and ``path`` keeps its previous
+    contents.  The rename alone keeps ``path`` whole when the process
+    dies; the fsync also keeps it through a system crash."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            if sync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -215,21 +258,15 @@ class Vocabulary:
         return sum(self.counts)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
             for tok, i, c in zip(self.tokens, range(len(self.tokens)), self.counts):
                 fh.write(f"{tok}\t{i}\t{c}\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
         tokens, counts = [], []
-        for lineno, line in enumerate(read_lines(path), 1):
-            try:
-                tok, idx, count = line.split("\t")
-                idx, count = int(idx), int(count)
-            except ValueError:
-                raise DataError(
-                    f"malformed vocab line {lineno} in {path}: {line!r}"
-                ) from None
+        for _, (tok, idx, count) in read_fields(path, "\t", (str, int, int),
+                                                "vocab"):
             if idx != len(tokens):
                 raise DataError(f"non-contiguous id {idx} in vocab file {path}")
             tokens.append(tok)
@@ -301,19 +338,14 @@ class MergeTable:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
             for a, b in self.merges:
                 fh.write(f"{a} {b}\n")
 
     @classmethod
     def load(cls, path) -> "MergeTable":
-        merges = []
-        for line in read_lines(path):
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise DataError(f"malformed merge rule {line!r} in {path}")
-            merges.append((parts[0], parts[1]))
-        return cls(merges)
+        return cls([(a, b) for _, (a, b) in read_fields(path, " ", (str, str),
+                                                          "merge")])
 
 
 def learn_merges(words: TokenLines, n_merges: int) -> MergeTable:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ParallelCorpus, Vocabulary, read_lines
+from .corpus import ParallelCorpus, Vocabulary, atomic_write, read_fields
 from .embedding import EmbeddingTable
 from .errors import ConfigError, DataError, DegenerateStateError
 
@@ -185,7 +185,7 @@ class DifficultyProfile:
 
     def save(self, path) -> None:
         # a block of rows at a time, so the text is never held whole
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
             for start in range(0, len(self), _SAVE_ROWS):
                 end = start + _SAVE_ROWS
                 rows = zip(range(start, end), self.raw[start:end].tolist(),
@@ -196,14 +196,8 @@ class DifficultyProfile:
     @classmethod
     def load(cls, path) -> "DifficultyProfile":
         raws, cdfs, criterion = [], [], None
-        for lineno, line in enumerate(read_lines(path), 1):
-            try:
-                sid, raw, cdf, crit = line.split("\t")
-                sid, raw, cdf = int(sid), float(raw), float(cdf)
-            except ValueError:
-                raise DataError(
-                    f"malformed difficulty line {lineno} in {path}: {line!r}"
-                ) from None
+        for lineno, (sid, raw, cdf, crit) in read_fields(
+                path, "\t", (int, float, float, str), "difficulty"):
             if sid != len(raws):
                 raise DataError(f"non-contiguous sentence id {sid} in {path}")
             if crit not in CRITERIA:

@@ -22,12 +22,13 @@ change their last bits.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import UNK_ID, read_lines
+from .corpus import UNK_ID, atomic_write, read_fields
 from .errors import ConfigError, DataError
 
 __all__ = ["SgnsConfig", "EmbeddingTable", "train_sgns", "sgns_step"]
@@ -79,43 +80,34 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
     def save_vectors(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
             fh.write(f"{len(self.tokens)} {self.dim}\n")
             for tok, row in zip(self.tokens, self.matrix):
                 fh.write(tok + " " + " ".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def load_vectors(cls, path) -> "EmbeddingTable":
-        lines = read_lines(path)
-        try:
-            n, dim = map(int, next(lines).split())
-        except (StopIteration, ValueError) as exc:
-            raise DataError(f"bad vectors header in {path}") from exc
+        header = next(read_fields(path, " ", (int, int), "vectors header"), None)
+        if header is None:
+            raise DataError(f"empty vectors file {path}")
+        n, dim = header[1]
+        # a row holds at least two bytes per entry, so a larger dim is a
+        # damaged header, refused before its row types are built
+        if not 0 < dim < os.path.getsize(path):
+            raise DataError(f"bad vector dimension {dim} in the header of {path}")
         tokens, rows = [], []
-        for lineno, line in enumerate(lines, 2):
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(f"bad vector row for {parts[0]!r} in {path}")
-            try:
-                row = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataError(
-                    f"non-numeric vector entry at line {lineno} in {path}: "
-                    f"{line!r}"
-                ) from exc
+        for lineno, (tok, *row) in read_fields(path, " ", (str,) + (float,) * dim,
+                                               "vector", start=2):
             if not all(map(math.isfinite, row)):
-                raise DataError(
-                    f"non-finite vector entry at line {lineno} in {path}: "
-                    f"{line!r}"
-                )
+                raise DataError(f"non-finite vector entry at line {lineno} in {path}")
             rows.append(row)
-            tokens.append(parts[0])
+            tokens.append(tok)
         if len(tokens) != n:
             raise DataError(f"vectors file {path} declares {n} rows, has {len(tokens)}")
         return cls(tokens, np.array(rows, dtype=np.float64))
 
     def save_norms(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
             for tok, norm in zip(self.tokens, self.norms):
                 fh.write(f"{tok}\t{float(norm)!r}\n")
 

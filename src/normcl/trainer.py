@@ -20,10 +20,8 @@ checkpoint intact.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import _build_block
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, atomic_write
 from .curriculum import CompetenceSchedule, embedding_matrix_norm
 from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .model import EncodedBatch, ModelConfig, Transformer, build_batch
@@ -39,7 +37,7 @@ from .optim import AdamState, adam_step
 from .tensor import no_grad
 
 __all__ = ["TrainerState", "train_step", "token_accuracy",
-           "save_checkpoint", "load_checkpoint", "atomic_write"]
+           "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"NCLK"
 FORMAT_VERSION = 5
@@ -120,27 +118,6 @@ def token_accuracy(model: Transformer, corpus: ParallelCorpus) -> float:
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def atomic_write(path, mode: str = "wb", sync: bool = True, **open_kwargs):
-    """Open a temporary file beside ``path`` for writing.  On a clean
-    exit it is flushed, fsynced when ``sync``, and renamed over ``path``;
-    if the block raises, it is deleted and ``path`` keeps its previous
-    contents.  The rename alone keeps ``path`` whole when the process
-    dies; the fsync also keeps it through a system crash."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-            fh.flush()
-            if sync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
 
 def _storage_dtype(dtype: str) -> np.dtype:
     return np.dtype(dtype).newbyteorder("<")

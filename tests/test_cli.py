@@ -7,8 +7,11 @@ import errno
 import hashlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import typing
 from collections import Counter
@@ -435,6 +438,41 @@ class TestResume:
         # every row, the final loss included, so weight updates replayed too
         assert (out / TRACE_FILE).read_bytes() == (trained / TRACE_FILE).read_bytes()
 
+    # ``train`` in a child process that dies the moment its step-16
+    # checkpoint is in place, before any later row is logged
+    KILLED_AFTER_CHECKPOINT = (
+        "import os, sys\n"
+        "import normcl.cli\n"
+        "save = normcl.cli.save_checkpoint\n"
+        "def save_then_die(state, *paths):\n"
+        "    save(state, *paths)\n"
+        "    if state.step == 16:\n"
+        "        os._exit(137)\n"
+        "normcl.cli.save_checkpoint = save_then_die\n"
+        "sys.exit(normcl.cli.main(sys.argv[1:]))\n")
+
+    def test_resume_after_a_kill_matches_unbroken_run(self, workdir, trained):
+        """A run killed right after a checkpoint has the trace rows up to
+        it on disk, so the resumed trace is byte-identical to the
+        unbroken run's."""
+        out = workdir / "killed"
+        cfg = workdir / "run.json"
+        difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
+        src = Path(normcl.cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run(
+            [sys.executable, "-c", self.KILLED_AFTER_CHECKPOINT, "train",
+             "--config", str(cfg), "--out", str(out), *map(str, difficulty)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 137, child.stderr
+        assert load_checkpoint(out / CKPT_LAST).step == 16
+        steps = [row.split(",")[0] for row in
+                 (out / TRACE_FILE).read_text().splitlines()[1:]]
+        assert steps == ["1", "4", "8", "12", "16"]
+        assert run_cli("train", "--config", cfg, "--out", out, "--resume",
+                       *difficulty) == 0
+        assert (out / TRACE_FILE).read_bytes() == (trained / TRACE_FILE).read_bytes()
+
     def test_resume_from_earlier_checkpoint_truncates_trace(
             self, workdir, trained, tmp_path):
         """Train to 8, keep that checkpoint, train on to 16, then resume
@@ -625,6 +663,16 @@ class TestResume:
         assert err.startswith("error:") and "vocabularies in use" in err
         assert "Traceback" not in err
 
+    def test_checkpoint_without_resume_refused(self, workdir, tmp_path, capsys):
+        """``--checkpoint`` names a checkpoint to resume from: without
+        ``--resume`` it is refused before the run directory is made."""
+        out = tmp_path / "run"
+        code = run_cli("train", "--config", workdir / "run.json", "--out", out,
+                       "--set", "curriculum.kind=none",
+                       "--checkpoint", tmp_path / "nonexistent.ckpt")
+        _refused(capsys, code, "--checkpoint", "needs --resume")
+        assert not out.exists()
+
     def test_resume_needs_a_checkpoint(self, workdir, capsys):
         code = run_cli("train", "--config", workdir / "run.json",
                        "--out", workdir / "resume_empty", "--resume",
@@ -806,6 +854,16 @@ class TestValidation:
         schedule = cur.schedule()
         schedule.set_anchor(10.0)
         assert schedule.competence(0) == 1.0
+
+    @pytest.mark.parametrize("unset", ["dev_source", "dev_target"])
+    def test_half_set_dev_pair_refused(self, workdir, tmp_path, capsys, unset):
+        """The dev files are read as a pair: one without the other is
+        refused, naming the empty one, before the run directory is made."""
+        out = tmp_path / "run"
+        code = run_cli("train", "--config", workdir / "run.json", "--out", out,
+                       "--set", "curriculum.kind=none", "--set", f"corpus.{unset}=")
+        _refused(capsys, code, f"error: corpus.{unset} is empty")
+        assert not out.exists()
 
     def test_out_dir_env_fallback(self, workdir, monkeypatch):
         target = workdir / "env_out"
@@ -1498,6 +1556,16 @@ class TestCompare:
                  "--seeds must list integers, got '0,a'")
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+    def test_out_naming_a_file_refused(self, workdir, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = run_cli("compare", "--config-a", workdir / "run.json",
+                       "--config-b", workdir / "run.json",
+                       "--seeds", "0", "--out", afile / sub)
+        _refused(capsys, code, f"cannot use {afile / sub} as the output directory")
+        assert afile.read_text() == "kept\n"
+
     def test_mismatched_corpora_rejected(self, workdir, tmp_path, capsys):
         other = json.loads((workdir / "self.json").read_text())
         other["corpus"] = dict(other["corpus"], source=str(tmp_path / "o.src"))
@@ -1608,6 +1676,14 @@ class TestScheduleDump:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+    def test_out_naming_a_file_refused(self, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = run_cli("schedule-dump", "--m0", "10", "--out", afile / sub)
+        _refused(capsys, code, f"cannot use {afile / sub} as the output directory")
+        assert afile.read_text() == "kept\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--kind", "time_sqrt"), ("--c0", "0.5"), ("--lambda-t", "10"),
         ("--lambda-m", "0.3")])
@@ -1648,12 +1724,14 @@ def _evaluates(key, value):
 FIELD_EFFECTS = {
     "corpus.source": _embeds("corpus.source", "{w}/dev.src"),
     "corpus.target": _trains("corpus.target", "{w}/mapped.tgt"),
-    # the dev files are read only as a pair; one alone falls back to the
-    # first training pairs
+    # the dev files are read only as a pair, so each is set against a base
+    # that pairs the other with the dev lines in reverse order
     "corpus.dev_source": [Effect("train", {"corpus.dev_source": "{w}/dev.src"},
-                                 TRAIN_REPORT, base={"corpus.dev_source": ""})],
+                                 TRAIN_REPORT,
+                                 base={"corpus.dev_source": "{w}/dev.reversed"})],
     "corpus.dev_target": [Effect("train", {"corpus.dev_target": "{w}/dev.tgt"},
-                                 TRAIN_REPORT, base={"corpus.dev_target": ""})],
+                                 TRAIN_REPORT,
+                                 base={"corpus.dev_target": "{w}/dev.reversed"})],
     "corpus.min_count": [Effect("embed", {"corpus.min_count": 3}, VOCAB_SRC_FILE)],
     "corpus.max_len": [Effect("score", {"corpus.max_len": 5}, DIFFICULTY_FILE)],
     "corpus.merges": _embeds("corpus.merges", 20),
@@ -1730,6 +1808,8 @@ def effect_base(workdir):
                                task="mapped", min_len=3, max_len=9)
     assert (workdir / "train.src").read_text() == "\n".join(src) + "\n"
     (workdir / "mapped.tgt").write_text("\n".join(tgt) + "\n")
+    lines = (workdir / "dev.src").read_text().splitlines()
+    (workdir / "dev.reversed").write_text("\n".join(reversed(lines)) + "\n")
     return {}
 
 

@@ -23,7 +23,8 @@ from normcl.config import run_config_from_dict
 from normcl.corpus import (
     _PUNCT_SPACED, BOS_ID, EOS_ID, EOW, PAD_ID, SPECIALS, UNK_ID,
     MergeTable, TokenLines, Vocabulary, build_vocab,
-    detokenize_subwords, learn_merges, load_parallel, read_lines, tokenize,
+    detokenize_subwords, learn_merges, load_parallel, read_fields, read_lines,
+    tokenize,
 )
 from normcl.curriculum import (
     DifficultyProfile, SamplerState, cdf_normalize, sample_batch,
@@ -161,6 +162,30 @@ class TestRoundTrip:
         for trial in range(50):
             sent = [rng.choice(words) for _ in range(rng.randint(1, 9))]
             assert detokenize_subwords(table.apply(sent)) == sent
+
+
+class TestReadFields:
+    def test_fields_are_converted_and_numbered_from_start(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("header\na\t1\t2.5\nb\t-3\t1e-3\n", encoding="utf-8")
+        assert list(read_fields(p, "\t", (str, int, float), "row", start=2)) == [
+            (2, ["a", 1, 2.5]), (3, ["b", -3, 1e-3])]
+
+    @pytest.mark.parametrize("line", ["a\t1", "a\t1\t2.5\t", "a\tx\t2.5",
+                                      "a\t1\t"],
+                             ids=["short", "long", "bad_int", "empty_float"])
+    def test_malformed_line_names_what_line_and_file(self, tmp_path, line):
+        p = tmp_path / "f.tsv"
+        p.write_text(f"a\t1\t2.5\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            list(read_fields(p, "\t", (str, int, float), "row"))
+        assert str(exc.value) == f"malformed row line 2 in {p}: {line!r}"
+
+    def test_malformed_merge_rule_names_its_line(self, tmp_path):
+        p = tmp_path / "merges.txt"
+        p.write_text("a b\nab c d\n", encoding="utf-8")
+        with pytest.raises(DataError, match="malformed merge line 2 in"):
+            MergeTable.load(p)
 
 
 class TestLoadParallel:

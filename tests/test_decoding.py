@@ -402,6 +402,31 @@ class TestBatchedAgainstOracle:
         if max_decode_len == 2:
             assert truncated > 0
 
+    # 30 to 60 tokens, 45 and 60 twice each
+    LONG_LENGTHS = (30, 45, 60, 37, 45, 60, 52)
+
+    @pytest.mark.parametrize("max_decode_len", [3, 40])
+    def test_long_sources_match_one_sentence_full_recompute(self,
+                                                            max_decode_len):
+        """Sources of 30 to 60 tokens, where a whole prefix re-run and the
+        cached, batched steps attend over long source memories."""
+        cfg = BeamConfig(beam_size=4, max_decode_len=max_decode_len)
+        truncated = 0
+        for seed in range(2):
+            model = Transformer(
+                ModelConfig(seed=seed, dtype="float64", **MICRO), 12, 12)
+            rng = np.random.default_rng(seed)
+            sources = [tuple(int(t) for t in rng.integers(4, 12, size=n))
+                       for n in self.LONG_LENGTHS]
+            for src, hyp in zip(sources, decode_corpus(model, sources, cfg)):
+                want = _oracle_beam_decode(model, src, cfg)
+                assert hyp.tokens == want.tokens, (seed, len(src))
+                assert hyp.truncated == want.truncated, (seed, len(src))
+                assert hyp.score == pytest.approx(want.score, abs=1e-12)
+                truncated += hyp.truncated
+        if max_decode_len == 3:
+            assert truncated > 0
+
     def test_mixed_lengths_rejected(self):
         model = Transformer(ModelConfig(seed=0, **MICRO), 10, 10)
         with pytest.raises(DataError, match="one length"):

@@ -174,6 +174,32 @@ class TestTableContracts:
         with pytest.raises(DataError):
             EmbeddingTable(["a", "b"], np.ones((3, 2)))
 
+    def test_vectors_file_round_trip(self, tmp_path):
+        table = EmbeddingTable(["a", "b"], np.array([[0.1, -2.0], [3.0, 1e-17]]))
+        table.save_vectors(tmp_path / "v.txt")
+        loaded = EmbeddingTable.load_vectors(tmp_path / "v.txt")
+        assert loaded.tokens == table.tokens
+        assert np.array_equal(loaded.matrix, table.matrix)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty vectors file"),
+        ("2\na 1.0\n", "malformed vectors header line 1"),
+        ("2 x\na 1.0\n", "malformed vectors header line 1"),
+        ("1 0\na\n", "bad vector dimension 0"),
+        # a damaged dim is refused before a row type per entry is built
+        ("1 1000000000000\na 1.0\n", "bad vector dimension 1000000000000"),
+        ("1 2\na 1.0\n", "malformed vector line 2"),
+        ("1 1\na abc\n", "malformed vector line 2"),
+        ("1 1\na inf\n", "non-finite vector entry at line 2"),
+        ("2 1\na 1.0\n", "declares 2 rows, has 1"),
+    ], ids=["empty", "one_field_header", "non_int_header", "zero_dim",
+            "huge_dim", "short_row", "non_float", "inf", "missing_row"])
+    def test_malformed_vectors_file_refused(self, tmp_path, text, message):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            EmbeddingTable.load_vectors(path)
+
 
 class TestConfig:
     def test_defaults_hold(self):

@@ -1,6 +1,7 @@
 """Every imported name in the package, its tests and the benchmark is
 used, and the package holds no dead private definition, no public one
-that only tests use, and no stale ``__all__`` entry."""
+that only tests use, no stale ``__all__`` entry, and no file write that
+bypasses ``atomic_write``."""
 
 import ast
 from collections import Counter
@@ -151,3 +152,53 @@ def test_every_all_entry_is_bound():
                 unbound += [f"{path.relative_to(ROOT)}: {e.value}"
                             for e in stmt.value.elts if e.value not in bound]
     assert unbound == []
+
+
+# the functions that may open a file for writing: the one writer that
+# replaces a file whole, and the training loop, which appends trace rows
+# and syncs them before each checkpoint
+WRITERS = {"atomic_write", "cmd_train"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """``call`` is ``write_text``, ``write_bytes``, or an ``open`` (the
+    builtin or a ``Path`` method) whose mode is not a literal read mode."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        at = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        at = 0
+    else:
+        return False
+    mode = call.args[at] if len(call.args) > at else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) <= set("rbt"))
+
+
+def _file_writes(node, function: str = "<module>"):
+    """``(line, enclosing function)`` of each call under ``node`` that
+    writes a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _file_writes(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and _writes_a_file(child):
+            yield child.lineno, function
+        yield from _file_writes(child, function)
+
+
+def test_files_are_written_only_through_atomic_write():
+    """Every artifact is replaced whole, or left as it was, by
+    ``atomic_write``; no other function of the package opens a file for
+    writing but ``cmd_train``'s append of trace rows."""
+    stray = [f"{path.relative_to(ROOT)}:{line}: in {function}"
+             for path, tree in _package_trees()
+             for line, function in _file_writes(tree)
+             if function not in WRITERS]
+    assert stray == []
+    found = {function for _, tree in _package_trees()
+             for _, function in _file_writes(tree)}
+    assert found == WRITERS
