@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import statistics
 import sys
 from dataclasses import replace
@@ -153,7 +152,6 @@ def _load_run_vocabs(out: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_embed(config: RunConfig) -> Path:
-    out = _prepare_out(config)
     ccfg = config.corpus
     require_file(ccfg.source, "corpus.source")
     src = _token_lines(ccfg.source, ccfg.merges or None)
@@ -170,6 +168,7 @@ def cmd_embed(config: RunConfig) -> Path:
         ids = np.delete(ids, unknown)
     table = train_sgns(ids, offsets, config.sgns, vocab.tokens)
 
+    out = _prepare_out(config)
     vocab.save(out / VOCAB_SRC_FILE)
     if src.merges is not None:
         src.merges.save(out / MERGES_SRC_FILE)
@@ -185,7 +184,7 @@ def cmd_embed(config: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_score(config: RunConfig, vectors: str | None = None) -> Path:
-    out = _prepare_out(config)
+    out = config.resolved_out_dir()
     vocab_src, _, _, _, corpus = _prepare_corpus(config, encode_target=False)
     cur = config.curriculum
     table = None
@@ -199,6 +198,7 @@ def cmd_score(config: RunConfig, vectors: str | None = None) -> Path:
             )
     profile = DifficultyProfile.build(corpus, cur.criterion, table=table,
                                       vocab=vocab_src, invert=cur.invert)
+    _prepare_out(config)
     profile.save(out / DIFFICULTY_FILE)
     print(f"score: {len(profile)} sentences by {cur.criterion} "
           f"-> {out / DIFFICULTY_FILE}")
@@ -223,17 +223,11 @@ def _dev_corpus(config: RunConfig, vocab_src, vocab_tgt, merges_src, merges_tgt,
     return corpus.head(min(200, len(corpus)))
 
 
-def _trace_rows_upto(path: Path, step: int) -> list[str]:
-    """The rows of an existing trace that log updates up to ``step``.
-
-    A run killed after its last checkpoint logged later updates; a
-    resume from that checkpoint replays them, so their rows go.
-    """
-    rows = list(read_lines(path))[1:]
-    try:
-        return [row for row in rows if int(row.split(",", 1)[0]) <= step]
-    except ValueError:
-        raise DataError(f"malformed row in trace {path}") from None
+def _write_trace(path: Path, rows: list) -> None:
+    with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        fh.writelines(",".join([str(row[0]), *map(_fmt, row[1:])]) + "\n"
+                      for row in rows)
 
 
 def _vocab_digest(vocab_src: Vocabulary, vocab_tgt: Vocabulary) -> str:
@@ -253,7 +247,7 @@ def _check_vocab_digest(state: TrainerState, ckpt, digest: str) -> None:
 
 def cmd_train(config: RunConfig, resume: bool = False,
               checkpoint: str | None = None,
-              difficulty: str | None = None) -> Path:
+              difficulty: str | None = None) -> dict:
     if checkpoint and not resume:
         raise ConfigError("--checkpoint names a checkpoint to resume from; "
                           "it needs --resume")
@@ -278,7 +272,6 @@ def cmd_train(config: RunConfig, resume: bool = False,
     vdigest = _vocab_digest(vocab_src, vocab_tgt)
     sampler = SamplerState(corpus, profile, cur.token_budget, cur.min_pool,
                            seed=(config.seed, 2))
-    trace_path = out / TRACE_FILE
 
     if resume:
         ckpt = require_file(checkpoint or out / CKPT_LAST,
@@ -292,15 +285,12 @@ def cmd_train(config: RunConfig, resume: bool = False,
         _check_vocab_digest(state, ckpt, vdigest)
         if state.sampler_rng is not None:
             sampler.set_rng_state(state.sampler_rng)
-        trace_rows = (_trace_rows_upto(trace_path, state.step)
-                      if trace_path.exists() else [])
     else:
         model = Transformer(config.model, len(vocab_src), len(vocab_tgt))
         state = TrainerState(model=model, adam=AdamState(model.params),
                              schedule=cur.schedule(), config_hash=chash,
                              vocab_digest=vdigest)
         state.capture_anchor()
-        trace_rows = []
 
     # the run directory changes only once a resume has been accepted
     _prepare_out(config)
@@ -317,11 +307,10 @@ def cmd_train(config: RunConfig, resume: bool = False,
     start_step = state.step + 1
     n = len(corpus)
 
-    # the kept rows are rewritten whole before the loop appends, so a
-    # run killed here still has every row up to its checkpoint
-    with atomic_write(trace_path, "w", sync=False, encoding="utf-8") as trace:
-        trace.write("\n".join([TRACE_HEADER, *trace_rows]) + "\n")
-    with open(trace_path, "a", encoding="utf-8") as trace:
+    # the rows travel in the checkpoint; the file is rewritten from them
+    # before each checkpoint, so a run killed after one has its rows, and
+    # when the loop ends, so a failed run keeps every row it logged
+    try:
         for t in range(start_step, config.total_steps + 1):
             c_used = schedule.competence(state.step)
             driver_before = schedule.driver
@@ -337,11 +326,9 @@ def cmd_train(config: RunConfig, resume: bool = False,
             if t == 1 or t % config.log_interval == 0 \
                     or t == config.total_steps:
                 frac = sampler.eligible_count(c_used) / n
-                mean_w = 1.0 if weights is None else float(np.mean(weights))
-                trace.write(
-                    f"{t},{_fmt(driver_before)},{_fmt(c_used)},{_fmt(frac)},"
-                    f"{_fmt(mean_w)},{_fmt(metrics['loss'])},{_fmt(lr)}\n"
-                )
+                mean_w = 1.0 if weights is None else np.mean(weights)
+                state.trace.append([t, *map(float, (
+                    driver_before, c_used, frac, mean_w, metrics["loss"], lr))])
             if t % config.eval_interval == 0 or t == config.total_steps:
                 acc = token_accuracy(state.model, dev)
                 evals.append({"step": t, "token_accuracy": float(acc),
@@ -351,11 +338,10 @@ def cmd_train(config: RunConfig, resume: bool = False,
                 if acc > best_acc:
                     best_acc = acc
                     paths.append(out / CKPT_BEST)
-                # a resume from this checkpoint keeps the rows up to its
-                # step, so they must be on disk before it is
-                trace.flush()
-                os.fsync(trace.fileno())
+                _write_trace(out / TRACE_FILE, state.trace)
                 save_checkpoint(state, *paths)
+    finally:
+        _write_trace(out / TRACE_FILE, state.trace)
 
     best = max(evals, key=lambda e: e["token_accuracy"])
     report = {
@@ -371,7 +357,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
     _write_json(out / TRAIN_REPORT, report)
     print(f"train: {state.step} steps, final dev token accuracy "
           f"{evals[-1]['token_accuracy']:.4f} -> {out}")
-    return out
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +366,7 @@ def cmd_train(config: RunConfig, resume: bool = False,
 
 def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
                  checkpoint: str | None = None) -> dict:
-    out = _prepare_out(config)
+    out = config.resolved_out_dir()
     if checkpoint:
         ckpt = require_file(checkpoint, "checkpoint")
     elif (out / CKPT_BEST).is_file():
@@ -402,6 +388,7 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
     empty = np.flatnonzero(np.diff(sources.offsets) == 0)
     if empty.size:
         raise DataError(f"test source line {empty[0] + 1} is empty")
+    _prepare_out(config)
 
     ids = np.split(sources.encode(vocab_src), sources.offsets[1:-1])
     hyps = decode_corpus(state.model, [line.tolist() for line in ids],
@@ -443,9 +430,7 @@ def _run_arm(config: RunConfig) -> dict:
         if config.curriculum.criterion == "norm":
             cmd_embed(config)
         cmd_score(config)
-    out = cmd_train(config)
-    with open(out / TRAIN_REPORT, encoding="utf-8") as fh:
-        return json.load(fh)
+    return cmd_train(config)
 
 
 def _steps_to_target(evals, target: float):

@@ -1,11 +1,13 @@
 """Training steps, the norm probe, and checkpoint persistence.
 
 A checkpoint is one binary file: magic bytes, a format version, a
-length-prefixed UTF-8 JSON header of the twelve fields of the state
+length-prefixed UTF-8 JSON header of the thirteen fields of the state
 (``config_hash``, ``vocab_digest``, ``model_config``,
 ``src_vocab_size``, ``tgt_vocab_size``, ``params``, ``step``,
 ``schedule`` with its anchor ``m0``, ``adam_step``, ``model_rng``,
-``sampler_rng``, ``evals``), each checked on load, then one raw body:
+``sampler_rng``, ``evals``, and ``trace``, the logged trace rows
+``[step, m_t, competence, eligible_fraction, mean_weight, loss, lr]``),
+each checked on load, then one raw body:
 every parameter in ``params`` order, then Adam's flat first and second
 moments, little-endian in the dtype ``model_config.dtype`` names.  The
 shapes follow from the model config and vocabulary sizes, so the body
@@ -40,7 +42,7 @@ __all__ = ["TrainerState", "train_step", "token_accuracy",
            "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"NCLK"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # pairs per dev-accuracy batch: 300 length-sorted dev pairs (d_model 64,
 # 2+2 layers, float32, one thread) took 20.5, 18.7, 19.5 and 31.6 ms at
 # 32, 64, 100 and 300 pairs per batch
@@ -60,6 +62,7 @@ class TrainerState:
     vocab_digest: str = ""
     sampler_rng: dict | None = None
     evals: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
 
     def capture_anchor(self) -> None:
         """Anchor the schedule at the source-embedding norm of the freshly
@@ -74,17 +77,16 @@ def train_step(state: TrainerState, batch: EncodedBatch,
     model = state.model
     loss, per_sentence = model.forward_loss(batch, weights, train=True)
     value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingDiverged(
-            f"non-finite loss {value!r}", step=state.step + 1,
-            batch_ids=batch.ids.tolist())
-    model.zero_grad()
-    loss.backward()
     try:
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"non-finite loss {value!r}")
+        model.zero_grad()
+        loss.backward()
         adam_step(model.params, state.adam, lr)
     except TrainingDiverged as exc:
-        raise TrainingDiverged(str(exc), step=state.step + 1,
-                               batch_ids=batch.ids.tolist()) from exc
+        step, ids = state.step + 1, batch.ids.tolist()
+        raise TrainingDiverged(f"{exc} at step {step}, batch sentence ids {ids}",
+                               step=step, batch_ids=ids) from None
     state.step += 1
     m_t = embedding_matrix_norm(model.source_embedding())
     return {"loss": value, "lr": lr, "m_t": m_t, "nll": per_sentence}
@@ -139,6 +141,7 @@ def save_checkpoint(state: TrainerState, *paths) -> None:
         "model_rng": model.rng.bit_generator.state,
         "sampler_rng": state.sampler_rng,
         "evals": state.evals,
+        "trace": state.trace,
     }
     dtype = _storage_dtype(model.config.dtype)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -158,9 +161,10 @@ _META_TYPES = {
     "config_hash": (str,), "vocab_digest": (str,), "model_config": (dict,),
     "src_vocab_size": (int,), "tgt_vocab_size": (int,), "params": (list,),
     "step": (int,), "schedule": (dict,), "adam_step": (int,), "model_rng": (dict,),
-    "sampler_rng": (dict, type(None)), "evals": (list,),
+    "sampler_rng": (dict, type(None)), "evals": (list,), "trace": (list,),
 }
 _EVAL_TYPES = {"step": int, "token_accuracy": float, "loss": float}
+_TRACE_TYPES = [int] + [float] * 6
 
 
 def _bad_header(key: str, why) -> CheckpointError:
@@ -189,6 +193,9 @@ def _parse_header(raw: bytes) -> tuple[dict, ModelConfig, CompetenceSchedule]:
     if any(type(e) is not dict or {k: type(v) for k, v in e.items()} != _EVAL_TYPES
            for e in meta["evals"]):
         raise _bad_header("evals", f"{meta['evals']!r:.60}")
+    for i, row in enumerate(meta["trace"], 1):
+        if type(row) is not list or list(map(type, row)) != _TRACE_TYPES:
+            raise _bad_header("trace", f"row {i} is {row!r:.60}")
     built = []
     for key, cls in (("model_config", ModelConfig),
                      ("schedule", CompetenceSchedule)):
@@ -262,4 +269,5 @@ def load_checkpoint(path) -> TrainerState:
     return TrainerState(model=model, adam=adam, schedule=schedule,
                         step=meta["step"], config_hash=meta["config_hash"],
                         vocab_digest=meta["vocab_digest"],
-                        sampler_rng=meta["sampler_rng"], evals=meta["evals"])
+                        sampler_rng=meta["sampler_rng"], evals=meta["evals"],
+                        trace=meta["trace"])

@@ -344,6 +344,53 @@ class TestGoldenBytes:
         assert got == self.MERGE_DIGESTS
 
 
+class TestLongSentences:
+    """``embed``, ``score``, ``train`` and ``evaluate`` on 3-60-token
+    training pairs and 30-60-token test sources.  The set-up artifacts
+    keep these digests (recorded like ``TestGoldenBytes``'s), and a rerun
+    repeats every output byte for byte."""
+
+    DIGESTS = {
+        VECTORS_FILE:
+            "5b6112ba3e2600c7bbbf947ccd1f7a4efdf2398dc2e08e2ab1aed0579290aa67",
+        DIFFICULTY_FILE:
+            "90456e34277a64ac5fe9c15d3b583f27e6ed09ef30207e96ac12cfdcf2e4857f",
+    }
+
+    def test_pipeline_repeats_byte_for_byte(self, tmp_path):
+        src, tgt = synthetic_pairs(seed=21, n_pairs=200, vocab_size=60,
+                                   task="mapped", min_len=3, max_len=60)
+        test_src, test_tgt = synthetic_pairs(seed=22, n_pairs=40, vocab_size=60,
+                                             task="mapped", min_len=30, max_len=60)
+        for name, lines in (("l.src", src), ("l.tgt", tgt),
+                            ("test.src", test_src), ("test.tgt", test_tgt)):
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({
+            "corpus": {"source": str(tmp_path / "l.src"),
+                       "target": str(tmp_path / "l.tgt"), "max_len": 64},
+            "sgns": {"dim": 8, "epochs": 2},
+            "model": {"d_model": 16, "n_heads": 2, "n_layers": 1, "d_ff": 32},
+            "eval": {"beam_size": 2, "max_decode_len": 70},
+            "total_steps": 12, "log_interval": 4, "eval_interval": 6}))
+
+        def pipeline(out):
+            for command in ("embed", "score", "train"):
+                assert run_cli(command, "--config", cfg, "--out", out) == 0
+            assert run_cli("evaluate", "--config", cfg, "--out", out,
+                           "--test-source", tmp_path / "test.src",
+                           "--test-target", tmp_path / "test.tgt") == 0
+            return {name: (out / name).read_bytes() for name in (
+                VECTORS_FILE, DIFFICULTY_FILE, TRACE_FILE, TRANSLATIONS_FILE,
+                EVAL_REPORT)}
+
+        first = pipeline(tmp_path / "a")
+        assert {name: hashlib.sha256(first[name]).hexdigest()
+                for name in self.DIGESTS} == self.DIGESTS
+        assert first[TRANSLATIONS_FILE].count(b"\n") == len(test_src)
+        assert pipeline(tmp_path / "b") == first
+
+
 class TestTrace:
     def test_schedule_starts_at_c0(self, trained):
         cols = read_trace(trained / TRACE_FILE)
@@ -451,17 +498,29 @@ class TestResume:
         "normcl.cli.save_checkpoint = save_then_die\n"
         "sys.exit(normcl.cli.main(sys.argv[1:]))\n")
 
-    def test_resume_after_a_kill_matches_unbroken_run(self, workdir, trained):
-        """A run killed right after a checkpoint has the trace rows up to
-        it on disk, so the resumed trace is byte-identical to the
-        unbroken run's."""
-        out = workdir / "killed"
+    # ``train`` in a child process that dies as it starts update 22:
+    # row 20 is logged, checkpoint 24 is not written
+    KILLED_BETWEEN_CHECKPOINTS = (
+        "import os, sys\n"
+        "import normcl.cli\n"
+        "step = normcl.cli.train_step\n"
+        "def die_at_update_22(state, *args):\n"
+        "    if state.step == 21:\n"
+        "        os._exit(137)\n"
+        "    return step(state, *args)\n"
+        "normcl.cli.train_step = die_at_update_22\n"
+        "sys.exit(normcl.cli.main(sys.argv[1:]))\n")
+
+    def _kill_then_resume(self, script, out, workdir, trained):
+        """Run ``script``'s killed ``train`` into ``out``, check that it
+        left the step-16 checkpoint and the rows up to it, resume, and
+        require the unbroken run's trace."""
         cfg = workdir / "run.json"
         difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
         src = Path(normcl.cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         child = subprocess.run(
-            [sys.executable, "-c", self.KILLED_AFTER_CHECKPOINT, "train",
+            [sys.executable, "-c", script, "train",
              "--config", str(cfg), "--out", str(out), *map(str, difficulty)],
             env=env, capture_output=True, text=True, timeout=300)
         assert child.returncode == 137, child.stderr
@@ -472,6 +531,44 @@ class TestResume:
         assert run_cli("train", "--config", cfg, "--out", out, "--resume",
                        *difficulty) == 0
         assert (out / TRACE_FILE).read_bytes() == (trained / TRACE_FILE).read_bytes()
+
+    def test_resume_after_a_kill_matches_unbroken_run(self, workdir, trained):
+        """A run killed right after a checkpoint has the trace rows up to
+        it on disk, so the resumed trace is byte-identical to the
+        unbroken run's."""
+        self._kill_then_resume(self.KILLED_AFTER_CHECKPOINT,
+                               workdir / "killed", workdir, trained)
+
+    def test_resume_after_a_kill_between_checkpoints_matches_unbroken_run(
+            self, workdir, trained):
+        """A run killed after logging row 20 but before checkpoint 24
+        resumes from checkpoint 16, whose rows replace the file's, so
+        the resumed trace is byte-identical to the unbroken run's."""
+        self._kill_then_resume(self.KILLED_BETWEEN_CHECKPOINTS,
+                               workdir / "killed_between", workdir, trained)
+
+    @pytest.mark.parametrize("damage", ["not_utf8", "garbage_row"])
+    def test_resume_over_a_damaged_trace_matches_unbroken_run(
+            self, workdir, trained, tmp_path, damage):
+        """A resume takes its rows from the checkpoint and never reads
+        trace.csv: over a trace with a non-UTF-8 byte or a ``4,garbage``
+        row it exits 0 and writes the unbroken run's trace."""
+        out = tmp_path / "run"
+        cfg = workdir / "run.json"
+        difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
+        assert run_cli("train", "--config", cfg, "--out", out, *difficulty,
+                       "--set", "total_steps=16") == 0
+        trace = out / TRACE_FILE
+        if damage == "not_utf8":
+            _not_utf8(trace, trace)
+        else:
+            lines = trace.read_text().splitlines()
+            assert lines[2].startswith("4,")
+            lines[2] = "4,garbage"
+            trace.write_text("\n".join(lines) + "\n")
+        assert run_cli("train", "--config", cfg, "--out", out, "--resume",
+                       *difficulty) == 0
+        assert trace.read_bytes() == (trained / TRACE_FILE).read_bytes()
 
     def test_resume_from_earlier_checkpoint_truncates_trace(
             self, workdir, trained, tmp_path):
@@ -573,10 +670,9 @@ class TestResume:
 
     def test_failed_trace_rewrite_keeps_the_previous_trace(
             self, workdir, trained, monkeypatch):
-        """A resume that fails while rewriting the kept trace rows (the
-        disk fills after the second row) leaves the previous trace.csv
-        byte-identical, leaves no temporary file, and the run still
-        resumes."""
+        """A resumed run whose trace write fails (the disk fills after the
+        second row) leaves the previous trace.csv byte-identical, leaves
+        no temporary file, and the run still resumes."""
         out = workdir / "interrupted_trace"
         cfg = workdir / "run.json"
         difficulty = ("--difficulty", trained / DIFFICULTY_FILE)
@@ -584,17 +680,17 @@ class TestResume:
                        "--set", "total_steps=8") == 0
         before = (out / TRACE_FILE).read_bytes()
 
-        rows_upto = normcl.cli._trace_rows_upto
+        fmt = normcl.cli._fmt
+        formatted = []
 
-        def fill_disk(path, step):
-            rows = rows_upto(path, step)  # read now, as the real one does
-
-            def written():
-                yield from rows[:2]
+        def fill_disk(x):
+            # six floats a row: the disk fills once two rows are written
+            if len(formatted) == 12:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return written()
+            formatted.append(x)
+            return fmt(x)
 
-        monkeypatch.setattr(normcl.cli, "_trace_rows_upto", fill_disk)
+        monkeypatch.setattr(normcl.cli, "_fmt", fill_disk)
         with pytest.raises(OSError):
             run_cli("train", "--config", cfg, "--out", out, *difficulty,
                     "--resume")
@@ -679,6 +775,66 @@ class TestResume:
                        "--set", "curriculum.kind=none")
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_message_names_step_and_batch_and_trace_keeps_its_rows(
+            self, tmp_path, capsys, monkeypatch):
+        """A run that diverges at update 2 exits 2 with the step and the
+        batch's sentence ids in its message, and trace.csv keeps row 1."""
+        src, tgt = synthetic_pairs(seed=0, n_pairs=300, task="mapped")
+        (tmp_path / "d.src").write_text("\n".join(src) + "\n")
+        (tmp_path / "d.tgt").write_text("\n".join(tgt) + "\n")
+        step = normcl.cli.train_step
+        batches = []
+
+        def recording(state, batch, *args):
+            batches.append(batch.ids.tolist())
+            return step(state, batch, *args)
+
+        monkeypatch.setattr(normcl.cli, "train_step", recording)
+        out = tmp_path / "run"
+        code = run_cli("train", "--out", out,
+                       "--set", f"corpus.source={tmp_path / 'd.src'}",
+                       "--set", f"corpus.target={tmp_path / 'd.tgt'}",
+                       "--set", "model.d_model=16", "--set", "curriculum.kind=none",
+                       "--set", "optimizer.peak_lr=1e30")
+        assert len(batches) == 2
+        _refused(capsys, code, "non-finite loss",
+                 f"at step 2, batch sentence ids {batches[1]}")
+        rows = (out / TRACE_FILE).read_text().splitlines()
+        assert rows[0] == TRACE_HEADER
+        assert [row.split(",")[0] for row in rows[1:]] == ["1"]
+
+
+class TestRefusedCommandKeepsTheConfigEcho:
+    """A refused ``embed``, ``score`` or ``evaluate`` leaves the run
+    directory's config.json as it was: the echo is written only once
+    the command's inputs pass their checks."""
+
+    REFUSED = {
+        "embed": ("--set", "sgns.dim=9", "--set", "corpus.source={nope}"),
+        "score": ("--set", "curriculum.lambda_w=0.9", "--vectors", "{nope}"),
+        "evaluate": ("--set", "eval.beam_size=1", "--test-source", "{nope}",
+                     "--test-target", "{nope}", "--checkpoint", "{ckpt}"),
+    }
+
+    @pytest.mark.parametrize("command", REFUSED)
+    def test_config_json_is_unchanged(self, workdir, trained, tmp_path,
+                                      capsys, command):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("config.json", VOCAB_SRC_FILE, VOCAB_TGT_FILE):
+            shutil.copyfile(trained / name, run / name)
+        before = (run / "config.json").read_bytes()
+        nope = tmp_path / "nope"
+        args = [a.format(nope=nope, ckpt=trained / CKPT_LAST)
+                for a in self.REFUSED[command]]
+        _refused(capsys, run_cli(command, "--config", workdir / "run.json",
+                                 "--out", run, *args),
+                 f"not found: '{nope}'")
+        assert (run / "config.json").read_bytes() == before
 
 
 class TestComputeDtype:
@@ -1166,6 +1322,10 @@ _HEADER_EDITS = {
         "bad sampler_rng in checkpoint header"),
     "evals_bad_entry": (lambda meta: meta["evals"].append({"step": 1}),
                         "bad evals in checkpoint header"),
+    "trace_string_field": (lambda meta: meta["trace"][1].__setitem__(3, "0.5"),
+                           "bad trace in checkpoint header: row 2 is [4, "),
+    "trace_six_fields": (lambda meta: meta["trace"][0].pop(),
+                         "bad trace in checkpoint header: row 1 is [1, "),
     "config_hash_not_string": (lambda meta: meta.update(config_hash=7),
                                "bad config_hash in checkpoint header"),
     "vocab_digest_not_string": (lambda meta: meta.update(vocab_digest=None),
@@ -1205,7 +1365,7 @@ def _corrupt_checkpoint(src: Path, dst: Path, how: str) -> str:
         dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                         + raw[16 + blob_len:])
         return "garbled checkpoint header: maximum recursion depth exceeded"
-    if how in ("format_1", "format_2", "format_3", "format_4"):
+    if how in ("format_1", "format_2", "format_3", "format_4", "format_5"):
         raw = bytearray(src.read_bytes())
         raw[4:8] = struct.pack("<I", int(how[-1]))
         dst.write_bytes(bytes(raw))
@@ -1377,8 +1537,8 @@ def _refused(capsys, code: int, *fragments) -> None:
 
 
 class TestNotUtf8:
-    """A corpus, vectors, difficulty, vocabulary, trace or config file
-    that is not UTF-8 ends in exit 2 and a message naming it."""
+    """A corpus, vectors, difficulty, vocabulary or config file that is
+    not UTF-8 ends in exit 2 and a message naming it."""
 
     def test_embed_corpus(self, workdir, tmp_path, capsys):
         bad = _not_utf8(workdir / "train.src", tmp_path / "train.src")
@@ -1409,15 +1569,6 @@ class TestNotUtf8:
                                  "--test-target", workdir / "dev.tgt"),
                  f"{bad} is not UTF-8 text")
 
-    def test_resume_trace(self, workdir, trained, tmp_path, capsys):
-        run = tmp_path / "run"
-        bad = _not_utf8(trained / TRACE_FILE, run / TRACE_FILE)
-        _refused(capsys, run_cli("train", "--config", workdir / "run.json",
-                                 "--out", run, "--resume",
-                                 "--checkpoint", trained / CKPT_LAST,
-                                 "--difficulty", trained / DIFFICULTY_FILE),
-                 f"{bad} is not UTF-8 text")
-
     def test_config(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_bytes(b'{"seed": "\xff"}\n')
@@ -1430,7 +1581,8 @@ class TestNotUtf8:
 @pytest.mark.parametrize("how", ["garbled_header", "deep_header", "missing_adam_v",
                                  "short_adam_m", "body_one_byte_short",
                                  "body_trailing_byte", "format_1", "format_2",
-                                 "format_3", "format_4", *_HEADER_EDITS])
+                                 "format_3", "format_4", "format_5",
+                                 *_HEADER_EDITS])
 class TestDamagedCheckpoint:
     """A damaged checkpoint ends in exit 2 and a message, never a
     traceback, whether ``evaluate`` or ``train --resume`` reads it."""

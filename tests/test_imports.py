@@ -154,10 +154,9 @@ def test_every_all_entry_is_bound():
     assert unbound == []
 
 
-# the functions that may open a file for writing: the one writer that
-# replaces a file whole, and the training loop, which appends trace rows
-# and syncs them before each checkpoint
-WRITERS = {"atomic_write", "cmd_train"}
+# the functions that may open a file for writing: the one writer, which
+# replaces a file whole
+WRITERS = {"atomic_write"}
 
 
 def _writes_a_file(call: ast.Call) -> bool:
@@ -193,7 +192,7 @@ def _file_writes(node, function: str = "<module>"):
 def test_files_are_written_only_through_atomic_write():
     """Every artifact is replaced whole, or left as it was, by
     ``atomic_write``; no other function of the package opens a file for
-    writing but ``cmd_train``'s append of trace rows."""
+    writing."""
     stray = [f"{path.relative_to(ROOT)}:{line}: in {function}"
              for path, tree in _package_trees()
              for line, function in _file_writes(tree)

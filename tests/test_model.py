@@ -523,6 +523,8 @@ class TestCheckpoint:
         state = self._trained_state()
         state.sampler_rng = np.random.default_rng(4).bit_generator.state
         state.evals = [{"step": 3, "token_accuracy": 0.5, "loss": 1.25}]
+        state.trace = [[1, 3.5, 0.01, 0.25, 1.0, 2.75, 1e-3],
+                       [3, 3.625, 0.1, 0.5, 0.875, 2.5, 3e-3]]
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
@@ -536,6 +538,7 @@ class TestCheckpoint:
         assert back.config_hash == "demo"
         assert back.sampler_rng == state.sampler_rng
         assert back.evals == state.evals
+        assert back.trace == state.trace
 
     def test_adam_moments_survive(self, tmp_path):
         state = self._trained_state()
@@ -652,6 +655,15 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_every_header_field_is_checked_on_load(self, tmp_path):
+        """The header holds exactly the fields ``_META_TYPES`` checks, so a
+        field added to ``save_checkpoint`` without a load check fails."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._trained_state(steps=1), path)
+        raw = path.read_bytes()
+        header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+        assert header.keys() == trainer_module._META_TYPES.keys()
 
     def test_version_mismatch_rejected(self, tmp_path):
         state = self._trained_state(steps=1)
