@@ -388,7 +388,6 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
     empty = np.flatnonzero(np.diff(sources.offsets) == 0)
     if empty.size:
         raise DataError(f"test source line {empty[0] + 1} is empty")
-    _prepare_out(config)
 
     ids = np.split(sources.encode(vocab_src), sources.offsets[1:-1])
     hyps = decode_corpus(state.model, [line.tolist() for line in ids],
@@ -399,6 +398,7 @@ def cmd_evaluate(config: RunConfig, test_source: str, test_target: str,
         if merges_tgt is not None:
             words = detokenize_subwords(words)
         hyp_words.append(words)
+    _prepare_out(config)
     with atomic_write(out / TRANSLATIONS_FILE, "w", sync=False,
                       encoding="utf-8") as fh:
         for words in hyp_words:
