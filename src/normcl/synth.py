@@ -34,13 +34,19 @@ def _word(i: int) -> str:
 class _TopicModel:
     def __init__(self, vocab_size: int, exponent: float, n_topics: int,
                  spec_power: float):
+        if n_topics < 1:
+            raise ConfigError(f"n_topics {n_topics} is not positive")
         if vocab_size < n_topics:
             raise ConfigError(
                 f"vocab_size {vocab_size} smaller than n_topics {n_topics}"
             )
+        if not spec_power >= 0:
+            raise ConfigError(f"spec_power {spec_power} is not >= 0")
         ranks = np.arange(vocab_size)
         unigram = 1.0 / (ranks + 1.0) ** exponent
         unigram /= unigram.sum()
+        if not np.isfinite(unigram).all():
+            raise ConfigError(f"exponent {exponent} gives no distribution")
         lam = (np.log(ranks + 2.0) / np.log(vocab_size + 1.0)) ** spec_power
         alloc = np.repeat(((1.0 - lam) / n_topics)[:, None], n_topics, axis=1)
         alloc[ranks, ranks % n_topics] += lam
@@ -51,9 +57,9 @@ class _TopicModel:
         self.mass_cdf = np.cumsum(topic_mass / topic_mass.sum())
         self.mass_cdf[-1] = 1.0
 
-    def sentence_ids(self, rng: np.random.Generator, length: int) -> np.ndarray:
-        z = int(np.searchsorted(self.mass_cdf, rng.random()))
-        return np.searchsorted(self.topic_cdfs[z], rng.random(length))
+    def sentence_ids(self, rng: np.random.Generator, length: int) -> list[int]:
+        z = self.mass_cdf.searchsorted(rng.random())
+        return self.topic_cdfs[z].searchsorted(rng.random(length)).tolist()
 
 
 def zipfian_corpus(seed: int, vocab_size: int = 220, n_tokens: int = 220_000,
@@ -64,12 +70,12 @@ def zipfian_corpus(seed: int, vocab_size: int = 220, n_tokens: int = 220_000,
         raise ConfigError("degenerate zipfian_corpus parameters")
     rng = np.random.default_rng(seed)
     model = _TopicModel(vocab_size, exponent, n_topics, spec_power)
+    words = [_word(i) for i in range(vocab_size)]
     lines: list[str] = []
     produced = 0
     while produced < n_tokens:
         n = int(rng.integers(min_len, max_len + 1))
-        ids = model.sentence_ids(rng, n)
-        lines.append(" ".join(_word(i) for i in ids))
+        lines.append(" ".join([words[i] for i in model.sentence_ids(rng, n)]))
         produced += n
     return lines
 
@@ -90,13 +96,13 @@ def synthetic_pairs(seed: int, n_pairs: int = 5000, vocab_size: int = 200,
         raise ConfigError("degenerate synthetic_pairs parameters")
     rng = np.random.default_rng(seed)
     model = _TopicModel(vocab_size, exponent, n_topics, spec_power)
+    words = [_word(i) for i in range(vocab_size)]
     # the cipher ignores the seed so separate train/dev draws stay consistent
-    perm = np.random.default_rng(991).permutation(vocab_size)
+    perm = np.random.default_rng(991).permutation(vocab_size).tolist()
+    targets = words if task == "copy" else [words[i] for i in perm]
     src_lines, tgt_lines = [], []
     for _ in range(n_pairs):
-        n = int(rng.integers(min_len, max_len + 1))
-        ids = model.sentence_ids(rng, n)
-        src_lines.append(" ".join(_word(i) for i in ids))
-        out = ids if task == "copy" else perm[ids]
-        tgt_lines.append(" ".join(_word(i) for i in out))
+        ids = model.sentence_ids(rng, int(rng.integers(min_len, max_len + 1)))
+        src_lines.append(" ".join([words[i] for i in ids]))
+        tgt_lines.append(" ".join([targets[i] for i in ids]))
     return src_lines, tgt_lines
