@@ -48,7 +48,7 @@ from .trainer import (
 )
 
 __all__ = ["main", "cmd_embed", "cmd_score", "cmd_train", "cmd_evaluate",
-           "cmd_compare", "cmd_schedule_dump"]
+           "cmd_compare"]
 
 VECTORS_FILE = "vectors.txt"
 NORMS_FILE = "norms.tsv"
@@ -493,66 +493,6 @@ def cmd_compare(config_a: dict, config_b: dict, seeds, out_root: Path,
 
 
 # ---------------------------------------------------------------------------
-# schedule-dump
-# ---------------------------------------------------------------------------
-
-# the most rows schedule-dump writes; a longer curve is refused up front
-MAX_CURVE_ROWS = 1_000_000
-
-
-def _check_curve_rows(rows: float) -> None:
-    if rows > MAX_CURVE_ROWS:
-        raise ConfigError(f"the curve would have {rows:.0f} rows; schedule-dump "
-                          f"writes at most {MAX_CURVE_ROWS}")
-
-
-def cmd_schedule_dump(config: RunConfig, args) -> Path:
-    """Write the competence curve of ``config.curriculum``: by step for
-    ``time_sqrt``, by embedding norm from ``--m0`` for ``norm_based``."""
-    schedule = config.curriculum.schedule()
-    if schedule.kind == "time_sqrt":
-        if args.t_step < 1:
-            raise ConfigError(f"--t-step must be positive, got {args.t_step}")
-        _check_curve_rows(args.t_max // args.t_step + 1)
-        lines = ["step,competence"]
-        for t in range(0, args.t_max + 1, args.t_step):
-            lines.append(f"{t},{_fmt(schedule.competence(t))}")
-    elif schedule.kind == "norm_based":
-        if args.m0 is None:
-            raise ConfigError("schedule-dump needs --m0 for kind norm_based")
-        schedule.set_anchor(args.m0)
-        if not args.m_step > 0:
-            raise ConfigError(f"--m-step must be positive, got {args.m_step}")
-        stop = args.m_max if args.m_max is not None else \
-            args.m0 * (1 + schedule.lambda_m)
-        if not args.m0 <= stop < np.inf:
-            raise ConfigError(
-                f"--m-max must be finite and at least --m0 {args.m0}, got {stop}")
-        # a step of at least the float spacing at the last m advances
-        # every m up to it, since the spacing grows with m
-        last = stop + 1e-12
-        if args.m_step < np.spacing(last):
-            raise ConfigError(f"--m-step {args.m_step} is too small to advance "
-                              f"m up to {stop}")
-        _check_curve_rows((stop - args.m0) / args.m_step + 1)
-        lines = ["m_t,competence"]
-        m = args.m0
-        while m <= last:
-            # m grows, so the schedule's running peak is m itself
-            schedule.observe_norm(m)
-            lines.append(f"{_fmt(m)},{_fmt(schedule.competence(0))}")
-            m += args.m_step
-    else:
-        raise ConfigError("schedule-dump needs curriculum.kind time_sqrt or norm_based")
-    path = _prepare_out(config) / "schedule.csv"
-    text = "\n".join(lines) + "\n"
-    with atomic_write(path, "w", sync=False, encoding="utf-8") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
-    return path
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
@@ -619,15 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target as a fraction of arm B's final accuracy "
                         "(default 0.9)")
 
-    p = sub.add_parser("schedule-dump", parents=[common],
-                       help="emit the curriculum block's competence curve "
-                            "without training")
-    p.add_argument("--m0", type=float,
-                   help="anchor norm (required for kind norm_based)")
-    p.add_argument("--t-max", type=int, dest="t_max", default=1000)
-    p.add_argument("--t-step", type=int, dest="t_step", default=10)
-    p.add_argument("--m-max", type=float, dest="m_max")
-    p.add_argument("--m-step", type=float, dest="m_step", default=1.0)
     return parser
 
 
@@ -674,8 +605,6 @@ def main(argv=None) -> int:
             cmd_compare(config_a, config_b, seeds, out_root,
                         target_accuracy=args.target_accuracy,
                         target_fraction=args.target_fraction)
-        elif args.command == "schedule-dump":
-            cmd_schedule_dump(_assemble_config(args), args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
     except NormclError as exc:

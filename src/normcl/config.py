@@ -183,9 +183,10 @@ def run_config_from_dict(data: dict) -> RunConfig:
     seed = data.get("seed", 0)
     kwargs = {}
     for name, cls in _BLOCKS.items():
-        block = dict(data.pop(name, {}))
+        block = data.pop(name, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config block {name!r} must be an object")
+        block = dict(block)
         if name in _SEEDED_BLOCKS:
             block.setdefault("seed", seed)
         kwargs[name] = _build_block(name, cls, block)
@@ -255,6 +256,6 @@ def config_hash(config: RunConfig) -> str:
 
 def require_file(path, what: str) -> Path:
     p = Path(path) if path else None
-    if p is None or str(p) == "" or not p.is_file():
+    if p is None or not p.is_file():
         raise ConfigError(f"{what} not found: {str(path)!r}")
     return p

@@ -996,6 +996,12 @@ class TestValidation:
         assert exc.value.code == 2
         assert "--deterministic" in capsys.readouterr().err
 
+    def test_removed_schedule_dump_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("schedule-dump", "--m0", "10")
+        assert exc.value.code == 2
+        assert "invalid choice: 'schedule-dump'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("c0", ["0", "1.01"])
     def test_c0_outside_half_open_unit_rejected(self, workdir, capsys, c0):
         code = run_cli("score", "--config", workdir / "run.json",
@@ -1024,9 +1030,48 @@ class TestValidation:
     def test_out_dir_env_fallback(self, workdir, monkeypatch):
         target = workdir / "env_out"
         monkeypatch.setenv("NORMCL_OUT", str(target))
-        assert run_cli("schedule-dump", "--set", "curriculum.kind=time_sqrt",
-                       "--set", "curriculum.lambda_t=10", "--t-max", "10") == 0
-        assert (target / "schedule.csv").is_file()
+        assert run_cli("embed", "--config", workdir / "run.json") == 0
+        assert (target / VECTORS_FILE).is_file()
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (("--set", "curriculum.bogus=1"), "curriculum.bogus"),
+        (("--config", "no/such/run.json"), "config file not found"),
+        (("--config", "."), "cannot read config file ."),
+    ], ids=["unknown_key", "missing_config", "config_directory"])
+    def test_config_refused_before_any_output(self, tmp_path, capsys, flags,
+                                              fragment):
+        _refused(capsys, run_cli("embed", *flags, "--out", tmp_path / "out"),
+                 fragment)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value, block", [
+        ("--config", '{"sgns": null}', "sgns"),
+        ("--config", '{"sgns": 3}', "sgns"),
+        ("--config", '{"sgns": [1]}', "sgns"),
+        ("--config", '{"sgns": "ab"}', "sgns"),
+        ("--config", '{"sgns": [[1, 2]]}', "sgns"),
+        ("--set", "corpus=3", "corpus"),
+    ], ids=["null", "number", "list", "string", "pair_list", "set"])
+    def test_config_block_not_an_object_refused(self, tmp_path, capsys, flag,
+                                                value, block):
+        """A block that is not a JSON object is refused by name, whether
+        a config file or ``--set`` supplies it."""
+        if flag == "--config":
+            path = tmp_path / "run.json"
+            path.write_text(value)
+            value = path
+        _refused(capsys, run_cli("embed", flag, value, "--out", tmp_path / "out"),
+                 f"error: config block {block!r} must be an object")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+    def test_out_naming_a_file_refused(self, workdir, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = run_cli("embed", "--config", workdir / "run.json",
+                       "--out", afile / sub)
+        _refused(capsys, code, f"cannot use {afile / sub} as the output directory")
+        assert afile.read_text() == "kept\n"
 
 
 class TestEvaluate:
@@ -1572,8 +1617,8 @@ class TestNotUtf8:
     def test_config(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_bytes(b'{"seed": "\xff"}\n')
-        _refused(capsys, run_cli("schedule-dump", "--config", path,
-                                 "--m0", "10", "--out", tmp_path / "out"),
+        _refused(capsys, run_cli("embed", "--config", path,
+                                 "--out", tmp_path / "out"),
                  f"config file {path} is not UTF-8 text")
         assert not (tmp_path / "out").exists()
 
@@ -1621,8 +1666,8 @@ class TestDeeplyNestedJson:
     def test_config_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text(self.DEEP)
-        _refused(capsys, run_cli("schedule-dump", "--config", path,
-                                 "--m0", "10", "--out", tmp_path / "out"),
+        _refused(capsys, run_cli("embed", "--config", path,
+                                 "--out", tmp_path / "out"),
                  f"config file {path} nests JSON too deeply")
         assert not (tmp_path / "out").exists()
 
@@ -1636,8 +1681,8 @@ class TestDeeplyNestedJson:
         assert not (tmp_path / "cmp").exists()
 
     def test_override(self, tmp_path, capsys):
-        _refused(capsys, run_cli("schedule-dump", "--set", "seed=" + self.DEEP,
-                                 "--m0", "10", "--out", tmp_path / "out"),
+        _refused(capsys, run_cli("embed", "--set", "seed=" + self.DEEP,
+                                 "--out", tmp_path / "out"),
                  "override 'seed' nests JSON too deeply")
         assert not (tmp_path / "out").exists()
 
@@ -1727,124 +1772,6 @@ class TestCompare:
                        "--seeds", "0", "--out", tmp_path / "never")
         assert code == 2
         assert "share the corpus" in capsys.readouterr().err
-
-
-class TestScheduleDump:
-    TIME_SQRT = ("--set", "curriculum.kind=time_sqrt",
-                 "--set", "curriculum.lambda_t=100")
-
-    def test_time_curve_endpoints(self, tmp_path, capsys):
-        code = run_cli("schedule-dump", *self.TIME_SQRT,
-                       "--t-max", "100", "--t-step", "50", "--out", tmp_path)
-        assert code == 0
-        lines = (tmp_path / "schedule.csv").read_text().splitlines()
-        assert lines[0] == "step,competence"
-        assert lines[1] == "0,0.01"
-        assert lines[-1] == "100,1.0"
-        assert float(lines[2].split(",")[1]) == competence_time(50, 0.01, 100)
-        assert capsys.readouterr().out.splitlines()[0] == "step,competence"
-
-    def test_norm_curve(self, tmp_path):
-        code = run_cli("schedule-dump", "--m0", "10",
-                       "--m-max", "35", "--m-step", "12.5", "--out", tmp_path)
-        assert code == 0
-        lines = (tmp_path / "schedule.csv").read_text().splitlines()
-        assert lines[0] == "m_t,competence"
-        assert float(lines[1].split(",")[1]) == 0.01
-        assert float(lines[-1].split(",")[1]) == 1.0
-
-    def test_norm_curve_needs_m0(self, tmp_path, capsys):
-        code = run_cli("schedule-dump", "--out", tmp_path)
-        assert code == 2
-        assert "--m0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags, first_row", [
-        (TIME_SQRT, "0,0.5"), (("--m0", "10"), "10.0,0.5")],
-        ids=["time_sqrt", "norm_based"])
-    def test_reads_config_and_overrides(self, tmp_path, flags, first_row):
-        (tmp_path / "run.json").write_text(
-            json.dumps({"curriculum": {"c0": 0.2, "lambda_m": 0.3}}))
-        code = run_cli("schedule-dump", "--config", tmp_path / "run.json",
-                       *flags, "--set", "curriculum.c0=0.5", "--out", tmp_path)
-        assert code == 0
-        lines = (tmp_path / "schedule.csv").read_text().splitlines()
-        assert lines[1] == first_row
-        if flags[0] == "--m0":
-            # lambda_m 0.3 from the file sets where the curve ends
-            assert lines[-1] == "13.0,1.0"
-
-    def test_time_curve_is_the_trace_competence(self, workdir, trained,
-                                                tmp_path):
-        """schedule-dump and train read one schedule: each trace row's
-        competence is the curve's at the steps completed before it."""
-        flags = ("--config", workdir / "run.json",
-                 "--set", "curriculum.kind=time_sqrt",
-                 "--set", "curriculum.lambda_t=16")
-        assert run_cli("train", *flags, "--out", tmp_path / "run",
-                       "--difficulty", trained / DIFFICULTY_FILE,
-                       "--set", "log_interval=1") == 0
-        assert run_cli("schedule-dump", *flags, "--out", tmp_path,
-                       "--t-max", "24", "--t-step", "1") == 0
-        curve = dict(line.split(",") for line in
-                     (tmp_path / "schedule.csv").read_text().splitlines()[1:])
-        rows = (tmp_path / "run" / TRACE_FILE).read_text().splitlines()[1:]
-        assert len(rows) == 24
-        for row in rows:
-            step, _, competence = row.split(",")[:3]
-            assert curve[str(int(step) - 1)] == competence
-
-    @pytest.mark.parametrize("flags, fragment", [
-        (("--set", "curriculum.bogus=1"), "curriculum.bogus"),
-        (("--config", "no/such/run.json"), "config file not found"),
-        (("--config", "."), "cannot read config file ."),
-        (("--set", "curriculum.kind=none"), "time_sqrt or norm_based"),
-        (TIME_SQRT + ("--t-step", "0"), "--t-step must be positive"),
-        (("--m0", "10", "--m-step", "0"), "--m-step must be positive"),
-        (("--m0", "10", "--m-step", "-1"), "--m-step must be positive"),
-        (("--m0", "10", "--m-max", "5"), "at least --m0"),
-        (("--m0", "10", "--m-max", "inf"), "must be finite"),
-        # m + 1e-20 == m for every m from 10 up: m would stay at m0
-        (("--m0", "10", "--m-step", "1e-20"), "too small to advance"),
-        # half the spacing in [8, 16) moves the odd 9 + 2**-49 by rounding
-        # up, but leaves the even 8 where it is
-        (("--m0", "8", "--m-max", "9.000000000000002",
-          "--m-step", "8.881784197001252e-16"), "too small to advance"),
-        # row counts past MAX_CURVE_ROWS, which once ran without end
-        (("--m0", "10", "--m-step", "1e-9"),
-         "25000000001 rows; schedule-dump writes at most 1000000"),
-        (("--m0", "10", "--m-max", "1000010", "--m-step", "1"),
-         "1000001 rows; schedule-dump writes at most 1000000"),
-        (TIME_SQRT + ("--t-max", "1000000000000"),
-         "100000000001 rows; schedule-dump writes at most 1000000"),
-    ], ids=["unknown_key", "missing_config", "config_directory", "kind_none",
-            "t_step_0", "m_step_0", "m_step_negative", "m_max_below_m0",
-            "m_max_inf", "m_step_no_advance", "m_step_half_spacing",
-            "m_rows_over_limit", "m_rows_one_over_limit", "t_rows_over_limit"])
-    def test_refused_before_any_curve(self, tmp_path, capsys, flags, fragment):
-        code = run_cli("schedule-dump", *flags, "--out", tmp_path / "out")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and fragment in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
-    def test_out_naming_a_file_refused(self, tmp_path, capsys, sub):
-        afile = tmp_path / "afile"
-        afile.write_text("kept\n")
-        code = run_cli("schedule-dump", "--m0", "10", "--out", afile / sub)
-        _refused(capsys, code, f"cannot use {afile / sub} as the output directory")
-        assert afile.read_text() == "kept\n"
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--kind", "time_sqrt"), ("--c0", "0.5"), ("--lambda-t", "10"),
-        ("--lambda-m", "0.3")])
-    def test_schedule_flags_removed(self, tmp_path, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("schedule-dump", "--m0", "10", flag, value,
-                    "--out", tmp_path)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class Effect(typing.NamedTuple):
